@@ -8,14 +8,29 @@ where the system understands that "working force in Switzerland" means
 the labour-market datasets.
 
 Matching is layered: exact term/synonym hit, then token-overlap scoring,
-then character-trigram fuzzy match — each cheaper layer short-circuits the
-next, and every hit reports its match kind so the explanation layer can
-say *why* a term was grounded the way it was.
+then character-trigram fuzzy match.  An exact hit returns at once, and a
+token hit scoring at least 0.34 skips the fuzzy layer; a weaker token hit
+is kept and only a higher fuzzy score displaces it.  Every hit reports its
+match kind so the explanation layer can say *why* a term was grounded the
+way it was.
+
+The token and trigram layers read postings built once in
+:meth:`DomainVocabulary.add_term`: every surface (term name, then its
+synonyms, in term insertion order) is stored with its distinct token and
+trigram counts, and token -> surface and trigram -> surface postings list
+where each gram occurs.  A lookup grams the phrase once, counts the grams
+it shares with each surface through the postings, and scores only the
+surfaces that share one, as the Jaccard ratio
+``shared / (|phrase| + |surface| - shared)`` — the same integer ratio as
+:func:`token_overlap` and :func:`trigram_similarity`, so scores match
+them bit for bit.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.errors import KGError
 from repro.vector.embedding import tokenize_text
@@ -66,8 +81,26 @@ def edit_similarity(a: str, b: str) -> float:
     transpositions ("wieght" vs "weight") count as a single edit — the
     dominant human typo class.  O(len(a)*len(b)) dynamic programming.
     """
+    return _osa_similarity(a.lower(), b.lower())
+
+
+def edit_similarity_at_least(a: str, b: str, threshold: float) -> bool:
+    """``edit_similarity(a, b) >= threshold``, skipping hopeless pairs.
+
+    The OSA distance is at least the length difference, so the similarity
+    is at most ``1 - |len(a) - len(b)| / max(len)``; when even that bound
+    misses ``threshold`` the dynamic programme is not run.
+    """
     a = a.lower()
     b = b.lower()
+    longest = max(len(a), len(b))
+    if longest and 1.0 - abs(len(a) - len(b)) / longest < threshold:
+        return False
+    return _osa_similarity(a, b) >= threshold
+
+
+def _osa_similarity(a: str, b: str) -> float:
+    """:func:`edit_similarity` of two already lower-cased strings."""
     if a == b:
         return 1.0
     if not a or not b:
@@ -106,12 +139,48 @@ def token_overlap(a: str, b: str) -> float:
     return len(tokens_a & tokens_b) / len(tokens_a | tokens_b)
 
 
+def _best_surface(
+    grams: set[str],
+    postings: dict[str, list[int]],
+    sizes: list[int],
+    min_score: float,
+) -> tuple[float, int] | None:
+    """Highest Jaccard ``(score, position)`` over surfaces sharing a gram.
+
+    ``sizes[position]`` is the surface's gram count.  Ties go to the lowest
+    position, which is what a strict ``>`` over a scan in position order
+    keeps.
+    """
+    shared = Counter(chain.from_iterable(postings.get(gram, ()) for gram in grams))
+    count_a = len(grams)
+    best: tuple[float, int] | None = None
+    for position, count in shared.items():
+        score = count / (count_a + sizes[position] - count)
+        if score < min_score:
+            continue
+        if best is None or score > best[0] or (
+            score == best[0] and position < best[1]
+        ):
+            best = (score, position)
+    return best
+
+
 class DomainVocabulary:
     """A registry of :class:`VocabularyTerm` with layered lookup."""
 
     def __init__(self, fuzzy_threshold: float = 0.45):
+        if not fuzzy_threshold > 0.0:
+            raise KGError("fuzzy_threshold must be positive")
         self._terms: dict[str, VocabularyTerm] = {}
         self._surface_index: dict[str, tuple[str, str]] = {}
+        #: Every ``(term, name or synonym)`` in scan order (terms as added,
+        #: each term's name before its synonyms), with the surface's distinct
+        #: token and trigram counts beside it; postings hold positions here.
+        self._surfaces: list[tuple[VocabularyTerm, str]] = []
+        self._token_counts: list[int] = []
+        self._trigram_counts: list[int] = []
+        self._token_postings: dict[str, list[int]] = {}
+        self._trigram_postings: dict[str, list[int]] = {}
         self.fuzzy_threshold = fuzzy_threshold
 
     def __len__(self) -> int:
@@ -126,23 +195,36 @@ class DomainVocabulary:
         return sorted(self._terms)
 
     def add_term(self, term: VocabularyTerm) -> None:
-        """Register a term; names and synonyms must not collide."""
+        """Register a term; names and synonyms must not collide.
+
+        A rejected term leaves the vocabulary unchanged.
+        """
         key = term.name.lower()
         if key in self._terms:
             raise KGError(f"vocabulary term {term.name!r} already exists")
+        surfaces = [(term.name, "exact")] + [(s, "synonym") for s in term.synonyms]
+        for surface, _kind in surfaces:
+            existing = self._surface_index.get(surface.lower().strip())
+            if existing is not None and existing[0] != key:
+                raise KGError(
+                    f"surface form {surface!r} already maps to {existing[0]!r}"
+                )
         self._terms[key] = term
-        self._register_surface(term.name, key, "exact")
-        for synonym in term.synonyms:
-            self._register_surface(synonym, key, "synonym")
+        for surface, kind in surfaces:
+            self._surface_index[surface.lower().strip()] = (key, kind)
+            self._add_postings(term, surface)
 
-    def _register_surface(self, surface: str, term_key: str, kind: str) -> None:
-        surface_key = surface.lower().strip()
-        existing = self._surface_index.get(surface_key)
-        if existing is not None and existing[0] != term_key:
-            raise KGError(
-                f"surface form {surface!r} already maps to {existing[0]!r}"
-            )
-        self._surface_index[surface_key] = (term_key, kind)
+    def _add_postings(self, term: VocabularyTerm, surface: str) -> None:
+        position = len(self._surfaces)
+        tokens = set(tokenize_text(surface))
+        trigrams = _trigrams(surface)
+        self._surfaces.append((term, surface))
+        self._token_counts.append(len(tokens))
+        self._trigram_counts.append(len(trigrams))
+        for token in tokens:
+            self._token_postings.setdefault(token, []).append(position)
+        for trigram in trigrams:
+            self._trigram_postings.setdefault(trigram, []).append(position)
 
     def term(self, name: str) -> VocabularyTerm:
         """Fetch a term by canonical name."""
@@ -165,39 +247,35 @@ class DomainVocabulary:
                 match_kind=kind,
                 score=1.0,
             )
-        best: GroundedTerm | None = None
-        for term in self._terms.values():
-            surfaces = [term.name, *term.synonyms]
-            for surface in surfaces:
-                overlap = token_overlap(text, surface)
-                if overlap > 0:
-                    candidate = GroundedTerm(
-                        term=term,
-                        matched_text=surface,
-                        match_kind="token",
-                        score=overlap,
-                    )
-                    if best is None or candidate.score > best.score:
-                        best = candidate
-        if best is not None and best.score >= 0.34:
-            return best
-        for term in self._terms.values():
-            for surface in [term.name, *term.synonyms]:
-                similarity = trigram_similarity(text, surface)
-                if similarity >= self.fuzzy_threshold:
-                    candidate = GroundedTerm(
-                        term=term,
-                        matched_text=surface,
-                        match_kind="fuzzy",
-                        score=similarity,
-                    )
-                    if best is None or candidate.score > best.score:
-                        best = candidate
-        if best is not None and (
-            best.match_kind != "fuzzy" or best.score >= self.fuzzy_threshold
+        best_token = _best_surface(
+            set(tokenize_text(text)), self._token_postings, self._token_counts, 0.0
+        )
+        if best_token is not None and best_token[0] >= 0.34:
+            return self._grounded(best_token, "token")
+        best_fuzzy = _best_surface(
+            _trigrams(text),
+            self._trigram_postings,
+            self._trigram_counts,
+            self.fuzzy_threshold,
+        )
+        # A weak token hit stands unless a fuzzy hit scores strictly higher.
+        if best_fuzzy is not None and (
+            best_token is None or best_fuzzy[0] > best_token[0]
         ):
-            return best
+            return self._grounded(best_fuzzy, "fuzzy")
+        if best_token is not None:
+            return self._grounded(best_token, "token")
         return None
+
+    def _grounded(self, best: tuple[float, int], match_kind: str) -> GroundedTerm:
+        score, position = best
+        term, surface = self._surfaces[position]
+        return GroundedTerm(
+            term=term,
+            matched_text=surface,
+            match_kind=match_kind,
+            score=score,
+        )
 
     def ground_question(self, question: str, max_ngram: int = 3) -> list[GroundedTerm]:
         """Ground every maximal matching phrase in ``question``.
@@ -211,16 +289,18 @@ class DomainVocabulary:
         grounded: list[GroundedTerm] = []
         # Pass 1: exact term/synonym hits (all n-gram sizes, longest first),
         # so "working force" wins over a fuzzy "the working force" overlap.
+        # Only a surface-index hit can be exact, so pass 1 reads the index
+        # before paying for a lookup.
         for exact_only in (True, False):
             for size in range(min(max_ngram, len(tokens)), 0, -1):
                 for start in range(0, len(tokens) - size + 1):
                     if any(consumed[start : start + size]):
                         continue
                     phrase = " ".join(tokens[start : start + size])
+                    if exact_only and phrase not in self._surface_index:
+                        continue
                     hit = self.lookup(phrase)
                     if hit is None:
-                        continue
-                    if exact_only and hit.match_kind not in ("exact", "synonym"):
                         continue
                     if hit.score >= (0.999 if size == 1 else 0.5):
                         grounded.append(hit)

@@ -30,9 +30,10 @@ from repro.errors import AmbiguousQuestionError, TranslationError
 from repro.obs.metrics import counter, histogram
 from repro.obs.trace import span
 from repro.kg.schema_kg import SchemaKnowledgeGraph
-from repro.kg.vocabulary import DomainVocabulary
+from repro.kg.vocabulary import DomainVocabulary, edit_similarity_at_least
 from repro.nl.grammar import AggregateSpec, FilterSpec, OrderSpec, QueryIntent
 from repro.nl.sqlgen import compile_intent
+from repro.sqldb.types import ColumnType
 from repro.vector.embedding import tokenize_text
 
 # P2 coverage tallies: attempts vs committed groundings (failures raise
@@ -90,6 +91,22 @@ _COMPARATORS: list[tuple[str, str]] = [
     (r"equal to", "="),
 ]
 
+#: ``<column phrase> <comparator> <number>``, one pattern per comparator.
+#: The lookbehind lets a match start only where a run of phrase characters
+#: starts, which is where the leftmost lazy match starts anyway; without it
+#: a failed search retries from every position of the run, quadratic in
+#: the run's length.
+_COMPARATOR_PATTERNS: list[tuple[re.Pattern, str]] = [
+    (
+        re.compile(rf"(?<![a-z_ ])([a-z_ ]+?)\s+(?:{phrase})\s+(-?\d+(?:\.\d+)?)"),
+        operator,
+    )
+    for phrase, operator in _COMPARATORS
+]
+
+#: Column types SUM/AVG can aggregate and a numeric literal can compare to.
+_NUMERIC_TYPES = frozenset({ColumnType.INTEGER.value, ColumnType.FLOAT.value})
+
 
 @dataclass
 class GroundingConfig:
@@ -131,6 +148,28 @@ class GroundedSemanticParser:
         self.schema_kg = schema_kg
         self.vocabulary = vocabulary
         self.config = config or GroundingConfig()
+        # Table and column surfaces, built once: the schema graph is a
+        # snapshot of the catalog, like its value index.
+        #: table -> singularised table-name surface, in ``tables()`` order.
+        self._table_surfaces: dict[str, str] = {}
+        #: table -> {column: singularised column surface}, in ``columns_of`` order.
+        self._column_surfaces: dict[str, dict[str, str]] = {}
+        #: singularised column surface -> tables holding such a column.
+        self._surface_tables: dict[str, list[str]] = {}
+        #: ``(table, column)`` pairs of numeric type.
+        self._numeric_columns: set[tuple[str, str]] = set()
+        for table in schema_kg.tables():
+            self._table_surfaces[table] = _singularise(table.replace("_", " ").lower())
+            surfaces: dict[str, str] = {}
+            for column in schema_kg.columns_of(table):
+                surface = _singularise(column.replace("_", " ").lower())
+                surfaces[column] = surface
+                holders = self._surface_tables.setdefault(surface, [])
+                if table not in holders:
+                    holders.append(table)
+                if schema_kg.datatype_of(table, column) in _NUMERIC_TYPES:
+                    self._numeric_columns.add((table, column))
+            self._column_surfaces[table] = surfaces
 
     # -- public API -----------------------------------------------------------------
 
@@ -233,6 +272,7 @@ class GroundedSemanticParser:
                         f"for {aggregate_function}",
                         question=question,
                     )
+                self._require_numeric(aggregate_function, table, column, question)
                 aggregates = [AggregateSpec(function=aggregate_function, column=column)]
         else:
             select_columns = self._detect_select_columns(
@@ -304,22 +344,22 @@ class GroundedSemanticParser:
                     via[match.table] = f"schema {match.matched_on} match"
             # Direct table-name mentions (with singular/plural tolerance)
             # outrank whole-question overlap scores.
-            table_names = self.schema_kg.tables()
             question_grams = _word_ngrams(tokens, 3)
-            for table in table_names:
-                surface = _singularise(table.replace("_", " ").lower())
-                for gram in question_grams:
-                    if _singularise(gram) == surface:
-                        if candidates.get(table, 0.0) < 0.9:
-                            candidates[table] = 0.9
-                            via[table] = f"table-name mention {gram!r}"
+            # Singularised n-gram -> its first n-gram in the question.
+            gram_surfaces: dict[str, str] = {}
+            for gram in question_grams:
+                gram_surfaces.setdefault(_singularise(gram), gram)
+            typo_tokens = [
+                (token, _singularise(token)) for token in tokens if len(token) >= 4
+            ]
+            for table, surface in self._table_surfaces.items():
+                gram = gram_surfaces.get(surface)
+                if gram is not None and candidates.get(table, 0.0) < 0.9:
+                    candidates[table] = 0.9
+                    via[table] = f"table-name mention {gram!r}"
                 # Typo-tolerant mention ("vehilces" -> vehicles).
-                for token in tokens:
-                    if len(token) < 4:
-                        continue
-                    from repro.kg.vocabulary import edit_similarity
-
-                    if edit_similarity(_singularise(token), surface) >= 0.72:
+                for token, singular in typo_tokens:
+                    if edit_similarity_at_least(singular, surface, 0.72):
                         if candidates.get(table, 0.0) < 0.85:
                             candidates[table] = 0.85
                             via[table] = f"fuzzy table mention {token!r}"
@@ -327,8 +367,8 @@ class GroundedSemanticParser:
             # "list the depot and mileage OF VEHICLES ..." is about vehicles.
             for match in re.finditer(r"\b(?:of|from|among)\s+(?:the\s+)?([a-z_]+)", text):
                 word = _singularise(match.group(1))
-                for table in table_names:
-                    if _singularise(table.replace("_", " ").lower()) == word:
+                for table, surface in self._table_surfaces.items():
+                    if surface == word:
                         if candidates.get(table, 0.0) < 1.0:
                             candidates[table] = 1.0
                             via[table] = f"'of {match.group(1)}' construction"
@@ -337,17 +377,13 @@ class GroundedSemanticParser:
             # subject that *names* a table ("how many employees ...") is
             # equally strong.
             if measure_hint:
-                from repro.kg.vocabulary import edit_similarity as _edit_sim
-
                 first_word = measure_hint.replace("_", " ").lower().split()[0]
                 subject = _singularise(first_word)
                 subject_matched = False
-                for table in table_names:
-                    table_surface = _singularise(table.replace("_", " ").lower())
+                for table, table_surface in self._table_surfaces.items():
                     exact = table_surface == subject
-                    fuzzy = (
-                        len(subject) >= 4
-                        and _edit_sim(table_surface, subject) >= 0.72
+                    fuzzy = len(subject) >= 4 and edit_similarity_at_least(
+                        table_surface, subject, 0.72
                     )
                     if exact or fuzzy:
                         # "how many vehicles ..." decides the table outright;
@@ -360,11 +396,9 @@ class GroundedSemanticParser:
                 if not subject_matched:
                     hint_phrases = [measure_hint] + measure_hint.split()
                     for hint in hint_phrases:
-                        holders = self._tables_with_column(hint, table_names)
+                        holders = self._tables_with_column(hint)
                         if not holders:
-                            holders = self._tables_with_column(
-                                hint, table_names, fuzzy=True
-                            )
+                            holders = self._tables_with_column(hint, fuzzy=True)
                         if len(holders) == 1:
                             holder = holders[0]
                             # The aggregated column must live in the FROM
@@ -376,7 +410,7 @@ class GroundedSemanticParser:
                             break
             # Unambiguous column mentions vote (weakly) for their table.
             for gram in question_grams:
-                holders = self._tables_with_column(gram, table_names)
+                holders = self._tables_with_column(gram)
                 if len(holders) == 1:
                     holder = holders[0]
                     if candidates.get(holder, 0.0) < 0.55:
@@ -413,28 +447,27 @@ class GroundedSemanticParser:
         scores.append(min(1.0, best_score))
         return best_table
 
-    def _tables_with_column(
-        self, phrase: str, table_names: list[str], fuzzy: bool = False
-    ) -> list[str]:
+    def _tables_with_column(self, phrase: str, fuzzy: bool = False) -> list[str]:
         """Tables holding a column whose name matches ``phrase``.
 
         ``fuzzy`` extends the match to high edit similarity (typo
         tolerance), used only as a fallback when no exact holder exists.
         """
-        from repro.kg.vocabulary import edit_similarity
-
         target = _singularise(phrase.replace("_", " ").lower())
-        holders: list[str] = []
-        for table in table_names:
-            for column in self.schema_kg.columns_of(table):
-                surface = _singularise(column.replace("_", " ").lower())
-                matched = surface == target
-                if not matched and fuzzy and min(len(surface), len(target)) >= 4:
-                    matched = edit_similarity(surface, target) >= 0.72
-                if matched:
-                    holders.append(table)
-                    break
-        return holders
+        if not fuzzy:
+            return self._surface_tables.get(target, [])
+        return [
+            table
+            for table, surfaces in self._column_surfaces.items()
+            if any(
+                surface == target
+                or (
+                    min(len(surface), len(target)) >= 4
+                    and edit_similarity_at_least(surface, target, 0.72)
+                )
+                for surface in surfaces.values()
+            )
+        ]
 
     def _superlative_measure_hint(self, text: str) -> str:
         """Measure phrase of a 'which G has the highest total M' question."""
@@ -469,9 +502,9 @@ class GroundedSemanticParser:
                 scores.append(1.0)
                 return column
         # Singular/plural tolerance on the exact path.
-        for column in columns:
-            column_surface = column.replace("_", " ").lower()
-            if _singularise(column_surface) == _singularise(phrase.lower()):
+        singular = _singularise(phrase.lower())
+        for column, surface in self._column_surfaces.get(table, {}).items():
+            if surface == singular:
                 notes.append(f"column {table}.{column} by exact name (plural)")
                 scores.append(0.95)
                 return column
@@ -579,6 +612,7 @@ class GroundedSemanticParser:
             if measure_column is None:
                 return None
             function = "AVG" if agg_word == "average" else "SUM"
+            self._require_numeric(function, table, measure_column, text)
             spec = AggregateSpec(function=function, column=measure_column)
         return group_column, group_holder, spec, descending
 
@@ -643,16 +677,14 @@ class GroundedSemanticParser:
         self, text: str, table: str, notes: list[str], scores: list[float]
     ) -> list[FilterSpec]:
         filters: list[FilterSpec] = []
-        for pattern, operator in _COMPARATORS:
-            for match in re.finditer(
-                rf"([a-z_ ]+?)\s+(?:{pattern})\s+(-?\d+(?:\.\d+)?)", text
-            ):
+        for pattern, operator in _COMPARATOR_PATTERNS:
+            for match in pattern.finditer(text):
                 phrase = match.group(1).strip()
                 raw_number = match.group(2)
                 value: int | float = (
                     float(raw_number) if "." in raw_number else int(raw_number)
                 )
-                resolved = self._filter_column_any_table(phrase, table, notes, scores)
+                resolved = self._numeric_filter_column(phrase, table, notes, scores)
                 if resolved is None:
                     continue
                 column, holder = resolved
@@ -672,7 +704,7 @@ class GroundedSemanticParser:
             if word in _NUMBER_WORDS or word in ("top", "first", "last"):
                 continue
             raw_number = match.group(2)
-            resolved = self._filter_column_any_table(word, table, notes, scores)
+            resolved = self._numeric_filter_column(word, table, notes, scores)
             if resolved is None:
                 continue
             column, holder = resolved
@@ -695,6 +727,37 @@ class GroundedSemanticParser:
                 seen.add(key)
                 unique.append(spec)
         return unique
+
+    def _numeric_filter_column(
+        self, phrase: str, table: str, notes: list[str], scores: list[float]
+    ) -> tuple[str, str] | None:
+        """:meth:`_filter_column_any_table` for a numeric literal.
+
+        A number binds only to a numeric column; when ``phrase`` grounds
+        to any other column the filter is dropped, leaving no note or
+        score behind, as an unresolved phrase does.
+        """
+        trail_notes: list[str] = []
+        trail_scores: list[float] = []
+        resolved = self._filter_column_any_table(
+            phrase, table, trail_notes, trail_scores
+        )
+        if resolved is None or (resolved[1], resolved[0]) not in self._numeric_columns:
+            return None
+        notes.extend(trail_notes)
+        scores.extend(trail_scores)
+        return resolved
+
+    def _require_numeric(
+        self, function: str, table: str, column: str, question: str
+    ) -> None:
+        """SUM and AVG aggregate only numeric columns; refuse any other."""
+        if function in ("SUM", "AVG") and (table, column) not in self._numeric_columns:
+            raise TranslationError(
+                f"{function} needs a numeric column, but the measure grounds "
+                f"to {table}.{column}",
+                question=question,
+            )
 
     def _filter_column_any_table(
         self, phrase: str, table: str, notes: list[str], scores: list[float]
@@ -719,17 +782,14 @@ class GroundedSemanticParser:
             for size in (1, 2):
                 if size > len(words):
                     continue
-                tail = " ".join(words[-size:])
-                for other in self.schema_kg.tables():
+                tail = _singularise(" ".join(words[-size:]).lower())
+                for other, surfaces in self._column_surfaces.items():
                     if other.lower() == table.lower():
                         continue
                     if not self.schema_kg.join_path(table, other):
                         continue
-                    for other_column in self.schema_kg.columns_of(other):
-                        surface = other_column.replace("_", " ").lower()
-                        if surface == tail.lower() or (
-                            _singularise(surface) == _singularise(tail.lower())
-                        ):
+                    for other_column, surface in surfaces.items():
+                        if surface == tail:
                             holders.append((other_column, other))
                 if holders:
                     break
@@ -749,14 +809,13 @@ class GroundedSemanticParser:
     def _exact_column_tail(self, phrase: str, table: str) -> str | None:
         """Rightmost tail of ``phrase`` exactly naming a column of ``table``."""
         words = phrase.split()
-        columns = self.schema_kg.columns_of(table)
+        surfaces = self._column_surfaces.get(table, {})
         for size in (1, 2, 3):
             if size > len(words):
                 break
-            tail = " ".join(words[-size:]).lower()
-            for column in columns:
-                surface = column.replace("_", " ").lower()
-                if surface == tail or _singularise(surface) == _singularise(tail):
+            tail = _singularise(" ".join(words[-size:]).lower())
+            for column, surface in surfaces.items():
+                if surface == tail:
                     return column
         return None
 
@@ -864,16 +923,14 @@ class GroundedSemanticParser:
         if not self.config.use_join_resolution:
             return None
         holders: list[tuple[str, str]] = []
-        for other in self.schema_kg.tables():
+        target = _singularise(phrase.lower())
+        for other, surfaces in self._column_surfaces.items():
             if other.lower() == table.lower():
                 continue
             if not self.schema_kg.join_path(table, other):
                 continue
-            for other_column in self.schema_kg.columns_of(other):
-                surface = other_column.replace("_", " ").lower()
-                if surface == phrase.lower() or (
-                    _singularise(surface) == _singularise(phrase.lower())
-                ):
+            for other_column, surface in surfaces.items():
+                if surface == target:
                     holders.append((other_column, other))
         if len(holders) == 1:
             column, holder = holders[0]

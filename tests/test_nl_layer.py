@@ -1,6 +1,10 @@
 """Tests for the NL model layer: intent, grammar, sqlgen, parser."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AmbiguousQuestionError, TranslationError
 from repro.kg import DomainVocabulary, VocabularyTerm
@@ -15,6 +19,7 @@ from repro.nl import (
     classify_intent,
     compile_intent,
 )
+from repro.nl.nl2sql import _COMPARATOR_PATTERNS, _COMPARATORS
 from repro.nl.sqlgen import intent_to_sql
 
 
@@ -351,3 +356,71 @@ class TestCrossTableGrouping:
         )
         with pytest.raises(TranslationError):
             compile_intent(intent)
+
+
+class TestComparatorScan:
+    """The anchored comparator patterns find exactly what the unanchored did."""
+
+    #: Comparator words, numbers and separators, so texts hold many runs
+    #: that almost (or actually) form a "<phrase> <comparator> <number>".
+    PIECES = [
+        "salary", "price_usd", "over", "under", "at least", "no more than",
+        "greater than or equal to", "equal to", "exactly", "a", "5", "-3",
+        "2.5", "1=1", " ", "  ", "\t", ".", ",", "-", "_",
+    ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(PIECES), max_size=30))
+    def test_matches_unanchored_pattern(self, pieces):
+        text = " ".join(pieces)
+        for (pattern, operator), (phrase, expected_operator) in zip(
+            _COMPARATOR_PATTERNS, _COMPARATORS
+        ):
+            assert operator == expected_operator
+            old = re.compile(rf"([a-z_ ]+?)\s+(?:{phrase})\s+(-?\d+(?:\.\d+)?)")
+            got = [(m.span(), m.groups()) for m in pattern.finditer(text)]
+            want = [(m.span(), m.groups()) for m in old.finditer(text)]
+            assert got == want
+
+
+class TestNumericGrounding:
+    """SUM/AVG measures and numeric literals bind only to numeric columns."""
+
+    def test_average_of_text_column_is_refused(self, parser):
+        with pytest.raises(TranslationError, match="numeric column"):
+            parser.parse("what is the average name of employees")
+
+    def test_min_max_of_text_column_still_parse(self, parser):
+        outcome = parser.parse("what is the maximum name of employees")
+        assert outcome.intent.aggregates[0].column == "name"
+
+    def test_number_never_binds_to_text_column(self, parser, employees_db):
+        outcome = parser.parse("list employees where city 1")
+        assert not outcome.intent.filters
+        assert len(employees_db.execute(outcome.sql).rows) == 5
+
+    def test_number_binds_to_numeric_column(self, parser):
+        outcome = parser.parse("list employees with salary above 75")
+        assert [(f.column, f.operator, f.value) for f in outcome.intent.filters] == [
+            ("salary", ">", 75)
+        ]
+
+    @pytest.mark.parametrize(
+        "builder,question",
+        [
+            ("build_swiss_labour_registry", "what is the average rate"),
+            ("build_ecommerce_registry", "show customers where country 1=1"),
+        ],
+    )
+    def test_engine_answers_without_error(self, builder, question):
+        import repro.datasets as datasets
+        from repro.core.answer import AnswerKind
+        from repro.core.config import ReliabilityConfig
+        from repro.core.engine import CDAEngine
+
+        domain = getattr(datasets, builder)(seed=7)
+        engine = CDAEngine(
+            domain.registry, vocabulary=domain.vocabulary, config=ReliabilityConfig()
+        )
+        answer = engine.ask(question)
+        assert answer.kind is not AnswerKind.ERROR, answer.text
