@@ -1,6 +1,6 @@
 """Benchmark regression gate: compare headline ratios against baselines.
 
-CI runs the E13/E14/E15 benchmarks in their smoke configuration
+CI runs the E14–E17 benchmarks in their smoke configuration
 (``E*_SCALE=0.1``) and then calls this script to compare the freshly
 written ``BENCH_*.json`` files against the committed smoke baselines::
 
@@ -14,9 +14,9 @@ made when the two files were produced at the same ``scale``; mismatched
 scales are reported and skipped.  The gate fails (exit 1) when any
 headline regresses by more than ``--tolerance`` (default 20%):
 
-* *higher-is-better* headlines (E13/E14 speedups) fail when
+* *higher-is-better* headlines (E14 speedups) fail when
   ``current < baseline * (1 - tolerance)``;
-* *lower-is-better* headlines (E15 overhead ratio) fail when
+* *lower-is-better* headlines (E15–E17 ratios and errors) fail when
   ``current > baseline * (1 + tolerance)``.
 
 Headlines present in only one of the two directories are skipped, so
@@ -33,16 +33,6 @@ from pathlib import Path
 #: headline extractors: file stem -> list of (label, value, higher_is_better)
 def _headlines(payload: dict) -> list[tuple[str, float, bool]]:
     experiment = payload.get("experiment")
-    if experiment == "E13":
-        return [
-            (
-                f"E13 {entry['workload']}/{entry['provenance']} speedup",
-                entry["speedup"],
-                True,
-            )
-            for entry in payload.get("workloads", [])
-            if "speedup" in entry
-        ]
     if experiment == "E14":
         return [
             (f"E14 {entry['series']} batch speedup", entry["speedup"], True)

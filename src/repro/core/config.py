@@ -35,9 +35,6 @@ class ReliabilityConfig:
     # P1 Efficiency -----------------------------------------------------------------
     #: Entries in the versioned query cache (None disables caching).
     query_cache_size: int | None = 256
-    #: Run the logical planner + compiled expressions (off = the original
-    #: interpreted executor; results and provenance are identical).
-    use_query_optimizer: bool = True
 
     # P3 Explainability ----------------------------------------------------------
     #: Attach a provenance-backed explanation to every data answer.

@@ -170,7 +170,7 @@ def build_engine_for_header(header: dict, config_overrides: dict | None = None):
     The header must carry ``domain`` (a bundled domain name), and may
     carry ``seed``, ``llm_error_rate`` and the serialized ``config``.
     ``config_overrides`` replaces individual config fields — the
-    injection point for "replay this recording with the optimizer off".
+    injection point for "replay this recording with the query cache off".
     """
     # Deferred imports: obs stays importable from every layer.
     from dataclasses import replace as dc_replace

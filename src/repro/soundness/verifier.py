@@ -25,8 +25,10 @@ from repro.obs.events import emit
 from repro.obs.metrics import counter
 from repro.obs.trace import span
 from repro.sqldb import ast
+from repro.sqldb.compile import CompiledExpression, compile_expression
 from repro.sqldb.database import Database, QueryResult
-from repro.sqldb.expressions import BoundColumn, ExpressionEvaluator, RowContext, RowLayout
+from repro.sqldb.executor import SelectExecutor
+from repro.sqldb.expressions import BoundColumn, RowLayout
 
 DEPTHS = ("static", "reexecution", "provenance")
 
@@ -179,26 +181,17 @@ class AnswerVerifier:
             return aggregates[0]
         return None
 
-    def _row_context(self, statement: ast.SelectStatement, table_name: str, row_id: int):
-        table = self.database.catalog.table(table_name)
-        binding = statement.from_table.binding if statement.from_table else table_name
-        layout = RowLayout(
-            [BoundColumn(binding=binding, name=column.name) for column in table.schema]
-        )
-        return RowContext(layout, table.get_row(row_id))
-
     def _check_filter_on_lineage(
         self, result: QueryResult, statement: ast.SelectStatement
     ) -> list[str]:
         if statement.where is None:
             return []
-        evaluator = ExpressionEvaluator()
+        evaluate = _cited_row_evaluator(self.database, statement, statement.where)
         issues: list[str] = []
         for row_lineage in result.lineage:
             for table_name, row_id in row_lineage:
                 try:
-                    context = self._row_context(statement, table_name, row_id)
-                    verdict = evaluator.evaluate(statement.where, context)
+                    verdict = evaluate(table_name, row_id)
                 except Exception as exc:  # noqa: BLE001
                     issues.append(
                         f"cannot re-check filter on {table_name}[{row_id}]: {exc}"
@@ -227,15 +220,14 @@ class AnswerVerifier:
             star=isinstance(aggregate.argument, ast.Star),
             distinct=aggregate.distinct,
         )
-        evaluator = ExpressionEvaluator()
+        evaluate = _cited_row_evaluator(self.database, statement, aggregate.argument)
         source_rows = result.all_source_rows()
         for table_name, row_id in sorted(source_rows):
             if isinstance(aggregate.argument, ast.Star):
                 accumulator.step(1)
                 continue
             try:
-                context = self._row_context(statement, table_name, row_id)
-                accumulator.step(evaluator.evaluate(aggregate.argument, context))
+                accumulator.step(evaluate(table_name, row_id))
             except Exception as exc:  # noqa: BLE001
                 return [f"cannot recompute aggregate on {table_name}[{row_id}]: {exc}"]
         recomputed = accumulator.finalize()
@@ -291,11 +283,7 @@ def verify_rows(
     if agg_position is None:
         return None
     table = database.catalog.table(statement.from_table.name)
-    binding = statement.from_table.binding
-    layout = RowLayout(
-        [BoundColumn(binding=binding, name=column.name) for column in table.schema]
-    )
-    evaluator = ExpressionEvaluator()
+    evaluate = _cited_row_evaluator(database, statement, aggregate.argument)
     verdicts: list[RowVerdict] = []
     for row_index, (row, lineage) in enumerate(zip(result.rows, result.lineage)):
         accumulator = make_aggregator(
@@ -304,14 +292,12 @@ def verify_rows(
             distinct=aggregate.distinct,
         )
         try:
-            for table_name, row_id in sorted(lineage):
-                context = RowContext(layout, table.get_row(row_id))
+            for _table_name, row_id in sorted(lineage):
                 if isinstance(aggregate.argument, ast.Star):
+                    table.get_row(row_id)  # a cited row must still exist
                     accumulator.step(1)
                 else:
-                    accumulator.step(
-                        evaluator.evaluate(aggregate.argument, context)
-                    )
+                    accumulator.step(evaluate(table.name, row_id))
         except Exception as exc:  # noqa: BLE001 - unverifiable row
             verdicts.append(
                 RowVerdict(row_index, False, f"cannot re-derive: {exc}")
@@ -330,6 +316,42 @@ def verify_rows(
                 )
             )
     return verdicts
+
+
+def _cited_row_evaluator(
+    database: Database, statement: ast.SelectStatement, expression: ast.Expression
+):
+    """``evaluate(table_name, row_id)``: ``expression`` over one cited row.
+
+    The expression is compiled once per cited table, over that table's
+    columns bound under the query's FROM alias, so a verification pays
+    for compilation once rather than once per row.  Uncorrelated
+    subqueries run on a lineage-free executor, at most once each.
+    """
+    catalog = database.catalog
+    binding = statement.from_table.binding
+    subquery_cache: dict[str, list[tuple]] = {}
+    compiled: dict[str, CompiledExpression] = {}
+
+    def run_subquery(subquery: ast.SelectStatement) -> list[tuple]:
+        return SelectExecutor(catalog, capture_lineage=False).execute(subquery).rows
+
+    def evaluate(table_name: str, row_id: int):
+        table = catalog.table(table_name)
+        fn = compiled.get(table.name)
+        if fn is None:
+            layout = RowLayout(
+                [BoundColumn(binding, column.name) for column in table.schema]
+            )
+            fn = compiled[table.name] = compile_expression(
+                expression,
+                layout,
+                subquery_runner=run_subquery,
+                subquery_cache=subquery_cache,
+            )
+        return fn(table.get_row(row_id))
+
+    return evaluate
 
 
 def _values_close(a, b) -> bool:

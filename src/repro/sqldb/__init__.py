@@ -7,10 +7,13 @@ This package is the structured-data substrate of the CDA system (layer
   typed AST (``SELECT`` with joins, ``WHERE``, ``GROUP BY``/``HAVING``,
   ``ORDER BY``, ``LIMIT``, ``DISTINCT``, plus ``CREATE TABLE`` and
   ``INSERT``).
-* :mod:`repro.sqldb.executor` — an operator-at-a-time evaluator whose
-  operators capture **where-provenance** (which base rows produced each
-  output row) and **how-provenance** (the semiring polynomial describing
-  how they combined), which the explainability layer (P3) consumes.
+* :mod:`repro.sqldb.planner` / :mod:`repro.sqldb.compile` — a logical
+  plan (pushdown, hash-join keys) and per-row closures for expressions.
+* :mod:`repro.sqldb.executor` — runs the plan one operator at a time;
+  its operators capture **where-provenance** (which base rows produced
+  each output row) and **how-provenance** (the semiring polynomial
+  describing how they combined), which the explainability layer (P3)
+  consumes.
 * :mod:`repro.sqldb.database` — the public facade used by everything else.
 
 The engine trades raw speed for transparency: every answer the CDA system

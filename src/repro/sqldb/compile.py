@@ -1,11 +1,12 @@
 """Expression compilation: AST + layout → a per-row Python closure.
 
-The interpreting :class:`~repro.sqldb.expressions.ExpressionEvaluator`
-re-dispatches on node type, re-resolves column names, and re-inspects
-literals for *every row*.  For the hot operators (filter, join, group
-keys, projection, ORDER BY) that per-row interpretive overhead dominates
-execution time — exactly the "sharing of computation" opportunity the
-paper's holistic optimizer (§3.2, P1 Efficiency) is supposed to exploit.
+This is the only way SQL expressions are evaluated: by the executor's
+operators (filter, join, group keys, projection, ORDER BY), by INSERT
+value lists, and by the provenance verifier over cited source rows.
+Walking the AST per row would re-dispatch on node type, re-resolve
+column names and re-inspect literals for *every row*; compiling once per
+operator is the "sharing of computation" the paper's holistic optimizer
+(§3.2, P1 Efficiency) asks for.
 
 :func:`compile_expression` walks the AST **once** per operator and lowers
 it into a closure ``fn(values) -> SQLValue`` over the operator's value
@@ -18,15 +19,14 @@ tuples.  At compile time it
 * specializes comparison / arithmetic / three-valued-logic dispatch so
   the per-row work is just the closures' bodies.
 
-Semantics are identical to the evaluator — the same helpers from
-:mod:`repro.sqldb.expressions` implement NULL propagation and Kleene
-logic — with one deliberate exception: errors that depend only on the
-*query* (unknown column, ambiguous name, constant division by zero) are
-detected at compile time but still raised lazily on the first row, so a
-query over an empty relation behaves exactly as interpreted execution.
-Uncorrelated subqueries are never folded eagerly; they stay lazy and
-memoised (per shared ``subquery_cache``) so a query that filters away
-every row never pays for them, matching the evaluator.
+The helpers in :mod:`repro.sqldb.expressions` implement NULL
+propagation and Kleene logic.  Errors that depend only on the *query*
+(unknown column, ambiguous name, constant division by zero) are detected
+at compile time but raised lazily on the first row, so a query over an
+empty relation never reports them.  Uncorrelated subqueries are never
+folded eagerly; they stay lazy and memoised (per shared
+``subquery_cache``) so a query that filters away every row never pays
+for them.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def _raiser(error: ExecutionError) -> tuple[CompiledExpression, bool]:
     """A closure that raises ``error`` when first evaluated.
 
     Used to defer compile-time-detectable errors to row-evaluation time,
-    preserving the interpreter's behaviour on empty inputs.
+    so empty inputs never observe them.
     """
 
     def fn(values):
@@ -292,7 +292,7 @@ class _Compiler:
         negated = node.negated
         if items_const:
             # Pre-evaluate the list once; membership still goes through
-            # _compare so NULL and cross-type semantics match the evaluator.
+            # _compare so NULL and cross-type semantics match fn_in below.
             try:
                 candidates = tuple(fn(()) for fn, _const in compiled_items)
             except ExecutionError as error:

@@ -1,9 +1,11 @@
 """Query executor with built-in provenance capture.
 
-The executor evaluates a :class:`~repro.sqldb.ast.SelectStatement` against
-a :class:`~repro.sqldb.catalog.Catalog` one operator at a time: scan →
-join → filter → group/aggregate → having → project → distinct → sort →
-limit.  Each intermediate row carries
+The executor runs the plan that :mod:`repro.sqldb.planner` builds for a
+:class:`~repro.sqldb.ast.SelectStatement` — predicates pushed below
+joins, composite hash keys for INNER and LEFT joins — one operator at a
+time: scan → join → filter → group/aggregate → having → project →
+distinct → sort → limit.  Every expression is evaluated through
+:mod:`repro.sqldb.compile` closures.  Each intermediate row carries
 
 * **where-lineage** — the set of ``(table, row_id)`` base rows it derives
   from, and
@@ -13,17 +15,9 @@ limit.  Each intermediate row carries
 
 Capturing lineage is what lets the explainability layer (P3) produce
 lossless, invertible explanations, and the soundness layer (P4) re-derive
-answers from their cited sources.
-
-With ``optimize=True`` (the default) the executor runs the plan produced
-by :mod:`repro.sqldb.planner` — predicates pushed below joins, composite
-hash keys for INNER and LEFT joins — and evaluates every expression
-through :mod:`repro.sqldb.compile` closures instead of the per-row AST
-interpreter.  Scan provenance (singleton lineage sets and how-variables)
-is interned per table version so repeated queries share it.  Results,
-lineage, and how-polynomials are identical either way; ``optimize=False``
-preserves the original operator-at-a-time behaviour for A/B measurement
-(benchmark E13).
+answers from their cited sources.  Scan provenance (singleton lineage
+sets and how-variables) is interned per table version so repeated
+queries share it.
 """
 
 from __future__ import annotations
@@ -39,13 +33,8 @@ from repro.provenance.semiring import Polynomial, row_variable
 from repro.sqldb import ast
 from repro.sqldb.aggregates import make_aggregator
 from repro.sqldb.catalog import Catalog
-from repro.sqldb.compile import CompiledExpression, compile_expression
-from repro.sqldb.expressions import (
-    BoundColumn,
-    ExpressionEvaluator,
-    RowContext,
-    RowLayout,
-)
+from repro.sqldb.compile import CompiledExpression, compile_many
+from repro.sqldb.expressions import BoundColumn, RowLayout
 from repro.sqldb.planner import JoinPlan, SelectPlan, plan_select, split_conjuncts
 from repro.sqldb.table import Table
 from repro.sqldb.types import SQLValue
@@ -149,10 +138,7 @@ class SelectExecutor:
 
     ``capture_lineage`` controls where-provenance (cheap set unions);
     ``capture_how`` additionally maintains N[X] polynomials (costlier —
-    benchmark E5 quantifies the overhead).  ``optimize`` switches between
-    the planned/compiled path and the legacy interpreted path (benchmark
-    E13 quantifies the difference); both produce identical results and
-    provenance.
+    benchmark E5 quantifies the overhead).
     """
 
     def __init__(
@@ -160,14 +146,12 @@ class SelectExecutor:
         catalog: Catalog,
         capture_lineage: bool = True,
         capture_how: bool = False,
-        optimize: bool = True,
     ):
         self._catalog = catalog
         self._capture_lineage = capture_lineage
         self._capture_how = capture_how
-        self._optimize = optimize
         self._scanned_rows = 0
-        #: Shared per-query memo for uncorrelated subqueries (compiled path).
+        #: Shared per-query memo for uncorrelated subqueries.
         self._subquery_cache: dict[str, list[tuple]] = {}
 
     # -- public entry point ------------------------------------------------------
@@ -220,21 +204,11 @@ class SelectExecutor:
         """Execute an uncorrelated subquery; lineage is not propagated
         (the subquery acts as a computed constant for the outer query)."""
         nested = SelectExecutor(
-            self._catalog,
-            capture_lineage=False,
-            capture_how=False,
-            optimize=self._optimize,
+            self._catalog, capture_lineage=False, capture_how=False
         )
         result = nested.execute(statement)
         self._scanned_rows += result.scanned_rows
         return result.rows
-
-    def _evaluator(
-        self, aggregate_slots: dict[str, int] | None = None
-    ) -> ExpressionEvaluator:
-        return ExpressionEvaluator(
-            aggregate_slots, subquery_runner=self._run_subquery
-        )
 
     # -- expression compilation ----------------------------------------------------
 
@@ -244,37 +218,14 @@ class SelectExecutor:
         layout: RowLayout,
         aggregate_slots: dict[str, int] | None = None,
     ) -> list[CompiledExpression]:
-        """Per-row callables for ``expressions`` over ``layout`` tuples.
-
-        Compiled closures on the optimized path; thin wrappers around a
-        shared :class:`ExpressionEvaluator` on the legacy path, so the
-        legacy per-row cost stays what it always was.
-        """
-        if self._optimize:
-            return [
-                compile_expression(
-                    expression,
-                    layout,
-                    aggregate_slots=aggregate_slots,
-                    subquery_runner=self._run_subquery,
-                    subquery_cache=self._subquery_cache,
-                )
-                for expression in expressions
-            ]
-        evaluator = self._evaluator(aggregate_slots)
-        wrappers: list[CompiledExpression] = []
-        for expression in expressions:
-
-            def wrapper(
-                values,
-                _expression=expression,
-                _evaluator=evaluator,
-                _layout=layout,
-            ):
-                return _evaluator.evaluate(_expression, RowContext(_layout, values))
-
-            wrappers.append(wrapper)
-        return wrappers
+        """Per-row closures for ``expressions`` over ``layout`` tuples."""
+        return compile_many(
+            expressions,
+            layout,
+            aggregate_slots=aggregate_slots,
+            subquery_runner=self._run_subquery,
+            subquery_cache=self._subquery_cache,
+        )
 
     def _compile_one(
         self,
@@ -287,23 +238,18 @@ class SelectExecutor:
     def _execute_single(self, statement: ast.SelectStatement) -> SelectResult:
         self._scanned_rows = 0
         self._subquery_cache = {}
-        if self._optimize:
-            plan = plan_select(statement, self._catalog)
-            hash_joins = sum(1 for join in plan.joins if join.is_hash_join)
-            _PLANS.inc()
-            _PUSHED_CONJUNCTS.inc(plan.pushed_conjuncts)
-            _HASH_JOINS.inc(hash_joins)
-            active = current_span()
-            if active.recording:
-                active.set_attribute("pushed_conjuncts", plan.pushed_conjuncts)
-                active.set_attribute("hash_joins", hash_joins)
-            relation = self._build_from_plan(plan)
-            residual_where = plan.where
-        else:
-            relation = self._build_from(statement)
-            residual_where = statement.where
-        if residual_where is not None:
-            relation = self._filter(relation, residual_where)
+        plan = plan_select(statement, self._catalog)
+        hash_joins = sum(1 for join in plan.joins if join.is_hash_join)
+        _PLANS.inc()
+        _PUSHED_CONJUNCTS.inc(plan.pushed_conjuncts)
+        _HASH_JOINS.inc(hash_joins)
+        active = current_span()
+        if active.recording:
+            active.set_attribute("pushed_conjuncts", plan.pushed_conjuncts)
+            active.set_attribute("hash_joins", hash_joins)
+        relation = self._build_from_plan(plan)
+        if plan.where is not None:
+            relation = self._filter(relation, plan.where)
         aggregates = self._collect_aggregates(statement)
         if statement.group_by or aggregates:
             relation, aggregate_slots = self._group(relation, statement, aggregates)
@@ -334,17 +280,6 @@ class SelectExecutor:
 
     # -- provenance helpers --------------------------------------------------------
 
-    def _base_row(self, table_name: str, row_id: int) -> tuple[Lineage, Polynomial | None]:
-        lineage: Lineage = (
-            frozenset({(table_name, row_id)}) if self._capture_lineage else EMPTY_LINEAGE
-        )
-        how = (
-            Polynomial.var(row_variable(table_name, row_id))
-            if self._capture_how
-            else None
-        )
-        return lineage, how
-
     def _merge_join(self, left: ExecRow, right: ExecRow) -> tuple[Lineage, Polynomial | None]:
         lineage = left.lineage | right.lineage if self._capture_lineage else EMPTY_LINEAGE
         how = None
@@ -366,24 +301,6 @@ class SelectExecutor:
         return lineage, how
 
     # -- FROM / JOIN -------------------------------------------------------------
-
-    def _build_from(self, statement: ast.SelectStatement) -> Relation:
-        if statement.from_table is None:
-            layout = RowLayout([])
-            one = Polynomial.one() if self._capture_how else None
-            return Relation(layout, [ExecRow((), EMPTY_LINEAGE, one)])
-        relation = self._scan(statement.from_table)
-        for join in statement.joins:
-            right = self._scan(join.table)
-            if join.kind == "CROSS":
-                relation = self._cross_join(relation, right)
-            elif join.kind == "INNER":
-                relation = self._inner_join(relation, right, join.condition)
-            elif join.kind == "LEFT":
-                relation = self._left_join(relation, right, join.condition)
-            else:
-                raise ExecutionError(f"unsupported join kind {join.kind!r}")
-        return relation
 
     def _build_from_plan(self, plan: SelectPlan) -> Relation:
         """FROM/JOIN evaluation driven by the logical plan."""
@@ -411,46 +328,37 @@ class SelectExecutor:
             [BoundColumn(binding=binding, name=column.name) for column in table.schema]
         )
         rows: list[ExecRow] = []
-        if self._optimize:
-            # Interned scan provenance: the singleton lineage set (and the
-            # how-variable) of a base row never changes while the table
-            # version holds, so every query shares one object per row.
-            lineages, hows = (
-                _scan_provenance(table, self._capture_how)
-                if self._capture_lineage or self._capture_how
-                else (None, None)
-            )
-            # Pushed conjuncts are evaluated as independent closures — a
-            # row survives only if every one is exactly TRUE, which is the
-            # same row set as the conjoined 3VL predicate (WHERE keeps
-            # only TRUE rows; see the planner's error-order note).
-            keep = (
-                _all_true(
-                    self._compile_values(split_conjuncts(predicate), layout)
-                )
-                if predicate is not None
-                else None
-            )
-            if lineages is None or not self._capture_lineage:
-                lineages = itertools.repeat(EMPTY_LINEAGE)
-            if hows is None or not self._capture_how:
-                hows = itertools.repeat(None)
-            append = rows.append
-            scanned = 0
-            for (_row_id, values), lineage, how in zip(
-                table.rows_with_ids(), lineages, hows
-            ):
-                scanned += 1
-                if keep is not None and not keep(values):
-                    continue
-                append(ExecRow(values, lineage, how))
-            self._scanned_rows += scanned
-            return Relation(layout, rows)
-        assert predicate is None  # pushdown exists only on the planned path
-        for row_id, values in table.rows_with_ids():
-            lineage, how = self._base_row(table.name, row_id)
-            rows.append(ExecRow(values, lineage, how))
-            self._scanned_rows += 1
+        # Interned scan provenance: the singleton lineage set (and the
+        # how-variable) of a base row never changes while the table
+        # version holds, so every query shares one object per row.
+        lineages, hows = (
+            _scan_provenance(table, self._capture_how)
+            if self._capture_lineage or self._capture_how
+            else (None, None)
+        )
+        # Pushed conjuncts are evaluated as independent closures — a row
+        # survives only if every one is exactly TRUE, which is the same
+        # row set as the conjoined 3VL predicate (WHERE keeps only TRUE
+        # rows; see the planner's error-order note).
+        keep = (
+            _all_true(self._compile_values(split_conjuncts(predicate), layout))
+            if predicate is not None
+            else None
+        )
+        if lineages is None or not self._capture_lineage:
+            lineages = itertools.repeat(EMPTY_LINEAGE)
+        if hows is None or not self._capture_how:
+            hows = itertools.repeat(None)
+        append = rows.append
+        scanned = 0
+        for (_row_id, values), lineage, how in zip(
+            table.rows_with_ids(), lineages, hows
+        ):
+            scanned += 1
+            if keep is not None and not keep(values):
+                continue
+            append(ExecRow(values, lineage, how))
+        self._scanned_rows += scanned
         return Relation(layout, rows)
 
     def _cross_join(self, left: Relation, right: Relation) -> Relation:
@@ -535,135 +443,6 @@ class SelectExecutor:
                 )
         return Relation(layout, rows)
 
-    def _inner_join(
-        self, left: Relation, right: Relation, condition: ast.Expression | None
-    ) -> Relation:
-        assert condition is not None
-        layout = left.layout.concat(right.layout)
-        equi = self._equi_join_key(condition, left.layout, right.layout)
-        rows: list[ExecRow] = []
-        if equi is not None:
-            if not left.rows or not right.rows:
-                return Relation(layout, rows)
-            left_index, right_index = equi
-            buckets: dict[SQLValue, list[ExecRow]] = {}
-            for right_row in right.rows:
-                key = right_row.values[right_index]
-                if key is None:
-                    continue
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [right_row]
-                else:
-                    bucket.append(right_row)
-            for left_row in left.rows:
-                key = left_row.values[left_index]
-                if key is None:
-                    continue
-                bucket = buckets.get(key)
-                if bucket is None:
-                    continue
-                for right_row in bucket:
-                    lineage, how = self._merge_join(left_row, right_row)
-                    rows.append(
-                        ExecRow(left_row.values + right_row.values, lineage, how)
-                    )
-            return Relation(layout, rows)
-        evaluator = self._evaluator()
-        for left_row in left.rows:
-            for right_row in right.rows:
-                values = left_row.values + right_row.values
-                context = RowContext(layout, values)
-                if evaluator.evaluate(condition, context) is True:
-                    lineage, how = self._merge_join(left_row, right_row)
-                    rows.append(ExecRow(values, lineage, how))
-        return Relation(layout, rows)
-
-    def _left_join(
-        self, left: Relation, right: Relation, condition: ast.Expression | None
-    ) -> Relation:
-        assert condition is not None
-        layout = left.layout.concat(right.layout)
-        null_right = (None,) * len(right.layout)
-        rows: list[ExecRow] = []
-        equi = self._equi_join_key(condition, left.layout, right.layout)
-        if equi is not None:
-            # Hash path with NULL padding for unmatched left rows — the
-            # nested loop here was O(n·m) even for plain key equality.
-            left_index, right_index = equi
-            buckets: dict[SQLValue, list[ExecRow]] = {}
-            for right_row in right.rows:
-                key = right_row.values[right_index]
-                if key is None:
-                    continue
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [right_row]
-                else:
-                    bucket.append(right_row)
-            for left_row in left.rows:
-                key = left_row.values[left_index]
-                bucket = buckets.get(key) if key is not None else None
-                if bucket is None:
-                    rows.append(
-                        ExecRow(
-                            left_row.values + null_right,
-                            left_row.lineage,
-                            left_row.how,
-                        )
-                    )
-                    continue
-                for right_row in bucket:
-                    lineage, how = self._merge_join(left_row, right_row)
-                    rows.append(
-                        ExecRow(left_row.values + right_row.values, lineage, how)
-                    )
-            return Relation(layout, rows)
-        evaluator = self._evaluator()
-        for left_row in left.rows:
-            matched = False
-            for right_row in right.rows:
-                values = left_row.values + right_row.values
-                context = RowContext(layout, values)
-                if evaluator.evaluate(condition, context) is True:
-                    lineage, how = self._merge_join(left_row, right_row)
-                    rows.append(ExecRow(values, lineage, how))
-                    matched = True
-            if not matched:
-                rows.append(
-                    ExecRow(left_row.values + null_right, left_row.lineage, left_row.how)
-                )
-        return Relation(layout, rows)
-
-    def _equi_join_key(
-        self,
-        condition: ast.Expression,
-        left_layout: RowLayout,
-        right_layout: RowLayout,
-    ) -> tuple[int, int] | None:
-        """Detect ``left_col = right_col`` so a hash join can be used."""
-        if not isinstance(condition, ast.BinaryOp) or condition.operator != "=":
-            return None
-        if not isinstance(condition.left, ast.ColumnRef):
-            return None
-        if not isinstance(condition.right, ast.ColumnRef):
-            return None
-        sides = [condition.left, condition.right]
-        left_position = None
-        right_position = None
-        for ref in sides:
-            in_left = left_layout.has(ref.name, ref.table)
-            in_right = right_layout.has(ref.name, ref.table)
-            if in_left and not in_right and left_position is None:
-                left_position = left_layout.resolve(ref.name, ref.table)
-            elif in_right and not in_left and right_position is None:
-                right_position = right_layout.resolve(ref.name, ref.table)
-            else:
-                return None
-        if left_position is None or right_position is None:
-            return None
-        return left_position, right_position
-
     # -- WHERE / HAVING ------------------------------------------------------------
 
     def _filter(
@@ -672,18 +451,14 @@ class SelectExecutor:
         predicate: ast.Expression,
         aggregate_slots: dict[str, int] | None = None,
     ) -> Relation:
-        if self._optimize:
-            # Independent closures per conjunct (same survivors as the
-            # conjoined 3VL tree — WHERE/HAVING keep only TRUE rows).
-            keep = _all_true(
-                self._compile_values(
-                    split_conjuncts(predicate), relation.layout, aggregate_slots
-                )
+        # Independent closures per conjunct (same survivors as the
+        # conjoined 3VL tree — WHERE/HAVING keep only TRUE rows).
+        keep = _all_true(
+            self._compile_values(
+                split_conjuncts(predicate), relation.layout, aggregate_slots
             )
-            kept = [row for row in relation.rows if keep(row.values)]
-            return Relation(relation.layout, kept)
-        predicate_fn = self._compile_one(predicate, relation.layout, aggregate_slots)
-        kept = [row for row in relation.rows if predicate_fn(row.values) is True]
+        )
+        kept = [row for row in relation.rows if keep(row.values)]
         return Relation(relation.layout, kept)
 
     # -- GROUP BY / aggregates -------------------------------------------------------
@@ -835,7 +610,7 @@ class SelectExecutor:
         buckets: dict[tuple, list[tuple[ExecRow, ExecRow]]] = {}
         order: list[tuple] = []
         for pre, out in projected:
-            key = tuple(_hashable(value) for value in out.values)
+            key = out.values
             if key not in buckets:
                 buckets[key] = []
                 order.append(key)
@@ -931,11 +706,6 @@ def _compare_sort_values(a: SQLValue, b: SQLValue) -> int:
         raise ExecutionError(
             f"cannot order {type(a).__name__} against {type(b).__name__}"
         ) from exc
-
-
-def _hashable(value: SQLValue) -> SQLValue:
-    """Group/distinct keys must be hashable; all SQLValues already are."""
-    return value
 
 
 def _validate_grouped(

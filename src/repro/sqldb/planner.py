@@ -1,9 +1,8 @@
 """Logical query planner: pushdown and join-key extraction.
 
-The executor historically ran SELECTs exactly as written: the whole WHERE
-clause after all joins, hash joins only for a bare single-key equality,
-LEFT joins always as nested loops.  This module produces a
-:class:`SelectPlan` that the executor's optimized path consumes instead:
+Run exactly as written, a SELECT would evaluate the whole WHERE clause
+after all joins.  This module produces the :class:`SelectPlan` the
+executor runs instead:
 
 * **conjunct splitting** — ``a AND b AND c`` becomes ``[a, b, c]``,
   recursing through nested/parenthesised AND trees;
@@ -20,13 +19,14 @@ LEFT joins always as nested loops.  This module produces a
   INNER and LEFT joins take the hash path.
 
 The plan is purely logical: no provenance decision is made here, so the
-executor's lineage/how capture is byte-identical with the optimizer on or
-off (the "provenance survives optimization" requirement of Query By
-Provenance).  One documented deviation: like production engines, the
-optimizer may evaluate the conjuncts of a conjunction in any order, so
-*errors* raised by one conjunct (type mismatch, division by zero) can
-surface for rows where another conjunct would have short-circuited the
-interpreted path.  TRUE/FALSE/NULL outcomes are unaffected.
+executor's lineage/how capture is the same as for the statement run as
+written (the "provenance survives optimization" requirement of Query By
+Provenance; the planner tests check it against sqlite3).  One documented
+deviation: like production engines, the plan may evaluate the conjuncts
+of a conjunction in any order, so *errors* raised by one conjunct (type
+mismatch, division by zero) can surface for rows where another conjunct
+would have short-circuited left-to-right evaluation.  TRUE/FALSE/NULL
+outcomes are unaffected.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def plan_select(statement: ast.SelectStatement, catalog: Catalog) -> SelectPlan:
 
     Planning never raises on malformed column references; conjuncts it
     cannot place are left in the residual WHERE so execution reports the
-    same error, at the same point, as the unoptimized path.
+    same error, at the same point, as the statement run as written.
     """
     if statement.from_table is None:
         return SelectPlan(base=None, where=statement.where)
@@ -179,7 +179,7 @@ def _sole_owner(
     """The single scan ``conjunct`` reads from, or None if unpushable.
 
     Unpushable: references to several scans, unresolvable or ambiguous
-    names (execution must raise exactly as unoptimized), no column
+    names (execution must raise exactly as written), no column
     references at all, or subqueries/aggregates whose evaluation point
     (and memoisation scope) must not move.
     """

@@ -58,7 +58,6 @@ _config_kwargs = st.fixed_dictionaries(
         "query_cache_size": st.one_of(
             st.none(), st.integers(min_value=1, max_value=4096)
         ),
-        "use_query_optimizer": st.booleans(),
         "attach_explanations": st.booleans(),
         "record_turns": st.booleans(),
         "recorder_capacity": st.integers(min_value=1, max_value=2048),
@@ -122,6 +121,17 @@ class TestConfigRoundTrip:
         payload["use_time_travel"] = True
         with pytest.raises(ValueError, match="use_time_travel"):
             ReliabilityConfig.from_dict(payload)
+
+    def test_removed_optimizer_key_raises(self):
+        # Black boxes recorded before the interpreted executor was removed
+        # carry this key; replaying one must fail loudly, not silently.
+        payload = ReliabilityConfig.full().to_dict()
+        payload["use_query_optimizer"] = True
+        with pytest.raises(ValueError) as raised:
+            ReliabilityConfig.from_dict(payload)
+        assert str(raised.value) == (
+            "unknown ReliabilityConfig keys: ['use_query_optimizer']"
+        )
 
     def test_payload_is_json_safe(self):
         payload = ReliabilityConfig.full().to_dict()

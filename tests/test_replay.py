@@ -128,13 +128,13 @@ class TestFaithfulReplay:
 
 
 class TestConfigInjection:
-    def test_optimizer_off_flags_only_the_work_profile(self, recorded_script):
+    def test_cache_off_flags_only_the_work_profile(self, recorded_script):
         report = replay_session(
-            recorded_script, config_overrides={"use_query_optimizer": False}
+            recorded_script, config_overrides={"query_cache_size": None}
         )
-        # The interpreted executor returns identical results by design —
+        # Without the query cache every answer is the same by design —
         # the recorder still catches the change through the per-turn
-        # counter deltas (different machinery did the work).
+        # counter deltas (the executor did work the cache used to do).
         assert report.diverged is True
         assert report.fields_flagged() == ["metrics_delta"]
 

@@ -216,6 +216,42 @@ class TestVerifier:
             AnswerVerifier(employees_db).verify(result, depth="bogus")
 
 
+class TestVerifierSubqueries:
+    """Provenance re-derivation of answers whose WHERE has a subquery."""
+
+    ABOVE_AVERAGE = (
+        "SELECT name FROM employees "
+        "WHERE salary > (SELECT AVG(salary) FROM employees)"
+    )
+
+    def test_scalar_subquery_answer_passes(self, employees_db):
+        result = employees_db.execute(self.ABOVE_AVERAGE)
+        assert sorted(result.rows) == [("ann",), ("bob",)]
+        report = AnswerVerifier(employees_db).verify(result, depth="provenance")
+        assert report.passed, report.issues
+        assert "re-apply WHERE to cited rows" in report.checks_run
+
+    def test_in_subquery_count_passes(self, employees_db):
+        result = employees_db.execute(
+            "SELECT COUNT(*) FROM employees WHERE department IN "
+            "(SELECT department FROM departments WHERE floor = 2)"
+        )
+        assert result.rows == [(3,)]
+        report = AnswerVerifier(employees_db).verify(result, depth="provenance")
+        assert report.passed, report.issues
+        assert "recompute aggregate from cited rows alone" in report.checks_run
+
+    def test_tampered_row_still_fails(self, employees_db):
+        result = employees_db.execute(self.ABOVE_AVERAGE)
+        # Cite dan (salary 70, below the average of 85) for every row.
+        result.lineage = [frozenset({("employees", 3)})] * len(result.rows)
+        report = AnswerVerifier(employees_db).verify(result, depth="provenance")
+        assert not report.passed
+        assert report.issues == [
+            "cited row employees[3] does not satisfy the query's WHERE clause"
+        ] * len(result.rows)
+
+
 class TestConfidenceFusion:
     def test_consistency_preferred_over_self_report(self):
         breakdown = fuse_confidence(self_reported=0.99, consistency=0.4)

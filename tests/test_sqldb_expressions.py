@@ -1,27 +1,16 @@
-"""Tests for the expression evaluator: NULL semantics, operators, layout."""
+"""Tests for expression semantics: NULL semantics, operators, layout."""
 
 import pytest
 
 from repro.errors import ExecutionError
-from repro.sqldb.expressions import (
-    BoundColumn,
-    ExpressionEvaluator,
-    RowContext,
-    RowLayout,
-    like_to_regex,
-)
+from repro.sqldb.compile import compile_expression
+from repro.sqldb.expressions import BoundColumn, RowLayout, like_to_regex
 from repro.sqldb.parser import parse_expression
 
 
-def make_row(**columns):
-    layout = RowLayout(
-        [BoundColumn(binding="t", name=name) for name in columns]
-    )
-    return RowContext(layout, tuple(columns.values()))
-
-
 def evaluate(text, **columns):
-    return ExpressionEvaluator().evaluate(parse_expression(text), make_row(**columns))
+    layout = RowLayout([BoundColumn(binding="t", name=name) for name in columns])
+    return compile_expression(parse_expression(text), layout)(tuple(columns.values()))
 
 
 class TestArithmetic:

@@ -1,13 +1,16 @@
 """Tests for the logical planner: pushdown, equi-keys, and parity.
 
-The parity classes are the load-bearing guarantee of the optimizer work:
-with the optimizer on or off, a query must produce byte-identical result
-rows, where-lineage, *and* how-polynomials ("provenance survives
-optimization").  The hypothesis corpus at the bottom drives randomized
-queries through both paths.
+The parity classes are the load-bearing guarantee of the planned
+executor: a query must produce the rows stdlib sqlite3 produces, and its
+where-lineage and how-polynomials must cite exactly the base rows sqlite3
+derives each output row from ("provenance survives optimization").  The
+hypothesis corpus at the bottom drives randomized queries through both
+engines; see ``tests/sqlite_oracle.py`` for the invariants.
 """
 
 from __future__ import annotations
+
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from repro.sqldb.catalog import Catalog
 from repro.sqldb.executor import SelectExecutor
 from repro.sqldb.parser import parse_sql
 from repro.sqldb.planner import conjoin, plan_select, split_conjuncts
+from tests.sqlite_oracle import assert_matches_sqlite, copy_to_sqlite
 
 
 def _plan(db: Database, sql: str):
@@ -25,25 +29,12 @@ def _plan(db: Database, sql: str):
     return plan_select(statement, db.catalog)
 
 
-def _both_ways(db: Database, sql: str, capture_how: bool = True):
-    """Execute ``sql`` with the optimizer on and off; return both results."""
+def assert_parity(db: Database, sql: str, capture_how: bool = True):
+    """Execute ``sql`` and check it against sqlite3; returns our result."""
     statement = parse_sql(sql)
-    optimized = SelectExecutor(
-        db.catalog, capture_how=capture_how, optimize=True
-    ).execute(statement)
-    interpreted = SelectExecutor(
-        db.catalog, capture_how=capture_how, optimize=False
-    ).execute(statement)
-    return optimized, interpreted
-
-
-def assert_parity(db: Database, sql: str, capture_how: bool = True) -> None:
-    optimized, interpreted = _both_ways(db, sql, capture_how)
-    assert optimized.columns == interpreted.columns
-    assert optimized.rows == interpreted.rows
-    assert optimized.lineage == interpreted.lineage
-    if capture_how:
-        assert optimized.how == interpreted.how
+    result = SelectExecutor(db.catalog, capture_how=capture_how).execute(statement)
+    assert_matches_sqlite(db, statement, result)
+    return result
 
 
 class TestConjuncts:
@@ -139,7 +130,7 @@ class TestPushdown:
 
     def test_pushdown_with_nulls_matches_3vl(self, employees_db):
         # eve has NULL salary: the pushed predicate must keep only
-        # exactly-TRUE rows, as the unoptimized WHERE does.
+        # exactly-TRUE rows, as a WHERE after the join would.
         assert_parity(
             employees_db,
             "SELECT e.name FROM employees e "
@@ -148,11 +139,12 @@ class TestPushdown:
         )
 
     def test_pushdown_scan_counts_all_base_rows(self, employees_db):
-        optimized, interpreted = _both_ways(
+        result = assert_parity(
             employees_db,
             "SELECT name FROM employees WHERE salary > 85",
         )
-        assert optimized.scanned_rows == interpreted.scanned_rows == 5
+        assert result.scanned_rows == len(employees_db.catalog.table("employees"))
+        assert result.scanned_rows == 5
 
 
 class TestEquiJoinDetection:
@@ -245,7 +237,7 @@ class TestEquiJoinDetection:
 
 
 class TestLegacyJoinFastPaths:
-    """The satellite bugfixes apply to the optimizer-off path too."""
+    """Hash-join edge cases: NULL keys, unmatched LEFT rows, empty sides."""
 
     def test_left_join_hash_path_matches_nested_loop(self):
         db = Database(capture_how=True)
@@ -254,11 +246,8 @@ class TestLegacyJoinFastPaths:
         db.execute("CREATE TABLE b (x INT, y TEXT)")
         db.execute("INSERT INTO b VALUES (1, 'one'), (1, 'uno')")
         sql = "SELECT a.x, b.y FROM a LEFT JOIN b ON a.x = b.x"
-        interpreted = SelectExecutor(
-            db.catalog, capture_how=True, optimize=False
-        ).execute(parse_sql(sql))
-        assert interpreted.rows == [(1, "one"), (1, "uno"), (2, None), (None, None)]
-        assert_parity(db, sql)
+        result = assert_parity(db, sql)
+        assert result.rows == [(1, "one"), (1, "uno"), (2, None), (None, None)]
 
     def test_inner_join_empty_side_short_circuits(self):
         db = Database()
@@ -314,20 +303,44 @@ def _predicates(draw) -> str:
     return f"({left}) {connector} ({right})"
 
 
+#: Query shapes: (select + from, GROUP BY clause, ORDER BY key).
+_SHAPES = [
+    ("SELECT a, b, c FROM t", "", "a"),
+    ("SELECT t.a, t.c, u.d FROM t JOIN u ON t.a = u.a", "", "t.a"),
+    ("SELECT t.a, t.c, u.d FROM t LEFT JOIN u ON t.a = u.a", "", "t.a"),
+    ("SELECT DISTINCT t.c FROM t", "", "t.c"),
+    ("SELECT t.c, COUNT(*), SUM(t.b) FROM t", " GROUP BY t.c", "t.c"),
+    (
+        "SELECT t.c, COUNT(*), SUM(u.d) FROM t JOIN u ON t.a = u.a",
+        " GROUP BY t.c",
+        "t.c",
+    ),
+    ("SELECT COUNT(*), SUM(t.b) FROM t", "", None),
+]
+
+
 @st.composite
 def _queries(draw) -> str:
-    """Single-table and join queries exercising pushdown and equi-keys."""
-    joined = draw(st.booleans())
+    """Plain, join, DISTINCT and grouped queries over pushdown and equi-keys."""
+    select_from, group_by, order_key = draw(st.sampled_from(_SHAPES))
     where = draw(st.one_of(st.none(), _predicates()))
-    if joined:
-        sql = "SELECT t.a, t.c, u.d FROM t JOIN u ON t.a = u.a"
-    else:
-        sql = "SELECT a, b, c FROM t"
+    sql = select_from
     if where is not None:
         sql += f" WHERE {where}"
-    if draw(st.booleans()):
-        sql += " ORDER BY t.a" if joined else " ORDER BY a"
+    sql += group_by
+    if order_key is not None and draw(st.booleans()):
+        sql += f" ORDER BY {order_key}"
     return sql
+
+
+class TestDialectDifferences:
+    def test_nulls_sort_last_where_sqlite_sorts_them_first(self):
+        # Difference 4 of tests/sqlite_oracle.py.
+        result = assert_parity(_CORPUS_DB, "SELECT a FROM t ORDER BY a")
+        assert result.rows[-1] == (None,)
+        with closing(copy_to_sqlite(_CORPUS_DB)) as connection:
+            sqlite_rows = connection.execute("SELECT a FROM t ORDER BY a").fetchall()
+        assert sqlite_rows[0] == (None,)
 
 
 class TestRandomizedParity:
