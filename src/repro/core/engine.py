@@ -1022,9 +1022,10 @@ class CDAEngine:
             component="sqldb",
             kind=ProvenanceNodeKind.QUERY,
             description=result.sql,
-            inputs=sorted(
-                {f"dataset:{table}" for table, _row in result.all_source_rows()}
-            ),
+            inputs=[
+                f"dataset:{table}"
+                for table in sorted({table for table, _row in result.all_source_rows()})
+            ],
             outputs=[f"answer:{self.session.answers_given}"],
         )
         metadata: dict = {}

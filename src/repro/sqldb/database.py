@@ -78,10 +78,7 @@ class QueryResult:
 
     def all_source_rows(self) -> Lineage:
         """Union of the lineage of every output row."""
-        combined: set[tuple[str, int]] = set()
-        for row_lineage in self.lineage:
-            combined |= row_lineage
-        return frozenset(combined)
+        return frozenset().union(*self.lineage)
 
 
 @dataclass

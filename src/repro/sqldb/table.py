@@ -10,6 +10,7 @@ the exact base rows back (Section 2.2's invertibility property).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.errors import CatalogError, IntegrityError
 from repro.sqldb.types import Column, ColumnType, Schema, SQLValue, coerce_value
@@ -124,6 +125,19 @@ class Table:
         if row_id not in self._rows:
             raise CatalogError(f"no row {row_id} in table {self.name!r}")
         return self._rows[row_id]
+
+    def missing_row_ids(self, row_ids: Iterable[int]) -> set[int]:
+        """The ids in ``row_ids`` that name no live row (one set difference)."""
+        return set(row_ids).difference(self._rows)
+
+    def rows_by_id(self, row_ids: Iterable[int]) -> dict[int, tuple[SQLValue, ...]]:
+        """``{row_id: row}`` for the ids in ``row_ids`` that name a live row.
+
+        Missing ids are left out rather than raising; compare the result's
+        size with the request (or call :meth:`missing_row_ids`) to find them.
+        """
+        rows = self._rows
+        return {row_id: rows[row_id] for row_id in row_ids if row_id in rows}
 
     def delete_row(self, row_id: int) -> None:
         """Delete the row stored under ``row_id``."""

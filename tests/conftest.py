@@ -36,6 +36,14 @@ def reset_metrics():
 @pytest.fixture
 def employees_db() -> Database:
     """A small employees/departments database with FK and NULLs."""
+    return build_employees_db()
+
+
+def build_employees_db() -> Database:
+    """The ``employees_db`` fixture's database, freshly built.
+
+    Property tests that mutate the database call this once per example.
+    """
     db = Database(capture_how=True)
     db.execute(
         "CREATE TABLE employees (id INT PRIMARY KEY, name TEXT, "

@@ -11,6 +11,7 @@ from repro.soundness import (
     ConsistencyUQ,
     HistogramBinningCalibrator,
     IsotonicCalibrator,
+    RowVerdict,
     SelectiveAnsweringPolicy,
     area_under_risk_coverage,
     auroc,
@@ -210,6 +211,20 @@ class TestVerifier:
         assert not report.passed
         assert any("WHERE clause" in issue for issue in report.issues)
 
+    def test_provenance_rejects_rows_of_another_table(self, employees_db):
+        result = employees_db.execute(
+            "SELECT COUNT(*) FROM employees WHERE department = 'engineering'"
+        )
+        # departments[0] is 'engineering' too, so a per-row WHERE re-check
+        # alone would accept it; the query never read that table.
+        result.lineage = [frozenset({("departments", 0), ("employees", 0)})]
+        report = AnswerVerifier(employees_db).verify(result, depth="provenance")
+        assert not report.passed
+        assert report.issues == [
+            "cited row departments[0] is not from the queried table employees",
+            "aggregate recomputed from cited rows is 1, but the answer reports 2",
+        ]
+
     def test_invalid_depth_rejected(self, employees_db):
         result = employees_db.execute(GOLD)
         with pytest.raises(SoundnessError):
@@ -355,6 +370,35 @@ class TestRowVerification:
         assert verdicts[0].verified
         assert not verdicts[1].verified
         assert "999" in verdicts[1].detail
+
+    def test_group_citing_another_table_not_verified(self, employees_db):
+        from repro.soundness.verifier import verify_rows
+
+        result = employees_db.execute(
+            "SELECT department, COUNT(*) AS n FROM employees "
+            "GROUP BY department ORDER BY department"
+        )
+        # Two engineering rows, but cited from the departments table.
+        result.lineage = [
+            frozenset({("departments", 0), ("departments", 1)}),
+            result.lineage[1],
+        ]
+        report = AnswerVerifier(employees_db).verify(result, depth="provenance")
+        assert not report.passed
+        assert sorted(report.issues) == [
+            "cited row departments[0] is not from the queried table employees",
+            "cited row departments[1] is not from the queried table employees",
+        ]
+        verdicts = verify_rows(employees_db, result)
+        assert verdicts == [
+            RowVerdict(
+                0,
+                False,
+                "cannot re-derive: cited row departments[0] is not from the "
+                "queried table employees",
+            ),
+            RowVerdict(1, True),
+        ]
 
     def test_unverifiable_shapes_return_none(self, employees_db):
         from repro.soundness.verifier import verify_rows

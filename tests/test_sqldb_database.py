@@ -34,6 +34,15 @@ class TestTable:
         assert third == 2  # never reuses id 0
         assert table.get_row(second) == (2, "b")
 
+    def test_set_at_a_time_row_lookup(self):
+        table = self.make_table()
+        for value in (1, 2, 3):
+            table.insert([value, str(value)])
+        table.delete_row(1)
+        assert table.missing_row_ids([0, 1, 2, 7]) == {1, 7}
+        assert table.missing_row_ids(set()) == set()
+        assert table.rows_by_id({0, 1, 2, 7}) == {0: (1, "1"), 2: (3, "3")}
+
     def test_not_null_enforced(self):
         table = self.make_table()
         with pytest.raises(IntegrityError):
