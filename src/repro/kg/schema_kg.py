@@ -12,6 +12,10 @@ The value index matters most in practice: grounding the literal
 "engineering" to ``emp.dept = 'engineering'`` is what separates an
 executable query from a hallucinated one, and benchmark E2 measures that
 gap directly.
+
+Fuzzy table and column matching scores a phrase's profile against node
+profiles (label tokens, trigrams and long tokens; comment tokens) built
+once at construction: the graph is a snapshot of the catalog.
 """
 
 from __future__ import annotations
@@ -20,7 +24,12 @@ from dataclasses import dataclass
 
 from repro.kg.ontology import Ontology, RDFS_COMMENT, RDFS_LABEL
 from repro.kg.triple_store import TripleStore
-from repro.kg.vocabulary import edit_similarity, token_overlap, trigram_similarity
+from repro.kg.vocabulary import (
+    char_trigrams,
+    jaccard,
+    osa_similarity_within,
+    trigram_similarity,
+)
 from repro.vector.embedding import tokenize_text
 from repro.sqldb.catalog import Catalog
 
@@ -50,6 +59,28 @@ def column_node(table: str, column: str) -> str:
 
 def _humanise(identifier: str) -> str:
     return identifier.replace("_", " ").strip().lower()
+
+
+@dataclass(frozen=True)
+class _Profile:
+    """What fuzzy matching reads of a text: its token and trigram sets."""
+
+    tokens: frozenset[str]
+    trigrams: frozenset[str]
+    #: Distinct tokens long enough for the edit-distance typo check.
+    long_tokens: tuple[str, ...]
+    #: Tokens of the node's comment; ``None`` when it has none.
+    comment_tokens: frozenset[str] | None
+
+    @classmethod
+    def of(cls, text: str, comment: str | None = None) -> _Profile:
+        tokens = frozenset(tokenize_text(text))
+        return cls(
+            tokens=tokens,
+            trigrams=frozenset(char_trigrams(text)),
+            long_tokens=tuple(token for token in tokens if len(token) >= 4),
+            comment_tokens=frozenset(tokenize_text(comment)) if comment else None,
+        )
 
 
 @dataclass
@@ -87,6 +118,9 @@ class SchemaKnowledgeGraph:
         self.index_values = index_values
         self.max_distinct_values = max_distinct_values
         self._value_index: dict[str, list[tuple[str, str]]] = {}
+        #: node -> match profile of its label and comment, built once.
+        self._table_profiles: dict[str, _Profile] = {}
+        self._column_profiles: dict[str, _Profile] = {}
         self._build()
 
     @property
@@ -126,6 +160,14 @@ class SchemaKnowledgeGraph:
             store.add(source, CDA_REFERENCES, target)
             store.add(table_node(fk.table), CDA_JOINS_WITH, table_node(fk.referenced_table))
             store.add(table_node(fk.referenced_table), CDA_JOINS_WITH, table_node(fk.table))
+        for profiles, class_name in (
+            (self._table_profiles, CDA_TABLE),
+            (self._column_profiles, CDA_COLUMN),
+        ):
+            for node in self.ontology.instances_of(class_name):
+                profiles[node] = _Profile.of(
+                    self.ontology.label(node), self.ontology.comment(node)
+                )
 
     def _index_table_values(self, table) -> None:
         from repro.sqldb.types import ColumnType
@@ -208,25 +250,22 @@ class SchemaKnowledgeGraph:
 
     # -- grounding lookups ---------------------------------------------------------------
 
-    def _score_against(self, phrase: str, node: str) -> tuple[float, str]:
-        label = self.ontology.label(node)
-        comment = self.ontology.comment(node) or ""
-        best = max(token_overlap(phrase, label), trigram_similarity(phrase, label))
+    def _score_against(self, phrase: _Profile, node: _Profile) -> tuple[float, str]:
+        best = max(
+            jaccard(phrase.tokens, node.tokens),
+            jaccard(phrase.trigrams, node.trigrams),
+        )
         matched_on = "label"
         # Per-token typo tolerance: the best edit-similar (token of phrase,
         # token of label) pair, discounted so exact matches still win.
-        phrase_tokens = tokenize_text(phrase)
-        label_tokens = tokenize_text(label)
-        for phrase_token in phrase_tokens:
-            for label_token in label_tokens:
-                if min(len(phrase_token), len(label_token)) < 4:
-                    continue
-                similarity = edit_similarity(phrase_token, label_token)
-                if similarity >= 0.7 and 0.9 * similarity > best:
+        for phrase_token in phrase.long_tokens:
+            for label_token in node.long_tokens:
+                similarity = osa_similarity_within(phrase_token, label_token, 0.7)
+                if similarity is not None and 0.9 * similarity > best:
                     best = 0.9 * similarity
                     matched_on = "label"
-        if comment:
-            comment_score = 0.9 * token_overlap(phrase, comment)
+        if node.comment_tokens is not None:
+            comment_score = 0.9 * jaccard(phrase.tokens, node.comment_tokens)
             if comment_score > best:
                 best = comment_score
                 matched_on = "comment"
@@ -235,8 +274,9 @@ class SchemaKnowledgeGraph:
     def find_tables(self, phrase: str, min_score: float = 0.3) -> list[SchemaMatch]:
         """Tables matching ``phrase``, best first."""
         matches = []
-        for node in self.ontology.instances_of(CDA_TABLE):
-            score, matched_on = self._score_against(phrase, node)
+        profile = _Profile.of(phrase)
+        for node, node_profile in self._table_profiles.items():
+            score, matched_on = self._score_against(profile, node_profile)
             if score >= min_score:
                 matches.append(
                     SchemaMatch(
@@ -254,12 +294,13 @@ class SchemaKnowledgeGraph:
     ) -> list[SchemaMatch]:
         """Columns matching ``phrase``, best first, optionally within a table."""
         matches = []
-        for node in self.ontology.instances_of(CDA_COLUMN):
+        profile = _Profile.of(phrase)
+        for node, node_profile in self._column_profiles.items():
             qualified = node.split(":", 1)[1]
             node_table, column = qualified.rsplit(".", 1)
             if table is not None and node_table.lower() != table.lower():
                 continue
-            score, matched_on = self._score_against(phrase, node)
+            score, matched_on = self._score_against(profile, node_profile)
             if score >= min_score:
                 matches.append(
                     SchemaMatch(

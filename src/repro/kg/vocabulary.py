@@ -24,11 +24,15 @@ surfaces that share one, as the Jaccard ratio
 ``shared / (|phrase| + |surface| - shared)`` — the same integer ratio as
 :func:`token_overlap` and :func:`trigram_similarity`, so scores match
 them bit for bit.
+
+Every edit-distance typo check runs through one banded OSA kernel,
+:func:`osa_similarity_within`, which gives up once a threshold is out of reach.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -60,83 +64,89 @@ class GroundedTerm:
     score: float
 
 
-def _trigrams(text: str) -> set[str]:
+def char_trigrams(text: str) -> set[str]:
+    """Lower-cased character trigrams of ``text``, padded at both ends."""
     padded = f"  {text.lower()} "
     return {padded[i : i + 3] for i in range(len(padded) - 2)}
 
 
+def jaccard(a: AbstractSet[str], b: AbstractSet[str]) -> float:
+    """``|a & b| / |a | b|`` of two gram sets; 0.0 when either is empty."""
+    if not a or not b:
+        return 0.0
+    shared = len(a & b)
+    return shared / (len(a) + len(b) - shared)
+
+
 def trigram_similarity(a: str, b: str) -> float:
     """Jaccard similarity of character trigrams (fuzzy-match kernel)."""
-    grams_a = _trigrams(a)
-    grams_b = _trigrams(b)
-    if not grams_a or not grams_b:
-        return 0.0
-    return len(grams_a & grams_b) / len(grams_a | grams_b)
+    return jaccard(char_trigrams(a), char_trigrams(b))
 
 
 def edit_similarity(a: str, b: str) -> float:
     """Normalised Damerau-Levenshtein (OSA) similarity.
 
-    The typo kernel: "caapcity" vs "capacity" scores 0.75, and adjacent
-    transpositions ("wieght" vs "weight") count as a single edit — the
-    dominant human typo class.  O(len(a)*len(b)) dynamic programming.
+    The typo kernel: "capasity" vs "capacity" scores 0.875, and adjacent
+    transpositions ("caapcity" vs "capacity") count as a single edit — the
+    dominant human typo class.  :func:`osa_similarity_within` at threshold
+    0, where the band spans the whole matrix.
     """
-    return _osa_similarity(a.lower(), b.lower())
+    return osa_similarity_within(a.lower(), b.lower(), 0.0)
 
 
 def edit_similarity_at_least(a: str, b: str, threshold: float) -> bool:
-    """``edit_similarity(a, b) >= threshold``, skipping hopeless pairs.
+    """``edit_similarity(a, b) >= threshold``, through the banded kernel."""
+    return osa_similarity_within(a.lower(), b.lower(), threshold) is not None
 
-    The OSA distance is at least the length difference, so the similarity
-    is at most ``1 - |len(a) - len(b)| / max(len)``; when even that bound
-    misses ``threshold`` the dynamic programme is not run.
+
+def osa_similarity_within(a: str, b: str, threshold: float) -> float | None:
+    """OSA similarity of two lower-cased strings, or ``None`` below ``threshold``.
+
+    The value is the full dynamic programme's ``1 - distance / max(len)``.
+    Only cells within ``k`` of the diagonal are computed (Ukkonen's band),
+    ``k`` being the most edits that same float expression lets through; row
+    minima never decrease, so a row whose minimum exceeds ``k`` ends it.
     """
-    a = a.lower()
-    b = b.lower()
-    longest = max(len(a), len(b))
-    if longest and 1.0 - abs(len(a) - len(b)) / longest < threshold:
-        return False
-    return _osa_similarity(a, b) >= threshold
-
-
-def _osa_similarity(a: str, b: str) -> float:
-    """:func:`edit_similarity` of two already lower-cased strings."""
-    if a == b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    # Optimal string alignment: Levenshtein + adjacent transposition.
-    rows = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
-    for i in range(len(a) + 1):
-        rows[i][0] = i
-    for j in range(len(b) + 1):
-        rows[0][j] = j
-    for i in range(1, len(a) + 1):
-        for j in range(1, len(b) + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            rows[i][j] = min(
-                rows[i - 1][j] + 1,
-                rows[i][j - 1] + 1,
-                rows[i - 1][j - 1] + cost,
-            )
-            if (
-                i > 1
-                and j > 1
-                and a[i - 1] == b[j - 2]
-                and a[i - 2] == b[j - 1]
-            ):
-                rows[i][j] = min(rows[i][j], rows[i - 2][j - 2] + 1)
-    distance = rows[len(a)][len(b)]
-    return 1.0 - distance / max(len(a), len(b))
+    if a == b or not a or not b:
+        similarity = 1.0 if a == b else 0.0
+        return similarity if similarity >= threshold else None
+    n, m = len(a), len(b)
+    longest = max(n, m)
+    k = int(max(0.0, min(longest, (1.0 - threshold) * longest)))
+    while k < longest and 1.0 - (k + 1) / longest >= threshold:
+        k += 1
+    while k >= 0 and 1.0 - k / longest < threshold:
+        k -= 1
+    if abs(n - m) > k:
+        return None
+    beyond = k + 1
+    before: list[int] = []
+    previous = [j if j <= k else beyond for j in range(m + 1)]
+    for i in range(1, n + 1):
+        row = [beyond] * (m + 1)
+        if i <= k:
+            row[0] = i
+        char = a[i - 1]
+        for j in range(max(1, i - k), min(m, i + k) + 1):
+            other = b[j - 1]
+            cost = previous[j - 1] + (char != other)
+            if previous[j] + 1 < cost:
+                cost = previous[j] + 1
+            if row[j - 1] + 1 < cost:
+                cost = row[j - 1] + 1
+            # Adjacent transposition counts as one edit.
+            if i > 1 and j > 1 and char == b[j - 2] and a[i - 2] == other:
+                cost = min(cost, before[j - 2] + 1)
+            row[j] = cost
+        if min(row) > k:
+            return None
+        before, previous = previous, row
+    return 1.0 - previous[m] / longest if previous[m] <= k else None
 
 
 def token_overlap(a: str, b: str) -> float:
     """Jaccard similarity of word tokens."""
-    tokens_a = set(tokenize_text(a))
-    tokens_b = set(tokenize_text(b))
-    if not tokens_a or not tokens_b:
-        return 0.0
-    return len(tokens_a & tokens_b) / len(tokens_a | tokens_b)
+    return jaccard(set(tokenize_text(a)), set(tokenize_text(b)))
 
 
 def _best_surface(
@@ -217,7 +227,7 @@ class DomainVocabulary:
     def _add_postings(self, term: VocabularyTerm, surface: str) -> None:
         position = len(self._surfaces)
         tokens = set(tokenize_text(surface))
-        trigrams = _trigrams(surface)
+        trigrams = char_trigrams(surface)
         self._surfaces.append((term, surface))
         self._token_counts.append(len(tokens))
         self._trigram_counts.append(len(trigrams))
@@ -253,7 +263,7 @@ class DomainVocabulary:
         if best_token is not None and best_token[0] >= 0.34:
             return self._grounded(best_token, "token")
         best_fuzzy = _best_surface(
-            _trigrams(text),
+            char_trigrams(text),
             self._trigram_postings,
             self._trigram_counts,
             self.fuzzy_threshold,
@@ -287,6 +297,8 @@ class DomainVocabulary:
         tokens = tokenize_text(question)
         consumed = [False] * len(tokens)
         grounded: list[GroundedTerm] = []
+        # Repeated text is looked up once per call.
+        hits: dict[str, GroundedTerm | None] = {}
         # Pass 1: exact term/synonym hits (all n-gram sizes, longest first),
         # so "working force" wins over a fuzzy "the working force" overlap.
         # Only a surface-index hit can be exact, so pass 1 reads the index
@@ -299,7 +311,9 @@ class DomainVocabulary:
                     phrase = " ".join(tokens[start : start + size])
                     if exact_only and phrase not in self._surface_index:
                         continue
-                    hit = self.lookup(phrase)
+                    if phrase not in hits:
+                        hits[phrase] = self.lookup(phrase)
+                    hit = hits[phrase]
                     if hit is None:
                         continue
                     if hit.score >= (0.999 if size == 1 else 0.5):

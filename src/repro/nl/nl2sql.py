@@ -290,6 +290,15 @@ class GroundedSemanticParser:
                 raise TranslationError(
                     "cannot determine what to select", question=question
                 )
+            # "show price per category" names no aggregate for price; the
+            # parser does not guess one.
+            ungrouped = [column for column in select_columns if column not in group_by]
+            if group_by and ungrouped:
+                raise TranslationError(
+                    f"grouping by {group_by[0]!r} needs an aggregate "
+                    f"for {ungrouped[0]!r}",
+                    question=question,
+                )
 
         join = self._resolve_join(table, filters, group_table, notes)
         intent = QueryIntent(
@@ -344,21 +353,25 @@ class GroundedSemanticParser:
                     via[match.table] = f"schema {match.matched_on} match"
             # Direct table-name mentions (with singular/plural tolerance)
             # outrank whole-question overlap scores.
-            question_grams = _word_ngrams(tokens, 3)
+            # Each distinct n-gram is scored once, in first-occurrence order,
+            # so the notes name the first mention.
+            question_grams = list(dict.fromkeys(_word_ngrams(tokens, 3)))
             # Singularised n-gram -> its first n-gram in the question.
             gram_surfaces: dict[str, str] = {}
             for gram in question_grams:
                 gram_surfaces.setdefault(_singularise(gram), gram)
-            typo_tokens = [
-                (token, _singularise(token)) for token in tokens if len(token) >= 4
-            ]
+            # Singularised token -> its first token of four or more letters.
+            typo_tokens: dict[str, str] = {}
+            for token in tokens:
+                if len(token) >= 4:
+                    typo_tokens.setdefault(_singularise(token), token)
             for table, surface in self._table_surfaces.items():
                 gram = gram_surfaces.get(surface)
                 if gram is not None and candidates.get(table, 0.0) < 0.9:
                     candidates[table] = 0.9
                     via[table] = f"table-name mention {gram!r}"
                 # Typo-tolerant mention ("vehilces" -> vehicles).
-                for token, singular in typo_tokens:
+                for singular, token in typo_tokens.items():
                     if edit_similarity_at_least(singular, surface, 0.72):
                         if candidates.get(table, 0.0) < 0.85:
                             candidates[table] = 0.85
