@@ -3,9 +3,13 @@
 The executor runs the plan that :mod:`repro.sqldb.planner` builds for a
 :class:`~repro.sqldb.ast.SelectStatement` — predicates pushed below
 joins, composite hash keys for INNER and LEFT joins — one operator at a
-time: scan → join → filter → group/aggregate → having → project →
-distinct → sort → limit.  Every expression is evaluated through
-:mod:`repro.sqldb.compile` closures.  Each intermediate row carries
+time: scan → join → filter → group/aggregate → having → sort → limit →
+project.  ORDER BY keys are evaluated on the pre-projection rows, so the
+select list is evaluated only on the rows that survive LIMIT/OFFSET (as
+in sqlite3: a row the LIMIT cuts cannot raise).  DISTINCT must see every
+output row, so it keeps project → distinct → sort → limit.  Every
+expression is evaluated through :mod:`repro.sqldb.compile` closures.
+Each intermediate row carries
 
 * **where-lineage** — the set of ``(table, row_id)`` base rows it derives
   from, and
@@ -22,7 +26,6 @@ queries share it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -236,6 +239,39 @@ class SelectExecutor:
         return self._compile_values([expression], layout, aggregate_slots)[0]
 
     def _execute_single(self, statement: ast.SelectStatement) -> SelectResult:
+        relation, aggregate_slots = self._rows_to_project(statement)
+        items = self._expand_items(statement, relation.layout)
+        item_fns = self._compile_values(
+            [item.expression for item in items], relation.layout, aggregate_slots
+        )
+        if statement.distinct:
+            key_rows, rows = self._distinct(relation.rows, item_fns)
+        else:
+            key_rows = rows = relation.rows
+        if statement.order_by:
+            keys = _order_keys(statement, items, relation.layout)
+            key_fns = self._compile_values(keys, relation.layout, aggregate_slots)
+            rows = _sort(rows, key_rows, statement.order_by, key_fns)
+        start = statement.offset or 0
+        stop = None if statement.limit is None else start + statement.limit
+        rows = rows[start:stop]
+        if statement.distinct:
+            values = [row.values for row in rows]
+        else:  # only the rows that survive LIMIT/OFFSET are projected
+            values = [tuple(fn(row.values) for fn in item_fns) for row in rows]
+        return SelectResult(
+            columns=[item.output_name(position) for position, item in enumerate(items)],
+            rows=values,
+            lineage=[row.lineage for row in rows],
+            how=[row.how for row in rows] if self._capture_how else None,
+            scanned_rows=self._scanned_rows,
+        )
+
+    def _rows_to_project(
+        self, statement: ast.SelectStatement
+    ) -> tuple[Relation, dict[str, int]]:
+        """FROM → WHERE → GROUP BY → HAVING: the relation the select list
+        and ORDER BY keys are evaluated over, and its aggregate slots."""
         self._scanned_rows = 0
         self._subquery_cache = {}
         plan = plan_select(statement, self._catalog)
@@ -259,24 +295,7 @@ class SelectExecutor:
             if not statement.group_by and not aggregates:
                 raise ExecutionError("HAVING requires GROUP BY or aggregates")
             relation = self._filter(relation, statement.having, aggregate_slots)
-        columns, projected = self._project(relation, statement, aggregate_slots)
-        if statement.distinct:
-            projected = self._distinct(projected)
-        if statement.order_by:
-            projected = self._sort(
-                projected, relation, statement, columns, aggregate_slots
-            )
-        projected = self._limit(projected, statement.limit, statement.offset)
-        rows = [row.values for _pre, row in projected]
-        lineage = [row.lineage for _pre, row in projected]
-        how = [row.how for _pre, row in projected] if self._capture_how else None
-        return SelectResult(
-            columns=columns,
-            rows=rows,
-            lineage=lineage,
-            how=how,
-            scanned_rows=self._scanned_rows,
-        )
+        return relation, aggregate_slots
 
     # -- provenance helpers --------------------------------------------------------
 
@@ -585,127 +604,104 @@ class SelectExecutor:
             raise ExecutionError("select list is empty after star expansion")
         return expanded
 
-    def _project(
-        self,
-        relation: Relation,
-        statement: ast.SelectStatement,
-        aggregate_slots: dict[str, int],
-    ) -> tuple[list[str], list[tuple[ExecRow, ExecRow]]]:
-        items = self._expand_items(statement, relation.layout)
-        columns = [item.output_name(position) for position, item in enumerate(items)]
-        item_fns = self._compile_values(
-            [item.expression for item in items], relation.layout, aggregate_slots
-        )
-        projected: list[tuple[ExecRow, ExecRow]] = []
-        for row in relation.rows:
-            values = tuple(item_fn(row.values) for item_fn in item_fns)
-            projected.append((row, ExecRow(values, row.lineage, row.how)))
-        return columns, projected
-
-    # -- DISTINCT / ORDER / LIMIT ----------------------------------------------------
+    # -- DISTINCT / ORDER ------------------------------------------------------------
 
     def _distinct(
-        self, projected: list[tuple[ExecRow, ExecRow]]
-    ) -> list[tuple[ExecRow, ExecRow]]:
-        buckets: dict[tuple, list[tuple[ExecRow, ExecRow]]] = {}
-        order: list[tuple] = []
-        for pre, out in projected:
-            key = out.values
-            if key not in buckets:
-                buckets[key] = []
-                order.append(key)
-            buckets[key].append((pre, out))
-        result: list[tuple[ExecRow, ExecRow]] = []
-        for key in order:
-            group = buckets[key]
-            first_pre, first_out = group[0]
-            lineage, how = self._merge_union([out for _pre, out in group])
-            result.append((first_pre, ExecRow(first_out.values, lineage, how)))
-        return result
+        self, rows: list[ExecRow], item_fns: list[CompiledExpression]
+    ) -> tuple[list[ExecRow], list[ExecRow]]:
+        """Project ``rows`` and merge equal outputs, in first-seen order;
+        also returns the first pre-projection row of each merged row (the
+        row its ORDER BY keys are evaluated on), position for position."""
+        groups: dict[tuple, list[ExecRow]] = {}
+        for row in rows:
+            values = tuple(item_fn(row.values) for item_fn in item_fns)
+            groups.setdefault(values, []).append(row)
+        merged = [
+            ExecRow(values, *self._merge_union(members))
+            for values, members in groups.items()
+        ]
+        return [members[0] for members in groups.values()], merged
 
-    def _sort(
-        self,
-        projected: list[tuple[ExecRow, ExecRow]],
-        relation: Relation,
-        statement: ast.SelectStatement,
-        columns: list[str],
-        aggregate_slots: dict[str, int],
-    ) -> list[tuple[ExecRow, ExecRow]]:
-        column_positions = {name.lower(): index for index, name in enumerate(columns)}
-        #: Per ORDER BY key: ("out", output position) for bare output
-        #: columns, ("pre", compiled expr) evaluated over the
-        #: pre-projection row otherwise.
-        extractors: list[tuple[str, object]] = []
-        for order_item in statement.order_by:
-            expression = order_item.expression
-            if (
-                isinstance(expression, ast.ColumnRef)
-                and expression.table is None
-                and expression.name.lower() in column_positions
-            ):
-                extractors.append(("out", column_positions[expression.name.lower()]))
-            else:
-                extractors.append(
-                    (
-                        "pre",
-                        self._compile_one(
-                            expression, relation.layout, aggregate_slots
-                        ),
-                    )
+
+def _sort(
+    rows: list[ExecRow],
+    key_rows: list[ExecRow],
+    order_by: tuple[ast.OrderItem, ...],
+    key_fns: list[CompiledExpression],
+) -> list[ExecRow]:
+    """``rows`` ordered by the ORDER BY keys of ``key_rows[i]``.
+
+    One stable C-level sort per key, last key first, on
+    ``(value is None, value)``: NULLs sort after every value in
+    ascending order and before it under DESC, and equal keys
+    (``True == 1`` included) keep their input order.  A key holding
+    values that cannot be ordered against each other (text against a
+    number) raises, whatever the other keys hold.  Keys come from
+    pre-projection rows, so the caller cuts LIMIT/OFFSET before it
+    evaluates the select list.
+    """
+    order = list(range(len(rows)))
+    for order_item, key_fn in reversed(list(zip(order_by, key_fns))):
+        values = [key_fn(row.values) for row in key_rows]
+        keys = [(value is None, value) for value in values]
+        try:
+            order.sort(key=keys.__getitem__, reverse=order_item.descending)
+        except TypeError as exc:
+            kinds = {type(value).__name__ for value in values} - {"NoneType"}
+            raise ExecutionError(
+                f"cannot order {' against '.join(sorted(kinds))} "
+                f"in ORDER BY {order_item.expression.to_sql()}"
+            ) from exc
+    return [rows[index] for index in order]
+
+
+def _order_keys(
+    statement: ast.SelectStatement, items: list[ast.SelectItem], layout: RowLayout
+) -> list[ast.Expression]:
+    """Each ORDER BY key as an expression over the pre-projection row.
+
+    An integer literal is a 1-based output column, as in sqlite3 (a float
+    such as ``2.0`` stays a constant); a bare output name or alias reads
+    that select item (the last, if several share it).  Under DISTINCT a
+    key must be a select item or read only columns some item outputs
+    bare: merged rows differ in anything else, and ordering by their
+    first row is the arbitrary representative GROUP BY refuses too.
+    """
+    expressions = [item.expression for item in items]
+    by_name = {
+        item.output_name(position).lower(): item.expression
+        for position, item in enumerate(items)
+    }
+    outputs = {
+        layout.resolve(expression.name, expression.table)
+        for expression in expressions
+        if statement.distinct and isinstance(expression, ast.ColumnRef)
+    }
+    keys: list[ast.Expression] = []
+    for ordinal, order_item in enumerate(statement.order_by, start=1):
+        key = order_item.expression
+        if isinstance(key, ast.Literal) and type(key.value) is int:
+            if not 1 <= key.value <= len(items):
+                raise ExecutionError(
+                    f"ORDER BY term {ordinal} out of range - "
+                    f"should be between 1 and {len(items)}"
                 )
-
-        def sort_keys(pair: tuple[ExecRow, ExecRow]) -> list[SQLValue]:
-            pre, out = pair
-            keys: list[SQLValue] = []
-            for kind, extractor in extractors:
-                if kind == "out":
-                    keys.append(out.values[extractor])
-                else:
-                    keys.append(extractor(pre.values))
-            return keys
-
-        decorated = [(sort_keys(pair), pair) for pair in projected]
-        directions = [item.descending for item in statement.order_by]
-
-        def compare(a: tuple, b: tuple) -> int:
-            for key_a, key_b, descending in zip(a[0], b[0], directions):
-                verdict = _compare_sort_values(key_a, key_b)
-                if verdict == 0:
-                    continue
-                return -verdict if descending else verdict
-            return 0
-
-        decorated.sort(key=functools.cmp_to_key(compare))
-        return [pair for _keys, pair in decorated]
-
-    def _limit(
-        self,
-        projected: list[tuple[ExecRow, ExecRow]],
-        limit: int | None,
-        offset: int | None,
-    ) -> list[tuple[ExecRow, ExecRow]]:
-        start = offset or 0
-        if limit is None:
-            return projected[start:]
-        return projected[start : start + limit]
-
-
-def _compare_sort_values(a: SQLValue, b: SQLValue) -> int:
-    """Compare for ORDER BY: NULLs sort last in ascending order."""
-    if a is None and b is None:
-        return 0
-    if a is None:
-        return 1
-    if b is None:
-        return -1
-    if a == b:
-        return 0
-    try:
-        return -1 if a < b else 1
-    except TypeError as exc:
-        raise ExecutionError(
-            f"cannot order {type(a).__name__} against {type(b).__name__}"
-        ) from exc
+            key = items[key.value - 1].expression
+        elif isinstance(key, ast.ColumnRef) and key.table is None:
+            key = by_name.get(key.name.lower(), key)
+        if statement.distinct and key not in expressions and (
+            ast.contains_aggregate(key)
+            or any(
+                layout.resolve(ref.name, ref.table) not in outputs
+                for ref in ast.collect_column_refs(key)
+            )
+        ):
+            raise ExecutionError(
+                f"ORDER BY {order_item.expression.to_sql()} of a SELECT "
+                "DISTINCT must read only its output columns"
+            )
+        keys.append(key)
+    return keys
 
 
 def _validate_grouped(

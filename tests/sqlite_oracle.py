@@ -24,8 +24,22 @@ values instead of asking sqlite3:
    orders values by storage class instead (every number < every text).
    Booleans are not numbers here, so ``(a = 1) + 2`` raises too, where
    sqlite3 treats TRUE as ``1``.
+   An ORDER BY key holding both text and numbers raises for the same
+   reason, whatever the keys before it hold.
 4. **NULLs sort last** in ascending order (first under DESC); sqlite3
    sorts them first.
+5. **DISTINCT orders only by what it outputs.**  An ORDER BY key of a
+   SELECT DISTINCT must be a select item, or read only columns that some
+   select item outputs bare, with no aggregate of its own; otherwise it
+   raises.  sqlite3 orders by an arbitrary row of each merged group.
+6. **A negated integer ORDER BY term is a constant.**  ``ORDER BY -1``
+   sorts nothing here; sqlite3 reports it out of range.
+
+Positional ORDER BY agrees: an integer term is a 1-based output column,
+a term outside 1..width raises in both, and a float such as ``2.0`` is a
+constant in both.  So does lazy projection: a select-list expression is
+evaluated only on the rows that survive LIMIT/OFFSET, so a row the LIMIT
+cuts cannot raise.
 
 Booleans come back from sqlite3 as ``0`` / ``1``; since ``True == 1`` in
 Python, row comparisons need no conversion for them.
@@ -37,10 +51,11 @@ import dataclasses
 import functools
 import sqlite3
 from collections import Counter
+from contextlib import closing
 
 from repro.provenance.semiring import row_variable
 from repro.sqldb import Database, ast
-from repro.sqldb.executor import SelectResult
+from repro.sqldb.executor import SelectExecutor, SelectResult
 
 _SQLITE_TYPES = {
     "INTEGER": "INTEGER",
@@ -112,10 +127,18 @@ def assert_matches_sqlite(
       rows and counts one derivation per un-deduplicated, ungrouped row
       that fed the output row.
 
-    LIMIT/OFFSET and UNION are outside its scope.
+    With LIMIT/OFFSET, our rows (and their lineage and how-polynomials)
+    must be the OFFSET/LIMIT slice of our own un-limited result, which is
+    checked as above, and the slice's ORDER BY keys must equal sqlite3's
+    row by row.  Rows that tie on every key may be cut differently by
+    the two engines, so the keys are compared, not the rows.
+
+    UNION is outside its scope.
     """
-    assert statement.limit is None and statement.offset is None
     assert statement.union is None
+    if statement.limit is not None or statement.offset is not None:
+        _assert_limit_matches_sqlite(database, statement, result)
+        return
     connection = copy_to_sqlite(database)
     try:
         expected_rows = connection.execute(statement.to_sql()).fetchall()
@@ -146,6 +169,45 @@ def assert_matches_sqlite(
             for row, lineage, how in zip(result.rows, result.lineage, result.how)
         )
     assert actual == reference, (statement.to_sql(), actual, reference)
+
+
+def _assert_limit_matches_sqlite(
+    database: Database, statement: ast.SelectStatement, result: SelectResult
+) -> None:
+    unlimited = dataclasses.replace(statement, limit=None, offset=None)
+    full = SelectExecutor(
+        database.catalog, capture_how=result.how is not None
+    ).execute(unlimited)
+    assert_matches_sqlite(database, unlimited, full)
+    start = statement.offset or 0
+    stop = None if statement.limit is None else start + statement.limit
+    sql = statement.to_sql()
+    assert result.rows == full.rows[start:stop], (sql, result.rows, full.rows)
+    assert result.lineage == full.lineage[start:stop], sql
+    if result.how is not None:
+        assert result.how == full.how[start:stop], sql
+    # sqlite3 with our NULL placement written out; LIMIT -1 is "no limit".
+    order = ", ".join(
+        f"{item.expression.to_sql()} "
+        + ("DESC NULLS FIRST" if item.descending else "ASC NULLS LAST")
+        for item in statement.order_by
+    )
+    sqlite_sql = dataclasses.replace(unlimited, order_by=()).to_sql()
+    if order:
+        sqlite_sql += f" ORDER BY {order}"
+    sqlite_sql += f" LIMIT {-1 if statement.limit is None else statement.limit}"
+    sqlite_sql += f" OFFSET {start}"
+    with closing(copy_to_sqlite(database)) as connection:
+        expected = connection.execute(sqlite_sql).fetchall()
+    positions = [
+        _output_position(statement, item.expression) for item in statement.order_by
+    ]
+
+    def keys(rows: list[tuple]) -> list[tuple]:
+        return [_normalize(tuple(row[p] for p in positions)) for row in rows]
+
+    assert len(result.rows) == len(expected), (sqlite_sql, result.rows, expected)
+    assert keys(result.rows) == keys(expected), (sqlite_sql, result.rows, expected)
 
 
 def _normalize(row: tuple) -> tuple:
@@ -236,6 +298,8 @@ def _assert_sorted_nulls_last(
 
 def _output_position(statement: ast.SelectStatement, key: ast.Expression) -> int:
     """The select-list position an ORDER BY key reads (it must be one)."""
+    if isinstance(key, ast.Literal) and type(key.value) is int:
+        return key.value - 1  # positional, 1-based
     for position, item in enumerate(statement.items):
         if item.expression == key:
             return position

@@ -321,7 +321,8 @@ _SHAPES = [
 
 @st.composite
 def _queries(draw) -> str:
-    """Plain, join, DISTINCT and grouped queries over pushdown and equi-keys."""
+    """Plain, join, DISTINCT and grouped queries over pushdown and equi-keys,
+    ordered by name or position in either direction, with LIMIT/OFFSET."""
     select_from, group_by, order_key = draw(st.sampled_from(_SHAPES))
     where = draw(st.one_of(st.none(), _predicates()))
     sql = select_from
@@ -329,7 +330,14 @@ def _queries(draw) -> str:
         sql += f" WHERE {where}"
     sql += group_by
     if order_key is not None and draw(st.booleans()):
-        sql += f" ORDER BY {order_key}"
+        key = draw(st.sampled_from([order_key, "1"]))  # "1": the first column
+        sql += f" ORDER BY {key}{draw(st.sampled_from(['', ' DESC']))}"
+    limit = draw(st.sampled_from([None, None, 0, 1, 2, 5, 20]))
+    if limit is not None:
+        sql += f" LIMIT {limit}"
+        offset = draw(st.sampled_from([None, 0, 1, 3, 20]))
+        if offset is not None:
+            sql += f" OFFSET {offset}"
     return sql
 
 
