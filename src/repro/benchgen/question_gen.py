@@ -60,9 +60,9 @@ class QuestionGenerator:
     # -- helpers -------------------------------------------------------------------
 
     def _execute(self, intent: QueryIntent) -> tuple[str, list[tuple], list[str]]:
-        sql = compile_intent(intent).to_sql()
-        result = self.spec.database.execute(sql)
-        return sql, list(result.rows), list(result.columns)
+        statement = compile_intent(intent)
+        result = self.spec.database.execute_select(statement)
+        return statement.to_sql(), list(result.rows), list(result.columns)
 
     def _case(
         self, question: str, intent: QueryIntent, template: str, **metadata

@@ -10,6 +10,8 @@ switchable through :class:`~repro.core.config.ReliabilityConfig`.
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
 from time import perf_counter
 
 from repro.core.answer import Answer, AnswerKind
@@ -33,9 +35,11 @@ from repro.kg.schema_kg import SchemaKnowledgeGraph
 from repro.kg.vocabulary import DomainVocabulary
 from repro.nl.constrained import ConstrainedDecoder, SQLValidator
 from repro.nl.generation import AnswerGenerator
+from repro.nl.grammar import FilterSpec
 from repro.nl.intent import IntentKind, classify_intent
 from repro.nl.llmsim import LLMOutput, SimulatedLLM
 from repro.nl.nl2sql import GroundedSemanticParser, ParseOutcome
+from repro.nl.sqlgen import compile_intent
 from repro.provenance.explanation import ExplanationBuilder
 from repro.provenance.model import ProvenanceNodeKind
 from repro.retrieval.dataset_search import DatasetSearchEngine
@@ -44,6 +48,7 @@ from repro.soundness.abstention import SelectiveAnsweringPolicy
 from repro.soundness.confidence import ConfidenceBreakdown, fuse_confidence
 from repro.soundness.consistency import ConsistencyUQ
 from repro.soundness.verifier import AnswerVerifier
+from repro.sqldb import ast
 from repro.sqldb.database import QueryResult
 from repro.sqldb.types import ColumnType
 from repro.analytics.seasonality import detect_seasonality
@@ -97,7 +102,6 @@ class CDAEngine:
         self.verifier = AnswerVerifier(self.database)
         self.uq = ConsistencyUQ(self.database)
         self.validator = SQLValidator(self.database.catalog)
-        self.decoder = ConstrainedDecoder(self.validator)
         self.generator = AnswerGenerator()
         self.policy = SelectiveAnsweringPolicy(self.config.abstention_threshold)
         self.explainer = ExplanationBuilder(self.database)
@@ -393,12 +397,9 @@ class CDAEngine:
             outputs=[f"dataset:{name}" for name, _d, _s in suggestions],
         )
         if not suggestions:
-            answer = Answer(
-                kind=AnswerKind.ABSTENTION,
-                text="I could not find any data source relevant to your question.",
+            return self._abstain(
+                turn_id, "I could not find any data source relevant to your question."
             )
-            self.session.record_system_turn(answer.text, TurnKind.ABSTENTION, turn_id)
-            return answer
         prose = self.generator.render_dataset_suggestions(text, suggestions)
         question = self.clarification.build_question(
             text, [name for name, _d, _s in suggestions], subject="dataset"
@@ -471,12 +472,7 @@ class CDAEngine:
                     )
             retrieval_span.set_attribute("hits", len(hits))
         if not hits:
-            answer = Answer(
-                kind=AnswerKind.ABSTENTION,
-                text="I have no documentation that answers this.",
-            )
-            self.session.record_system_turn(answer.text, TurnKind.ABSTENTION, turn_id)
-            return answer
+            return self._abstain(turn_id, "I have no documentation that answers this.")
         document = self.registry.documents.get(hits[0].doc_id)
         self.session.tracker.record(
             component="retrieval",
@@ -498,26 +494,18 @@ class CDAEngine:
     def _handle_analysis(self, text: str, turn_id: int) -> Answer:
         table_name = self._analysis_target(text)
         if table_name is None:
-            answer = Answer(
-                kind=AnswerKind.ABSTENTION,
-                text=(
-                    "Which dataset should I analyse? Mention it by name or "
-                    "explore one first."
-                ),
+            return self._abstain(
+                turn_id,
+                "Which dataset should I analyse? Mention it by name or "
+                "explore one first.",
             )
-            self.session.record_system_turn(answer.text, TurnKind.ABSTENTION, turn_id)
-            return answer
         series_info = self._time_series_for(table_name)
         if series_info is None:
-            answer = Answer(
-                kind=AnswerKind.ABSTENTION,
-                text=(
-                    f"The {table_name.replace('_', ' ')} dataset has no "
-                    "time dimension I can analyse for trends or seasonality."
-                ),
+            return self._abstain(
+                turn_id,
+                f"The {table_name.replace('_', ' ')} dataset has no "
+                "time dimension I can analyse for trends or seasonality.",
             )
-            self.session.record_system_turn(answer.text, TurnKind.ABSTENTION, turn_id)
-            return answer
         sql, series, value_label = series_info
         if "outlier" in text.lower() or "anomal" in text.lower():
             return self._outlier_answer(table_name, sql, series, value_label, turn_id)
@@ -634,19 +622,20 @@ class CDAEngine:
             ):
                 value_column = column.name
                 break
+        time, source = ast.ColumnRef(time_column), ast.TableRef(table_name)
         if value_column is not None and len(set(table.column_values(time_column))) == len(table):
-            sql = (
-                f"SELECT {value_column} FROM {table_name} "
-                f"ORDER BY {time_column} ASC"
-            )
-            result = self.database.execute(sql)
-            return sql, [row[0] for row in result.rows], value_column
+            value = ast.SelectItem(ast.ColumnRef(value_column))
+            statement = ast.SelectStatement((value,), source, order_by=(ast.OrderItem(time),))
+            result = self.database.execute_select(statement)
+            return statement.to_sql(), [row[0] for row in result.rows], value_column
         # No one-value-per-tick measure: use counts per time bucket.
-        sql = (
-            f"SELECT {time_column}, COUNT(*) AS n FROM {table_name} "
-            f"GROUP BY {time_column} ORDER BY {time_column} ASC"
+        count = ast.SelectItem(ast.AggregateCall("COUNT", ast.Star()), alias="n")
+        statement = ast.SelectStatement(
+            (ast.SelectItem(time), count), source,
+            group_by=(time,), order_by=(ast.OrderItem(time),),
         )
-        result = self.database.execute(sql)
+        sql = statement.to_sql()
+        result = self.database.execute_select(statement)
         ticks = [row[0] for row in result.rows]
         counts = {row[0]: row[1] for row in result.rows}
         if ticks and all(isinstance(tick, int) for tick in ticks):
@@ -688,11 +677,9 @@ class CDAEngine:
         like "and for bern?" re-runs the last intent with its matching
         equality filter swapped to the new literal.
         """
-        import re as _re
-
         if self.session.last_intent is None:
             return None
-        match = _re.match(self._FOLLOWUP_PATTERN, text.strip().lower())
+        match = re.match(self._FOLLOWUP_PATTERN, text.strip().lower())
         if match is None:
             return None
         phrase = match.group(1).strip()
@@ -707,26 +694,14 @@ class CDAEngine:
         table, column, value = hits[0]
         if table.lower() != previous.table.lower():
             return None
-        from dataclasses import replace as dc_replace
-
-        from repro.nl.grammar import FilterSpec
-
         filters = [
             spec for spec in previous.filters if spec.column.lower() != column.lower()
         ]
         filters.append(FilterSpec(column=column, operator="=", value=value))
-        intent = dc_replace(previous, filters=filters)
-        from repro.nl.sqlgen import compile_intent
-
-        outcome = ParseOutcome(
-            intent=intent,
-            sql=compile_intent(intent).to_sql(),
-            confidence=0.9,
-            grounding_notes=[
-                f"follow-up: refined previous question with {column} = {value!r}"
-            ],
-        )
-        return self._answer_from_parse(text, turn_id, outcome)
+        intent = replace(previous, filters=filters)
+        note = f"follow-up: refined previous question with {column} = {value!r}"
+        outcome = ParseOutcome(intent, compile_intent(intent), 0.9, [note])
+        return self._answer_from_statement(text, turn_id, outcome)
 
     def _handle_data_query(
         self,
@@ -774,7 +749,7 @@ class CDAEngine:
                 text, turn_id, [outcome.intent.table], subject="table"
             )
         if outcome is not None:
-            return self._answer_from_parse(text, turn_id, outcome)
+            return self._answer_from_statement(text, turn_id, outcome)
         return self._answer_from_llm(text, turn_id, llm_gold_sql, parse_failure)
 
     def _parse_with_preference(
@@ -822,31 +797,6 @@ class CDAEngine:
         )
         return answer
 
-    # -- parser path ---------------------------------------------------------------
-
-    def _answer_from_parse(
-        self, text: str, turn_id: int, outcome: ParseOutcome
-    ) -> Answer:
-        try:
-            with span("engine.execution") as exec_span:
-                result = self.database.execute(outcome.sql)
-                exec_span.set_attribute("rows", len(result.rows))
-                exec_span.set_attribute("scanned_rows", result.scanned_rows)
-        except CDAError as error:
-            return self._error_answer(turn_id, f"query failed: {error}")
-        verification = self._verify(result)
-        # The grounded parser is deterministic, so its "self-report" is a
-        # high constant; the grounding score carries the real signal.
-        confidence = fuse_confidence(
-            self_reported=0.95,
-            grounding=outcome.confidence,
-            verification_passed=None if verification is None else verification.passed,
-        )
-        return self._finalise_data_answer(
-            text, turn_id, result, confidence, verification,
-            intent=outcome, parse_based=True,
-        )
-
     # -- LLM fallback path ------------------------------------------------------------
 
     def _answer_from_llm(
@@ -863,15 +813,11 @@ class CDAEngine:
             return self._dataset_overview(named, turn_id)
         if not self.config.use_llm_fallback or self.llm is None or llm_gold_sql is None:
             reason = parse_failure or "I could not translate this question."
-            answer = Answer(
-                kind=AnswerKind.ABSTENTION,
-                text=(
-                    "I cannot answer this reliably: "
-                    f"{reason} Could you rephrase or name the dataset?"
-                ),
+            return self._abstain(
+                turn_id,
+                "I cannot answer this reliably: "
+                f"{reason} Could you rephrase or name the dataset?",
             )
-            self.session.record_system_turn(answer.text, TurnKind.ABSTENTION, turn_id)
-            return answer
         with span("nl.llm.translate") as llm_span:
             samples = self.llm.generate_sql(
                 text, llm_gold_sql, n_samples=max(1, self.config.consistency_samples)
@@ -880,24 +826,14 @@ class CDAEngine:
         candidates = samples
         if self.config.use_constrained_decoding:
             with span("nl.decoder.validate") as decode_span:
-                candidates = [
-                    sample
-                    for sample in samples
-                    if self.validator.validate(sample.sql).valid
-                ]
+                candidates = ConstrainedDecoder(self.validator).filter(samples)
                 decode_span.set_attribute("valid", len(candidates))
             if not candidates:
-                answer = Answer(
-                    kind=AnswerKind.ABSTENTION,
-                    text=(
-                        "None of my candidate translations passed validation, "
-                        "so I will not guess. Could you rephrase the question?"
-                    ),
+                return self._abstain(
+                    turn_id,
+                    "None of my candidate translations passed validation, "
+                    "so I will not guess. Could you rephrase the question?",
                 )
-                self.session.record_system_turn(
-                    answer.text, TurnKind.ABSTENTION, turn_id
-                )
-                return answer
         if len(candidates) > 1:
             with span("soundness.uq.vote") as uq_span:
                 vote = self.uq.assess(candidates)
@@ -910,26 +846,44 @@ class CDAEngine:
             consistency = None
         if chosen is None:
             return self._error_answer(turn_id, "no candidate query was executable")
+        return self._answer_from_statement(text, turn_id, chosen, consistency)
+
+    # -- shared answer assembly ----------------------------------------------------------
+
+    def _answer_from_statement(
+        self, text: str, turn_id: int, source: ParseOutcome | LLMOutput,
+        consistency: float | None = None,
+    ) -> Answer:
+        """Execute ``source.statement``, verify it, fuse confidence, answer.
+
+        Both translation paths end here.  ``source.sql`` is the text the
+        answer records: the canonical rendering for the grounded parser,
+        the generation as written for the LLM.
+        """
+        if isinstance(source, ParseOutcome):
+            # The grounded parser is deterministic, so its "self-report" is
+            # a high constant; the grounding score carries the real signal.
+            outcome, self_reported, grounding = source, 0.95, source.confidence
+        else:
+            outcome, self_reported, grounding = None, source.self_confidence, None
         try:
             with span("engine.execution") as exec_span:
-                result = self.database.execute(chosen.sql)
+                result = self.database.execute_select(source.statement, sql=source.sql)
                 exec_span.set_attribute("rows", len(result.rows))
                 exec_span.set_attribute("scanned_rows", result.scanned_rows)
         except CDAError as error:
-            return self._error_answer(turn_id, f"generated query failed: {error}")
+            failed = "query failed" if outcome is not None else "generated query failed"
+            return self._error_answer(turn_id, f"{failed}: {error}")
         verification = self._verify(result)
         confidence = fuse_confidence(
-            self_reported=chosen.self_confidence,
+            self_reported=self_reported,
             consistency=consistency,
-            grounding=None,
+            grounding=grounding,
             verification_passed=None if verification is None else verification.passed,
         )
         return self._finalise_data_answer(
-            text, turn_id, result, confidence, verification,
-            intent=None, parse_based=False,
+            text, turn_id, result, confidence, verification, outcome
         )
-
-    # -- shared answer assembly ----------------------------------------------------------
 
     def _verify(self, result: QueryResult):
         if self.config.verification_depth == "none":
@@ -949,8 +903,7 @@ class CDAEngine:
         result: QueryResult,
         confidence: ConfidenceBreakdown,
         verification,
-        intent,
-        parse_based: bool,
+        outcome: ParseOutcome | None,
     ) -> Answer:
         if self.config.allow_abstention:
             with span("engine.abstention") as abstention_span:
@@ -978,18 +931,18 @@ class CDAEngine:
             self.config.adapt_to_expertise
             and self.session.profiler.profile().prefers_terse_answers
         )
-        if parse_based and intent is not None:
-            prose = self.generator.render_answer(intent.intent, result)
+        if outcome is not None:
+            prose = self.generator.render_answer(outcome.intent, result)
             if terse:
                 # Experts get the numbers; the interpretation restatement
                 # is novice scaffolding (Section 3.2: interact differently
                 # according to the inferred expertise).
                 text_out = prose
             else:
-                interpretation = self.generator.render_interpretation(intent.intent)
+                interpretation = self.generator.render_interpretation(outcome.intent)
                 text_out = f"{interpretation}\n{prose}"
-            query_intent = intent.intent
-            grounding_notes = intent.grounding_notes
+            query_intent = outcome.intent
+            grounding_notes = outcome.grounding_notes
         else:
             prose = self.generator._render_table(result)
             text_out = prose
@@ -1078,6 +1031,12 @@ class CDAEngine:
         )
 
     def _error_answer(self, turn_id: int, message: str) -> Answer:
-        answer = Answer(kind=AnswerKind.ERROR, text=f"Something went wrong: {message}")
+        return self._abstain(turn_id, f"Something went wrong: {message}", AnswerKind.ERROR)
+
+    def _abstain(
+        self, turn_id: int, text: str, kind: AnswerKind = AnswerKind.ABSTENTION
+    ) -> Answer:
+        """An answer without content, recorded as an abstention turn."""
+        answer = Answer(kind=kind, text=text)
         self.session.record_system_turn(answer.text, TurnKind.ABSTENTION, turn_id)
         return answer

@@ -4,10 +4,12 @@ Section 3.2 (Soundness): "Structured outputs can also be obtained through
 a combination of rejection sampling, constrained decoding and parsing."
 :class:`SQLValidator` is the constraint: a candidate must parse *and*
 type-check against the live catalog (tables exist, every column resolves,
-grouping is legal).  :class:`ConstrainedDecoder` applies it to a sample
-stream — either filtering a fixed candidate list or driving rejection
-sampling against a generator — and reports how many candidates it burned,
-which is the efficiency cost P4 pays and E7 measures.
+grouping is legal).  It checks parsed statements (the verifier's static
+depth: the one that was executed); text is parsed once, where it enters.
+:class:`ConstrainedDecoder` applies it to a sample stream — either
+filtering a fixed candidate list or driving rejection sampling against a
+generator — and reports how many candidates it burned, which is the
+efficiency cost P4 pays and E7 measures.
 """
 
 from __future__ import annotations
@@ -37,17 +39,28 @@ class SQLValidator:
         self.catalog = catalog
 
     def validate(self, sql: str) -> ValidationReport:
-        """Parse and schema-check ``sql``."""
-        problems: list[str] = []
+        """Parse ``sql``, then :meth:`check` the statement."""
         try:
             statement = parse_sql(sql)
         except Exception as exc:  # noqa: BLE001 - every parse failure is a problem
             return ValidationReport(sql=sql, valid=False, problems=[f"parse: {exc}"])
+        return self.check(statement, sql)
+
+    def check_output(self, output: LLMOutput) -> ValidationReport:
+        """:meth:`check` a generation's statement (parsed once per output)."""
+        try:
+            statement = output.statement
+        except Exception as exc:  # noqa: BLE001 - every parse failure is a problem
+            return ValidationReport(output.sql, valid=False, problems=[f"parse: {exc}"])
+        return self.check(statement, output.sql)
+
+    def check(self, statement: ast.Statement, sql: str) -> ValidationReport:
+        """Schema-check a parsed statement; ``sql`` is its text, for the report."""
+        problems: list[str] = []
         if not isinstance(statement, ast.SelectStatement):
-            return ValidationReport(
-                sql=sql, valid=False, problems=["only SELECT is allowed here"]
-            )
-        self._validate_statement(statement, problems)
+            problems.append("only SELECT is allowed here")
+        else:
+            self._validate_statement(statement, problems)
         return ValidationReport(sql=sql, valid=not problems, problems=problems)
 
     def _validate_statement(
@@ -165,11 +178,16 @@ class ConstrainedDecoder:
     def __init__(self, validator: SQLValidator):
         self.validator = validator
 
+    def filter(self, candidates: list[LLMOutput]) -> list[LLMOutput]:
+        """Every valid candidate of a fixed list, in order."""
+        check = self.validator.check_output
+        return [candidate for candidate in candidates if check(candidate).valid]
+
     def decode(self, candidates: list[LLMOutput]) -> DecodeResult:
         """First valid candidate from a fixed list (raises if none)."""
         rejected: list[ValidationReport] = []
         for position, candidate in enumerate(candidates, start=1):
-            report = self.validator.validate(candidate.sql)
+            report = self.validator.check_output(candidate)
             if report.valid:
                 return DecodeResult(
                     output=candidate, attempts=position, rejected=rejected
@@ -197,7 +215,7 @@ class ConstrainedDecoder:
             samples = llm.generate_sql(question, gold_sql, n_samples=start_index + take)
             for candidate in samples[start_index:]:
                 attempts += 1
-                report = self.validator.validate(candidate.sql)
+                report = self.validator.check_output(candidate)
                 if report.valid:
                     return DecodeResult(
                         output=candidate, attempts=attempts, rejected=rejected

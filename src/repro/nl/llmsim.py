@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from repro.errors import NLError
+from repro.errors import NLError, ParseError
 from repro.sqldb import ast
 from repro.sqldb.catalog import Catalog
 from repro.sqldb.parser import parse_sql
@@ -47,9 +48,9 @@ MUTATIONS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LLMOutput:
-    """One sampled generation."""
+    """One sampled generation: text entering the system, parsed on first use."""
 
     sql: str
     self_confidence: float
@@ -57,6 +58,16 @@ class LLMOutput:
     #: read it (that would be cheating; the verifier has to *earn* this).
     is_faithful: bool = field(repr=False, default=True)
     mutation: str | None = None
+
+    @cached_property
+    def statement(self) -> ast.SelectStatement:
+        """The SELECT statement :attr:`sql` denotes; raises if there is none.
+
+        A failure is not cached: every reader drops a failed output."""
+        statement = parse_sql(self.sql)
+        if not isinstance(statement, ast.SelectStatement):
+            raise ParseError("only SELECT is allowed here")
+        return statement
 
 
 def _stable_u64(*parts: str) -> int:
@@ -149,45 +160,31 @@ class SimulatedLLM:
         """Produce a plausible-but-wrong variant of ``gold_sql``."""
         order = list(MUTATIONS)
         rng.shuffle(order)
+        try:
+            statement = parse_sql(gold_sql)
+        except Exception:  # noqa: BLE001 - unparseable gold, corrupt as text
+            statement = None
+        select = isinstance(statement, ast.SelectStatement)
         for mutation in order:
-            mutated = self._apply_mutation(gold_sql, mutation, rng)
+            if mutation == "syntax_error" or not select:
+                mutated = self._syntax_error(gold_sql, rng)
+            else:
+                changed = getattr(self, f"_{mutation}")(statement, rng)
+                mutated = None if changed is None else changed.to_sql()
             if mutated is not None and mutated != gold_sql:
                 return mutated, mutation
         # Last resort: guaranteed-different syntax corruption.
         return gold_sql + " ORDER BY", "syntax_error"
 
-    def _apply_mutation(
-        self, gold_sql: str, mutation: str, rng: np.random.Generator
-    ) -> str | None:
-        if mutation == "syntax_error":
-            return self._syntax_error(gold_sql, rng)
-        try:
-            statement = parse_sql(gold_sql)
-        except Exception:  # noqa: BLE001 - unparseable gold, corrupt as text
-            return self._syntax_error(gold_sql, rng)
-        if not isinstance(statement, ast.SelectStatement):
-            return self._syntax_error(gold_sql, rng)
-        handler = {
-            "wrong_column": self._mutate_column,
-            "wrong_aggregate": self._mutate_aggregate,
-            "perturb_literal": self._mutate_literal,
-            "drop_filter": self._mutate_drop_filter,
-            "wrong_table": self._mutate_table,
-            "spurious_filter": self._mutate_spurious_filter,
-        }[mutation]
-        mutated = handler(statement, rng)
-        if mutated is None:
-            return None
-        return mutated.to_sql()
-
-    # Each operator returns a new statement or None when inapplicable.
+    # The operator of mutation ``m`` is ``_m``: it returns a new statement,
+    # or None when inapplicable.
 
     def _table_columns(self, table_name: str) -> list[str]:
         if table_name not in self.catalog:
             return []
         return self.catalog.table(table_name).column_names
 
-    def _mutate_column(
+    def _wrong_column(
         self, statement: ast.SelectStatement, rng: np.random.Generator
     ) -> ast.SelectStatement | None:
         if statement.from_table is None:
@@ -207,7 +204,7 @@ class SimulatedLLM:
         replacement = alternatives[int(rng.integers(0, len(alternatives)))]
         return _replace_column(statement, victim.name, replacement)
 
-    def _mutate_aggregate(
+    def _wrong_aggregate(
         self, statement: ast.SelectStatement, rng: np.random.Generator
     ) -> ast.SelectStatement | None:
         aggregates = []
@@ -237,7 +234,7 @@ class SimulatedLLM:
             ),
         )
 
-    def _mutate_literal(
+    def _perturb_literal(
         self, statement: ast.SelectStatement, rng: np.random.Generator
     ) -> ast.SelectStatement | None:
         if statement.where is None:
@@ -292,7 +289,7 @@ class SimulatedLLM:
             return None
         return candidates[int(rng.integers(0, len(candidates)))]
 
-    def _mutate_drop_filter(
+    def _drop_filter(
         self, statement: ast.SelectStatement, rng: np.random.Generator
     ) -> ast.SelectStatement | None:
         if statement.where is None:
@@ -303,7 +300,7 @@ class SimulatedLLM:
             return _with_where(statement, keep)
         return _with_where(statement, None)
 
-    def _mutate_table(
+    def _wrong_table(
         self, statement: ast.SelectStatement, rng: np.random.Generator
     ) -> ast.SelectStatement | None:
         if statement.from_table is None or statement.joins:
@@ -347,7 +344,7 @@ class SimulatedLLM:
         available = {name.lower() for name in table.column_names}
         return needed <= available
 
-    def _mutate_spurious_filter(
+    def _spurious_filter(
         self, statement: ast.SelectStatement, rng: np.random.Generator
     ) -> ast.SelectStatement | None:
         if statement.from_table is None:

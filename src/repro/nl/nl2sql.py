@@ -33,6 +33,7 @@ from repro.kg.schema_kg import SchemaKnowledgeGraph
 from repro.kg.vocabulary import DomainVocabulary, edit_similarity_at_least
 from repro.nl.grammar import AggregateSpec, FilterSpec, OrderSpec, QueryIntent
 from repro.nl.sqlgen import compile_intent
+from repro.sqldb import ast
 from repro.sqldb.types import ColumnType
 from repro.vector.embedding import tokenize_text
 
@@ -124,12 +125,17 @@ class GroundingConfig:
 
 @dataclass
 class ParseOutcome:
-    """A successful parse: the logical form plus its audit trail."""
+    """A successful parse: the logical form, its statement, its audit trail."""
 
     intent: QueryIntent
-    sql: str
+    statement: ast.SelectStatement
     confidence: float
     grounding_notes: list[str] = field(default_factory=list)
+
+    @property
+    def sql(self) -> str:
+        """The canonical text of :attr:`statement` (it parses back to it)."""
+        return self.statement.to_sql()
 
     def describe(self) -> str:
         """English paraphrase of the committed interpretation."""
@@ -189,14 +195,12 @@ class GroundedSemanticParser:
             ground_span.set_attribute("table", intent.table)
             ground_span.set_attribute("groundings", len(notes))
         with span("nl.nl2sql.translate") as translate_span:
-            sql = compile_intent(intent).to_sql()
-            translate_span.set_attribute("sql", sql)
+            statement = compile_intent(intent)
+            translate_span.set_attribute("sql", statement.to_sql())
         confidence = min(scores) if scores else 0.5
         _GROUND_SUCCESSES.inc()
         _GROUND_CONFIDENCE.observe(confidence)
-        return ParseOutcome(
-            intent=intent, sql=sql, confidence=confidence, grounding_notes=notes
-        )
+        return ParseOutcome(intent, statement, confidence, notes)
 
     def _ground(
         self, question: str, preferred_table: str | None

@@ -16,7 +16,11 @@ def _column_ref(column: str, table: str | None) -> ast.ColumnRef:
     return ast.ColumnRef(name=column, table=table)
 
 
-def _literal(value) -> ast.Literal:
+def _literal(value) -> ast.Expression:
+    # The parser reads ``-78`` (and ``-0.0``) as a minus applied to a
+    # literal: build that, so the statement equals what its text parses to.
+    if type(value) in (int, float) and repr(value).startswith("-"):
+        return ast.UnaryOp("-", ast.Literal(-value))
     return ast.Literal(value)
 
 

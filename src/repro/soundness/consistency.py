@@ -60,6 +60,7 @@ class ConsistencyUQ:
     def assess(self, candidates: list[LLMOutput]) -> ConsistencyResult:
         """Cluster ``candidates`` by execution result and vote.
 
+        Each candidate's (once-parsed) statement is executed.
         Invalid/unexecutable candidates count toward the denominator
         (disagreement with everything) but can never be chosen.
         """
@@ -69,7 +70,7 @@ class ConsistencyUQ:
         n_valid = 0
         for candidate in candidates:
             try:
-                result = self.database.execute(candidate.sql)
+                result = self.database.execute_select(candidate.statement, sql=candidate.sql)
             except Exception:  # noqa: BLE001 - any failure = its own non-cluster
                 continue
             n_valid += 1

@@ -53,33 +53,32 @@ def candidate_features(
     """
     features = np.zeros(N_FEATURES)
     features[0] = 1.0
-    statement = None
     try:
         statement = parse_sql(sql)
         features[1] = 1.0
     except Exception:  # noqa: BLE001 - unparseable: all downstream zeros
         return features
-    validator = SQLValidator(database.catalog)
-    if validator.validate(sql).valid:
+    if not isinstance(statement, ast.SelectStatement):
+        return features  # not a query: never executed, the rest stay zero
+    if SQLValidator(database.catalog).check(statement, sql).valid:
         features[2] = 1.0
     try:
-        result = database.execute(sql)
+        result = database.execute_select(statement, sql=sql)
         features[3] = 1.0
         features[4] = 0.0 if result.is_empty else 1.0
     except Exception:  # noqa: BLE001
         pass
     question_tokens = set(tokenize_text(question))
     identifiers: set[str] = set()
-    if isinstance(statement, ast.SelectStatement):
-        if statement.from_table is not None:
-            identifiers.update(tokenize_text(statement.from_table.name))
-        expressions = [item.expression for item in statement.items]
-        if statement.where is not None:
-            expressions.append(statement.where)
-        expressions.extend(statement.group_by)
-        for expression in expressions:
-            for ref in ast.collect_column_refs(expression):
-                identifiers.update(tokenize_text(ref.name))
+    if statement.from_table is not None:
+        identifiers.update(tokenize_text(statement.from_table.name))
+    expressions = [item.expression for item in statement.items]
+    if statement.where is not None:
+        expressions.append(statement.where)
+    expressions.extend(statement.group_by)
+    for expression in expressions:
+        for ref in ast.collect_column_refs(expression):
+            identifiers.update(tokenize_text(ref.name))
     if identifiers:
         features[5] = len(identifiers & question_tokens) / len(identifiers)
     question_length = max(len(question.split()), 1)
@@ -87,7 +86,7 @@ def candidate_features(
     # Literal alignment: constants the query filters on should appear in
     # the question, and question constants should appear in the query.
     literal_tokens: set[str] = set()
-    if isinstance(statement, ast.SelectStatement) and statement.where is not None:
+    if statement.where is not None:
         for node in ast.walk_expression(statement.where):
             if isinstance(node, ast.Literal) and node.value is not None:
                 literal_tokens.update(tokenize_text(str(node.value)))
@@ -191,7 +190,8 @@ class RewardAugmentedDecoder:
         clusters: dict[tuple, list[RankedCandidate]] = {}
         for item in ranked:
             try:
-                result = self.database.execute(item.output.sql)
+                output = item.output
+                result = self.database.execute_select(output.statement, sql=output.sql)
                 key = (
                     tuple(result.columns),
                     tuple(sorted(map(repr, result.rows))),

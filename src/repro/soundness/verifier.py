@@ -4,9 +4,10 @@
 are generated via explainability and provenance" (Section 2.1).  The
 verifier offers three depths — benchmark E4's ablation axis:
 
-* ``"static"`` — the SQL parses and type-checks against the catalog
-  (catches syntax errors and schema hallucinations, not wrong logic);
-* ``"reexecution"`` — execute the recorded SQL again and compare the
+* ``"static"`` — the recorded SQL text denotes the executed statement,
+  which type-checks against the catalog (catches schema hallucinations
+  and swapped text, not wrong logic); only non-canonical text is parsed;
+* ``"reexecution"`` — execute the recorded statement again and compare the
   answer with what the database returns: the pristine copy it kept when
   it executed the query.  With the query cache on, that copy is served
   from the cache while the cited tables are unchanged and re-computed
@@ -43,6 +44,7 @@ from repro.sqldb.compile import compile_expression
 from repro.sqldb.database import Database, QueryResult
 from repro.sqldb.executor import Lineage, SelectExecutor
 from repro.sqldb.expressions import BoundColumn, RowLayout
+from repro.sqldb.parser import parse_sql
 from repro.sqldb.table import Table
 from repro.sqldb.types import SQLValue
 
@@ -109,12 +111,18 @@ class AnswerVerifier:
     # -- depth 1: static -------------------------------------------------------------
 
     def _verify_static(self, result: QueryResult) -> VerificationReport:
-        validation = self._validator.validate(result.sql)
+        statement = result.statement
+        if statement is None:
+            issues = ["no SELECT statement was executed"]
+        elif result.sql != statement.to_sql() and not _denotes(result.sql, statement):
+            issues = ["the recorded SQL is not the statement that was executed"]
+        else:
+            issues = self._validator.check(statement, result.sql).problems
         return VerificationReport(
             depth="static",
-            passed=validation.valid,
+            passed=not issues,
             checks_run=["sql parses and type-checks against the catalog"],
-            issues=list(validation.problems),
+            issues=issues,
         )
 
     # -- depth 2: re-execution ----------------------------------------------------------
@@ -122,7 +130,7 @@ class AnswerVerifier:
     def _verify_reexecution(self, result: QueryResult) -> VerificationReport:
         issues: list[str] = []
         try:
-            replay = self.database.execute(result.sql)
+            replay = self.database.execute_select(result.statement, sql=result.sql)
         except Exception as exc:  # noqa: BLE001
             return VerificationReport(
                 depth="reexecution",
@@ -482,6 +490,14 @@ def _accumulate(
         except Exception as exc:  # noqa: BLE001 - e.g. SUM over text
             return table_name, row_id, exc
     return None
+
+
+def _denotes(sql: str, statement: ast.SelectStatement) -> bool:
+    """Whether non-canonical ``sql`` (an LLM's own spelling) parses to ``statement``."""
+    try:
+        return parse_sql(sql) == statement
+    except Exception:  # noqa: BLE001 - text that does not parse denotes nothing
+        return False
 
 
 def _same_row_multiset(a: list[tuple], b: list[tuple]) -> bool:

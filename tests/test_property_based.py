@@ -373,6 +373,15 @@ class TestIntentCompilationProperties:
         assert twice == once
 
     @given(intents())
+    @settings(max_examples=200, deadline=None)
+    def test_compiled_statement_is_what_its_text_parses_to(self, intent):
+        # The engine executes and verifies the compiled statement without
+        # re-reading its text; that is sound only because the text parses
+        # back to the very same AST (negative numbers included).
+        statement = compile_intent(intent)
+        assert parse_sql(statement.to_sql()) == statement
+
+    @given(intents())
     @settings(max_examples=40, deadline=None)
     def test_signature_stable_under_compile(self, intent):
         # Compiling must not mutate the intent.
