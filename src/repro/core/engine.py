@@ -49,6 +49,7 @@ from repro.soundness.confidence import ConfidenceBreakdown, fuse_confidence
 from repro.soundness.consistency import ConsistencyUQ
 from repro.soundness.verifier import AnswerVerifier
 from repro.sqldb import ast
+from repro.sqldb.cache import referenced_tables
 from repro.sqldb.database import QueryResult
 from repro.sqldb.types import ColumnType
 from repro.analytics.seasonality import detect_seasonality
@@ -971,28 +972,32 @@ class CDAEngine:
                 max_suggestions=1,
             )
             _SUGGESTIONS_OFFERED.inc(len(suggestions))
+        # The tables the statement reads, under their registered names, plus
+        # the cited ones: an answer citing no rows still rests on its tables.
+        catalog = self.database.catalog
+        read = {
+            catalog.table(name).name
+            for name in referenced_tables(result.statement)
+            if name in catalog
+        }
         self.session.tracker.record(
             component="sqldb",
             kind=ProvenanceNodeKind.QUERY,
             description=result.sql,
             inputs=[
                 f"dataset:{table}"
-                for table in sorted({table for table, _row in result.all_source_rows()})
+                for table in sorted(read.union(result.lineage_index().tables))
             ],
             outputs=[f"answer:{self.session.answers_given}"],
         )
         metadata: dict = {}
-        if verification is not None and verification.passed:
-            from repro.soundness.verifier import verify_rows
-
-            row_verdicts = verify_rows(self.database, result)
-            if row_verdicts is not None:
-                # Part-scored answer: each group row carries its own
-                # verified flag ("a confidence score ... for parts of the
-                # answer with differing scores", Section 3.2).
-                metadata["row_verification"] = [
-                    verdict.verified for verdict in row_verdicts
-                ]
+        if verification is not None and verification.row_verdicts is not None:
+            # Part-scored answer: each group row carries its own verified
+            # flag ("a confidence score ... for parts of the answer with
+            # differing scores", Section 3.2).
+            metadata["row_verification"] = [
+                verdict.verified for verdict in verification.row_verdicts
+            ]
         answer = Answer(
             kind=AnswerKind.DATA,
             text=text_out,

@@ -13,6 +13,11 @@ the result they claim to explain, and :func:`check_invertibility` actually
 re-runs the recorded query and re-fetches every cited source row.  The E5
 benchmark reports the pass rates and the runtime overhead of capturing
 enough metadata to pass.
+
+An explanation built by :meth:`ExplanationBuilder.from_query_result`
+renders ``source_rows``, ``source_tables`` and ``how`` on first read, from
+the result's lineage index and the how-polynomials taken when it was
+built: an answer whose explanation nobody reads pays for neither.
 """
 
 from __future__ import annotations
@@ -24,6 +29,13 @@ from repro.errors import ProvenanceError
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with repro.sqldb
     from repro.sqldb.database import Database, QueryResult
+
+#: Each field ``from_query_result`` defers, rendered from (lineage index, polynomials).
+_RENDERERS = {
+    "source_rows": lambda lineage, how: lineage.sorted_atoms(),
+    "source_tables": lambda lineage, how: list(lineage.tables),
+    "how": lambda lineage, how: [str(polynomial) for polynomial in how],
+}
 
 
 @dataclass
@@ -43,6 +55,15 @@ class Explanation:
     how: list[str] = field(default_factory=list)
     grounding_notes: list[str] = field(default_factory=list)
     computation_notes: list[str] = field(default_factory=list)
+
+    def __getattr__(self, name: str):
+        # Reached only for a field ``from_query_result`` left unset.
+        render = _RENDERERS.get(name)
+        if render is None or "_lineage" not in self.__dict__:
+            raise AttributeError(name)
+        value = render(self._lineage, self._polynomials)
+        setattr(self, name, value)
+        return value
 
     @property
     def code_snippet(self) -> str:
@@ -99,20 +120,19 @@ class ExplanationBuilder:
         computation_notes: list[str] | None = None,
     ) -> Explanation:
         """Package ``result`` (and its lineage) as an explanation."""
-        source_rows = sorted(result.all_source_rows())
-        source_tables = sorted({table for table, _row_id in source_rows})
-        how = [str(polynomial) for polynomial in result.how] if result.how else []
-        return Explanation(
+        # Bypass __init__: the fields left unset render on first read.
+        explanation = Explanation.__new__(Explanation)
+        explanation.__dict__.update(
             question=question,
             sql=result.sql,
             columns=list(result.columns),
             rows=list(result.rows),
-            source_rows=source_rows,
-            source_tables=source_tables,
-            how=how,
             grounding_notes=list(grounding_notes or []),
             computation_notes=list(computation_notes or []),
+            _lineage=result.lineage_index(),
+            _polynomials=tuple(result.how or ()),
         )
+        return explanation
 
 
 def check_losslessness(explanation: Explanation, result: "QueryResult") -> list[str]:

@@ -14,14 +14,16 @@ verifier offers three depths — benchmark E4's ablation axis:
   after a change, so a tampered answer and a stale one both fail.  Rows
   are compared as multisets of their ``repr`` (``1`` and ``1.0`` differ);
 * ``"provenance"`` — re-derive the answer from its *cited source rows*,
-  set-at-a-time: the lineage of all output rows is grouped by table once,
+  set-at-a-time: one ``_CitedRows`` per verification reads the answer's
+  lineage index (``QueryResult.lineage_index``, grouped by table once),
   existence is one set difference per table, and for single-table
   statements the WHERE clause and the aggregate argument are compiled
   once and evaluated once per distinct cited row; single-table
   aggregates are recomputed from the lineage alone.  Cited rows must come
   from the queried table: a row of any other table is an issue.
   A fabricated answer cannot survive this: its provenance either does not
-  exist or does not reproduce it.
+  exist or does not reproduce it.  A report that passes carries the row
+  verdicts of :func:`verify_rows`, built from that same ``_CitedRows``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from repro.sqldb import ast
 from repro.sqldb.aggregates import Aggregator, make_aggregator
 from repro.sqldb.catalog import Catalog
 from repro.sqldb.compile import compile_expression
-from repro.sqldb.database import Database, QueryResult
+from repro.sqldb.database import Database, LineageIndex, QueryResult
 from repro.sqldb.executor import Lineage, SelectExecutor
 from repro.sqldb.expressions import BoundColumn, RowLayout
 from repro.sqldb.parser import parse_sql
@@ -53,12 +55,14 @@ DEPTHS = ("static", "reexecution", "provenance")
 
 @dataclass
 class VerificationReport:
-    """Outcome of verifying one answer."""
+    """Outcome of verifying one answer; an answer that passes carries its
+    row verdicts when its statement is row-verifiable (see :func:`verify_rows`)."""
 
     depth: str
     passed: bool
     checks_run: list[str] = field(default_factory=list)
     issues: list[str] = field(default_factory=list)
+    row_verdicts: list["RowVerdict"] | None = None
 
     def merge(self, other: "VerificationReport") -> "VerificationReport":
         """Combine two reports (used when stacking depths)."""
@@ -67,6 +71,7 @@ class VerificationReport:
             passed=self.passed and other.passed,
             checks_run=self.checks_run + other.checks_run,
             issues=self.issues + other.issues,
+            row_verdicts=other.row_verdicts,
         )
 
 
@@ -85,6 +90,8 @@ class AnswerVerifier:
             raise SoundnessError(f"depth must be one of {DEPTHS}")
         with span("soundness.verifier.verify", depth=depth) as verify_span:
             report = self._verify_at_depth(result, depth)
+            if report.passed and report.row_verdicts is None:
+                report.row_verdicts = _row_verdicts(result, self.database.catalog)
             verify_span.set_attribute("passed", report.passed)
             verify_span.set_attribute("checks", len(report.checks_run))
         if report.passed:
@@ -163,7 +170,7 @@ class AnswerVerifier:
         statement = result.statement
         simple = statement is not None and self._is_simple_single_table(statement)
         cited = _CitedRows(
-            self.database.catalog, result.lineage, statement if simple else None
+            self.database.catalog, result.lineage_index(), statement if simple else None
         )
         issues = cited.existence_issues(result.lineage)
         if simple:
@@ -178,6 +185,9 @@ class AnswerVerifier:
             passed=not issues,
             checks_run=checks,
             issues=issues,
+            row_verdicts=(
+                None if issues else _row_verdicts(result, self.database.catalog, cited)
+            ),
         )
 
     @staticmethod
@@ -192,12 +202,8 @@ class AnswerVerifier:
 
     @staticmethod
     def _single_aggregate(statement: ast.SelectStatement) -> ast.AggregateCall | None:
-        aggregates = []
-        for item in statement.items:
-            aggregates.extend(ast.collect_aggregates(item.expression))
-        if len(aggregates) == 1 and len(statement.items) == 1:
-            return aggregates[0]
-        return None
+        aggregate = _only_aggregate(statement)
+        return aggregate if len(statement.items) == 1 else None
 
     @staticmethod
     def _check_filter_on_lineage(
@@ -274,27 +280,32 @@ def verify_rows(
     of any table but the queried one, is not verified.
 
     Returns None when the statement shape is not row-verifiable
-    (joins, unions, multiple aggregates, no grouping).
+    (joins, unions, multiple aggregates, no grouping).  A wrapper:
+    :meth:`AnswerVerifier.verify` puts the same verdicts in the report of
+    an answer that passes, without a second pass over the lineage.
     """
+    return _row_verdicts(result, database.catalog)
+
+
+def _row_verdicts(
+    result: QueryResult, catalog: Catalog, cited: "_CitedRows | None" = None
+) -> list[RowVerdict] | None:
+    """:func:`verify_rows`, reusing ``cited`` when the caller has built it."""
     statement = result.statement
-    if statement is None or statement.from_table is None:
+    if (
+        statement is None
+        or not statement.group_by
+        or not AnswerVerifier._is_simple_single_table(statement)
+        or (aggregate := _only_aggregate(statement)) is None
+    ):
         return None
-    if statement.joins or statement.union is not None or not statement.group_by:
+    # The aggregate's output column: an item that is the aggregate itself.
+    expressions = [item.expression for item in statement.items]
+    if aggregate not in expressions:
         return None
-    aggregates = []
-    for item in statement.items:
-        aggregates.extend(ast.collect_aggregates(item.expression))
-    if len(aggregates) != 1:
-        return None
-    aggregate = aggregates[0]
-    # Locate the aggregate's output column.
-    agg_position = None
-    for position, item in enumerate(statement.items):
-        if ast.collect_aggregates(item.expression) and item.expression == aggregate:
-            agg_position = position
-    if agg_position is None:
-        return None
-    cited = _CitedRows(database.catalog, result.lineage, statement)
+    agg_position = expressions.index(aggregate)
+    if cited is None:
+        cited = _CitedRows(catalog, result.lineage_index(), statement)
     if isinstance(aggregate.argument, ast.Star):
         values, errors = None, cited.missing_from_queried()
     else:
@@ -304,27 +315,17 @@ def verify_rows(
         accumulator = _aggregator(aggregate)
         failure = _accumulate(accumulator, sorted(lineage), cited, values, errors)
         if failure is not None:
-            verdicts.append(
-                RowVerdict(row_index, False, f"cannot re-derive: {failure[2]}")
-            )
-            continue
-        recomputed = accumulator.finalize()
-        reported = row[agg_position]
-        if _values_close(recomputed, reported):
-            verdicts.append(RowVerdict(row_index, True))
+            detail = f"cannot re-derive: {failure[2]}"
         else:
-            verdicts.append(
-                RowVerdict(
-                    row_index,
-                    False,
-                    f"cited rows give {recomputed!r}, answer says {reported!r}",
-                )
-            )
+            recomputed, reported = accumulator.finalize(), row[agg_position]
+            close = _values_close(recomputed, reported)
+            detail = "" if close else f"cited rows give {recomputed!r}, answer says {reported!r}"
+        verdicts.append(RowVerdict(row_index, not detail, detail))
     return verdicts
 
 
 class _CitedRows:
-    """One answer's lineage, grouped by table and looked up once per table.
+    """One answer's lineage index, looked up once per cited table.
 
     With a single-table ``statement``, the cited rows of its FROM table
     (the *queried* table) are fetched once, keyed by row id, and every
@@ -338,7 +339,7 @@ class _CitedRows:
     def __init__(
         self,
         catalog: Catalog,
-        lineage: list[Lineage],
+        lineage: LineageIndex,
         statement: ast.SelectStatement | None,
     ):
         self._catalog = catalog
@@ -354,9 +355,9 @@ class _CitedRows:
         #: Lower-cased table name -> {cited id with no row: the fetch error}.
         self._missing: dict[str, dict[int, Exception]] = {}
         self._rows: dict[int, tuple[SQLValue, ...]] = {}
-        self._by_table = _group_by_table(frozenset().union(*lineage))
+        self._lineage = lineage
         self._row_ids: set[int] = set()  # cited ids of the queried table
-        for table_name, row_ids in self._by_table.items():
+        for table_name, row_ids in lineage.by_table.items():
             if queried is None:
                 try:
                     table = catalog.table(table_name)
@@ -411,9 +412,9 @@ class _CitedRows:
 
     def sorted_atoms(self) -> Iterator[tuple[str, int]]:
         """The distinct cited atoms that are not foreign, in sorted order."""
-        for table_name in sorted(self._by_table):
+        for table_name in self._lineage.tables:
             if table_name not in self.foreign:
-                yield from zip(repeat(table_name), sorted(self._by_table[table_name]))
+                yield from zip(repeat(table_name), self._lineage.sorted_ids(table_name))
 
     def evaluate(
         self, expression: ast.Expression
@@ -448,15 +449,12 @@ class _CitedRows:
         return values, errors
 
 
-def _group_by_table(atoms: frozenset[tuple[str, int]]) -> dict[str, set[int]]:
-    """``{table_name: {row_id, ...}}`` over a set of lineage atoms."""
-    table_names = {table_name for table_name, _row_id in atoms}
-    if len(table_names) == 1:
-        return {table_names.pop(): {row_id for _table_name, row_id in atoms}}
-    grouped: dict[str, set[int]] = {table_name: set() for table_name in table_names}
-    for table_name, row_id in atoms:
-        grouped[table_name].add(row_id)
-    return grouped
+def _only_aggregate(statement: ast.SelectStatement) -> ast.AggregateCall | None:
+    """The select list's aggregate call, if it has exactly one."""
+    aggregates = [
+        call for item in statement.items for call in ast.collect_aggregates(item.expression)
+    ]
+    return aggregates[0] if len(aggregates) == 1 else None
 
 
 def _aggregator(aggregate: ast.AggregateCall) -> Aggregator:

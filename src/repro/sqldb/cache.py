@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Iterator
 
-from repro.errors import CDAError
+from repro.errors import CatalogError, CDAError
 from repro.obs.events import emit
 from repro.obs.metrics import counter
 from repro.sqldb import ast
@@ -55,13 +56,28 @@ class CacheStats:
 
 
 def referenced_tables(statement: ast.SelectStatement) -> list[str]:
-    """Names of every table a SELECT reads (FROM plus JOINs)."""
-    names: list[str] = []
+    """Lower-cased names of every table a SELECT reads, each once.
+
+    FROM and JOIN tables of the statement, of its UNION arms and of every
+    scalar or IN subquery in any clause (``ast.walk_expression`` stops at
+    a subquery's scope, so inner statements are walked here).
+    """
+    return list(dict.fromkeys(ref.name.lower() for ref in _table_refs(statement)))
+
+
+def _table_refs(statement: ast.SelectStatement) -> Iterator[ast.TableRef]:
     if statement.from_table is not None:
-        names.append(statement.from_table.name.lower())
-    for join in statement.joins:
-        names.append(join.table.name.lower())
-    return names
+        yield statement.from_table
+    yield from (join.table for join in statement.joins)
+    clauses = [item.expression for item in (*statement.items, *statement.order_by)]
+    clauses += [join.condition for join in statement.joins]
+    clauses += [statement.where, statement.having, *statement.group_by]
+    for expression in filter(None, clauses):
+        for node in ast.walk_expression(expression):
+            if isinstance(node, (ast.ScalarSubquery, ast.InSubquery)):
+                yield from _table_refs(node.statement)
+    if statement.union is not None:
+        yield from _table_refs(statement.union[1])
 
 
 class QueryCache:
@@ -87,11 +103,9 @@ class QueryCache:
         """Hits over lookups (0 when never used)."""
         return self.stats.hit_rate
 
-    def _versions(self, statement: ast.SelectStatement, catalog) -> tuple:
-        return tuple(
-            (name, catalog.table(name).version)
-            for name in referenced_tables(statement)
-        )
+    @staticmethod
+    def _versions(names, catalog) -> tuple:
+        return tuple((name, catalog.table(name).version) for name in names)
 
     def get(self, statement: ast.SelectStatement, catalog, flags: tuple = ()):
         """The cached result, or None on miss / version change.
@@ -108,7 +122,8 @@ class QueryCache:
             return None
         versions, result = entry
         try:
-            current = self._versions(statement, catalog)
+            # The key's SQL names every table it reads: reuse the stored names.
+            current = self._versions((name for name, _version in versions), catalog)
         except Exception:  # noqa: BLE001 - dropped table: invalidate
             current = None
         if current != versions:
@@ -129,7 +144,11 @@ class QueryCache:
     ) -> None:
         """Store a result under the current table versions."""
         key = (statement.to_sql(), flags)
-        self._entries[key] = (self._versions(statement, catalog), result)
+        try:
+            versions = self._versions(referenced_tables(statement), catalog)
+        except CatalogError:  # a subquery that never ran names a missing table
+            return
+        self._entries[key] = (versions, result)
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)

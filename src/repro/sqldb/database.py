@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field
+from operator import is_, itemgetter
 from pathlib import Path
 
 from repro.errors import ExecutionError
@@ -26,6 +27,40 @@ from repro.sqldb.expressions import RowLayout
 from repro.sqldb.parser import parse_sql
 from repro.sqldb.table import Table
 from repro.sqldb.types import Column, ColumnType, Schema, SQLValue
+
+
+class LineageIndex:
+    """One answer's lineage, indexed once for every provenance consumer.
+
+    ``atoms`` is the union of the per-row sets, ``by_table`` maps each cited
+    table name to its cited row ids, and ``tables`` lists the cited table
+    names sorted.  Sorted ids and atoms are computed only on request.
+    """
+
+    def __init__(self, lineage: list[Lineage]):
+        self.source = tuple(lineage)
+        self.atoms: Lineage = frozenset().union(*self.source)
+        names = set(map(itemgetter(0), self.atoms))
+        if len(names) == 1:
+            self.by_table = {names.pop(): frozenset(map(itemgetter(1), self.atoms))}
+        else:
+            self.by_table = {
+                name: frozenset(row_id for table, row_id in self.atoms if table == name)
+                for name in names
+            }
+        self.tables = sorted(self.by_table)
+
+    def built_from(self, lineage: list[Lineage]) -> bool:
+        """Whether each entry of ``lineage`` is the set object indexed here."""
+        return len(lineage) == len(self.source) and all(map(is_, lineage, self.source))
+
+    def sorted_ids(self, table_name: str) -> list[int]:
+        """The cited row ids of ``table_name``, ascending (sorted per call)."""
+        return sorted(self.by_table[table_name])
+
+    def sorted_atoms(self) -> list[tuple[str, int]]:
+        """``sorted(atoms)``, built per table: tuples order by table name first."""
+        return [(name, row_id) for name in self.tables for row_id in self.sorted_ids(name)]
 
 
 @dataclass
@@ -46,6 +81,9 @@ class QueryResult:
     how: list[Polynomial] | None = None
     elapsed_seconds: float = 0.0
     scanned_rows: int = 0
+    _lineage_index: LineageIndex | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -76,9 +114,16 @@ class QueryResult:
         """Rows as dictionaries keyed by output column name."""
         return [dict(zip(self.columns, row)) for row in self.rows]
 
+    def lineage_index(self) -> LineageIndex:
+        """The index of ``lineage``, rebuilt once an entry is replaced or rebound."""
+        index = self._lineage_index
+        if index is None or not index.built_from(self.lineage):
+            index = self._lineage_index = LineageIndex(self.lineage)
+        return index
+
     def all_source_rows(self) -> Lineage:
         """Union of the lineage of every output row."""
-        return frozenset().union(*self.lineage)
+        return self.lineage_index().atoms
 
 
 @dataclass
