@@ -18,8 +18,10 @@ verifier offers three depths — benchmark E4's ablation axis:
   lineage index (``QueryResult.lineage_index``, grouped by table once),
   existence is one set difference per table, and for single-table
   statements the WHERE clause and the aggregate argument are compiled
-  once and evaluated once per distinct cited row; single-table
-  aggregates are recomputed from the lineage alone.  Cited rows must come
+  once and evaluated column at a time over the distinct cited rows'
+  positions in the table's column memo; single-table aggregates are
+  recomputed from the lineage alone, one fold over the cited values in
+  sorted atom order.  Cited rows must come
   from the queried table: a row of any other table is an issue.
   A fabricated answer cannot survive this: its provenance either does not
   exist or does not reproduce it.  A report that passes carries the row
@@ -31,8 +33,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import is_
-from typing import Iterable, Iterator
+from operator import is_, itemgetter
+from typing import Iterator
 
 from repro.errors import CatalogError, SoundnessError
 from repro.nl.constrained import SQLValidator
@@ -40,9 +42,9 @@ from repro.obs.events import emit
 from repro.obs.metrics import counter
 from repro.obs.trace import span
 from repro.sqldb import ast
-from repro.sqldb.aggregates import Aggregator, make_aggregator
+from repro.sqldb.aggregates import Aggregator, make_aggregator, make_fold
 from repro.sqldb.catalog import Catalog
-from repro.sqldb.compile import compile_expression
+from repro.sqldb.compile import compile_batch, compile_expression
 from repro.sqldb.database import Database, LineageIndex, QueryResult
 from repro.sqldb.executor import Lineage, SelectExecutor
 from repro.sqldb.expressions import BoundColumn, RowLayout
@@ -212,7 +214,7 @@ class AnswerVerifier:
         if statement.where is None:
             return []
         values, errors = cited.evaluate(statement.where)
-        if not errors and all(value is True for value in values.values()):
+        if not errors and all(map(is_, repeat(True), values.values())):
             return []
         issues: list[str] = []
         for row_lineage in result.lineage:
@@ -238,18 +240,15 @@ class AnswerVerifier:
         if len(result.rows) != 1 or len(result.rows[0]) != 1:
             return []
         reported = result.rows[0][0]
-        accumulator = _aggregator(aggregate)
         if isinstance(aggregate.argument, ast.Star):
             # COUNT(*) counts cited rows; the existence pass reports gone ones.
             values, errors = None, {}
         else:
             values, errors = cited.evaluate(aggregate.argument)
-        # Sorted row-id order keeps float SUM/AVG bit-identical run to run.
-        failure = _accumulate(accumulator, cited.sorted_atoms(), cited, values, errors)
+        recomputed, failure = _rederive(aggregate, _fold(aggregate), None, cited, values, errors)
         if failure is not None:
             table_name, row_id, error = failure
             return [f"cannot recompute aggregate on {table_name}[{row_id}]: {error}"]
-        recomputed = accumulator.finalize()
         if not _values_close(recomputed, reported):
             return [
                 f"aggregate recomputed from cited rows is {recomputed!r}, "
@@ -310,14 +309,14 @@ def _row_verdicts(
         values, errors = None, cited.missing_from_queried()
     else:
         values, errors = cited.evaluate(aggregate.argument)
+    fold = _fold(aggregate)
     verdicts: list[RowVerdict] = []
     for row_index, (row, lineage) in enumerate(zip(result.rows, result.lineage)):
-        accumulator = _aggregator(aggregate)
-        failure = _accumulate(accumulator, sorted(lineage), cited, values, errors)
+        recomputed, failure = _rederive(aggregate, fold, lineage, cited, values, errors)
         if failure is not None:
             detail = f"cannot re-derive: {failure[2]}"
         else:
-            recomputed, reported = accumulator.finalize(), row[agg_position]
+            reported = row[agg_position]
             close = _values_close(recomputed, reported)
             detail = "" if close else f"cited rows give {recomputed!r}, answer says {reported!r}"
         verdicts.append(RowVerdict(row_index, not detail, detail))
@@ -328,8 +327,8 @@ class _CitedRows:
     """One answer's lineage index, looked up once per cited table.
 
     With a single-table ``statement``, the cited rows of its FROM table
-    (the *queried* table) are fetched once, keyed by row id, and every
-    compiled expression runs once per distinct cited row.
+    (the *queried* table) are looked up once as positions into its column
+    memo, and every compiled expression runs once over those positions.
     An atom naming any other table is *foreign*: the query never read
     that table, so its rows cannot support the answer.  Without a
     statement (joins, unions) only existence is checked.  Either way
@@ -354,9 +353,9 @@ class _CitedRows:
         self.foreign: set[str] = set()
         #: Lower-cased table name -> {cited id with no row: the fetch error}.
         self._missing: dict[str, dict[int, Exception]] = {}
-        self._rows: dict[int, tuple[SQLValue, ...]] = {}
         self._lineage = lineage
-        self._row_ids: set[int] = set()  # cited ids of the queried table
+        #: Cited ids of the queried table.
+        self.row_ids: set[int] = set()
         for table_name, row_ids in lineage.by_table.items():
             if queried is None:
                 try:
@@ -366,13 +365,17 @@ class _CitedRows:
                     continue
                 self._note_missing(table, table.missing_row_ids(row_ids))
             elif table_name.lower() == queried.name.lower():
-                self._row_ids |= row_ids
+                self.row_ids |= row_ids
             else:
                 self.foreign.add(table_name)
         if queried is not None:
-            self._rows = queried.rows_by_id(self._row_ids)
-            if len(self._rows) < len(self._row_ids):
-                self._note_missing(queried, self._row_ids - self._rows.keys())
+            self._memo = memo = queried.column_memo()
+            present = self.row_ids & memo.position.keys()
+            #: Cited ids of the queried table with a row, and their positions.
+            self._ids = list(present)
+            self._positions = list(map(memo.position.__getitem__, self._ids))
+            if len(present) < len(self.row_ids):
+                self._note_missing(queried, self.row_ids - present)
 
     def _note_missing(self, table: Table, row_ids: set[int]) -> None:
         for row_id in row_ids:
@@ -410,6 +413,11 @@ class _CitedRows:
                     issues.append(f"cited row {table_name}[{row_id}] is gone: {error}")
         return issues
 
+    def foldable(self, errors: dict[int, Exception]) -> bool:
+        """Whether every cited atom names the queried table, spelled one way,
+        and no cited row has an error (atoms then sort as their row ids)."""
+        return not errors and not self.foreign and len(self._lineage.tables) == 1
+
     def sorted_atoms(self) -> Iterator[tuple[str, int]]:
         """The distinct cited atoms that are not foreign, in sorted order."""
         for table_name in self._lineage.tables:
@@ -423,27 +431,30 @@ class _CitedRows:
 
         Returns ``(values, errors)`` keyed by row id: every cited id lands
         in exactly one.  The expression is compiled once over the table's
-        columns bound under the query's FROM alias; uncorrelated
-        subqueries run on a lineage-free executor, at most once each.
+        columns bound under the query's FROM alias and runs as one batch
+        over the cited positions; if that raises, row by row, so each row
+        keeps its own error.  Uncorrelated subqueries run on a
+        lineage-free executor, at most once each.
         """
-        if not self._row_ids:
+        if not self.row_ids:
             return {}, {}
         binding = self._statement.from_table.binding
         layout = RowLayout(
             [BoundColumn(binding, column.name) for column in self._queried.schema]
         )
         # Compiling never raises: query errors surface on the first row.
-        fn = compile_expression(
-            expression,
-            layout,
-            subquery_runner=self._run_subquery,
-            subquery_cache=self._subquery_cache,
-        )
-        values: dict[int, SQLValue] = {}
+        compiled = dict(subquery_runner=self._run_subquery, subquery_cache=self._subquery_cache)
         errors = dict(self.missing_from_queried())
-        for row_id, row in self._rows.items():
+        try:
+            batch = compile_batch(expression, layout, self._memo, **compiled)
+            return dict(zip(self._ids, batch(self._positions))), errors
+        except Exception:  # noqa: BLE001 - some row raises: find each one's error
+            pass
+        fn = compile_expression(expression, layout, **compiled)
+        values: dict[int, SQLValue] = {}
+        for row_id, position in zip(self._ids, self._positions):
             try:
-                values[row_id] = fn(row)
+                values[row_id] = fn(self._memo.rows[position])
             except Exception as exc:  # noqa: BLE001
                 errors[row_id] = exc
         return values, errors
@@ -465,29 +476,41 @@ def _aggregator(aggregate: ast.AggregateCall) -> Aggregator:
     )
 
 
-def _accumulate(
-    accumulator: Aggregator,
-    atoms: Iterable[tuple[str, int]],
+def _fold(aggregate: ast.AggregateCall):
+    return make_fold(aggregate.name, isinstance(aggregate.argument, ast.Star), aggregate.distinct)
+
+
+def _rederive(
+    aggregate: ast.AggregateCall,
+    fold,
+    atoms: Lineage | None,
     cited: _CitedRows,
     values: dict[int, SQLValue] | None,
     errors: dict[int, Exception],
-) -> tuple[str, int, Exception] | None:
-    """Step ``accumulator`` over ``atoms`` in order (``values`` None: COUNT(*)).
-
-    Returns the first atom that cannot be stepped, with its error, or None.
-    """
-    step = accumulator.step
-    foreign = cited.foreign
-    for table_name, row_id in atoms:
-        if table_name in foreign:
-            return table_name, row_id, cited.foreign_error(table_name, row_id)
-        if row_id in errors:
-            return table_name, row_id, errors[row_id]
+) -> tuple[SQLValue, tuple[str, int, Exception] | None]:
+    """``(value, None)`` of ``aggregate`` over ``atoms`` (None: all cited
+    atoms but foreign ones; ``values`` None: COUNT(*)) in sorted order, which
+    keeps float SUM/AVG bit-identical; or ``(None, (table, row_id, error))``
+    naming the first atom that cannot be stepped.  The atoms are stepped one
+    by one only when the single ``fold`` cannot run or raises."""
+    if cited.foldable(errors):
+        ids = sorted(cited.row_ids if atoms is None else map(itemgetter(1), atoms))
         try:
-            step(1 if values is None else values[row_id])
+            return fold(ids if values is None else list(map(values.__getitem__, ids))), None
+        except Exception:  # noqa: BLE001 - stepping below names the atom
+            pass
+    accumulator = _aggregator(aggregate)
+    foreign = cited.foreign
+    for table_name, row_id in cited.sorted_atoms() if atoms is None else sorted(atoms):
+        if table_name in foreign:
+            return None, (table_name, row_id, cited.foreign_error(table_name, row_id))
+        if row_id in errors:
+            return None, (table_name, row_id, errors[row_id])
+        try:
+            accumulator.step(1 if values is None else values[row_id])
         except Exception as exc:  # noqa: BLE001 - e.g. SUM over text
-            return table_name, row_id, exc
-    return None
+            return None, (table_name, row_id, exc)
+    return accumulator.finalize(), None
 
 
 def _denotes(sql: str, statement: ast.SelectStatement) -> bool:

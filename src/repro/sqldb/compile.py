@@ -1,4 +1,4 @@
-"""Expression compilation: AST + layout → a per-row Python closure.
+"""Expression compilation: AST + layout → a per-row closure or a batch form.
 
 This is the only way SQL expressions are evaluated: by the executor's
 operators (filter, join, group keys, projection, ORDER BY), by INSERT
@@ -19,6 +19,15 @@ tuples.  At compile time it
 * specializes comparison / arithmetic / three-valued-logic dispatch so
   the per-row work is just the closures' bodies.
 
+:func:`compile_batch` gives the *batch form* that scans, GROUP BY and the
+verifier run over a base table: ``fn(positions) -> list``, one value per
+position into the table's :class:`~repro.sqldb.table.ColumnMemo`.  Column
+references, constants and ``column <op> constant`` comparisons run as
+list kernels, the last only when the column's types cannot raise against
+the constant (numbers against a number, else the constant's own type).
+Every other node (AND/OR, BETWEEN, IN, LIKE, CASE, functions, subqueries,
+a mixed-type column) maps its row closure over the positions.
+
 The helpers in :mod:`repro.sqldb.expressions` implement NULL
 propagation and Kleene logic.  Errors that depend only on the *query*
 (unknown column, ambiguous name, constant division by zero) are detected
@@ -32,6 +41,7 @@ for them.
 from __future__ import annotations
 
 import operator
+from itertools import repeat
 from typing import Callable
 
 from repro.errors import ExecutionError
@@ -51,6 +61,12 @@ from repro.sqldb.types import SQLValue
 
 #: A compiled expression: maps an operator's value tuple to a SQL value.
 CompiledExpression = Callable[[tuple], SQLValue]
+
+#: A batch form: positions into one column memo -> a value per position.
+BatchExpression = Callable[[list[int]], list[SQLValue]]
+
+#: ``constant <op> column`` is ``column <reflected op> constant``.
+_REFLECTED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 _COMPARE_OPS: dict[str, Callable] = {
     "=": operator.eq,
@@ -98,6 +114,20 @@ def compile_many(
         )
         for expression in expressions
     ]
+
+
+def compile_batch(
+    expression: ast.Expression,
+    layout: RowLayout,
+    memo,
+    subquery_runner=None,
+    subquery_cache: dict[str, list[tuple]] | None = None,
+) -> BatchExpression:
+    """The batch form of ``expression`` over ``memo``, a column memo laid
+    out as ``layout``: the row closure's values (or first error) on the
+    rows at the given positions."""
+    compiler = _Compiler(layout, None, subquery_runner, subquery_cache)
+    return compiler.compile_batch(expression, memo)
 
 
 def _constant(value: SQLValue) -> tuple[CompiledExpression, bool]:
@@ -167,6 +197,48 @@ class _Compiler:
                 ExecutionError("'*' is only valid in a select list or COUNT(*)")
             )
         return _raiser(ExecutionError(f"cannot evaluate expression node {node!r}"))
+
+    def compile_batch(self, node: ast.Expression, memo) -> BatchExpression:
+        """The batch form of ``node`` over ``memo`` (see :func:`compile_batch`)."""
+        if isinstance(node, ast.ColumnRef) and self._layout.has(node.name, node.table):
+            getter = memo.columns[self._layout.resolve(node.name, node.table)].__getitem__
+            return lambda positions: list(map(getter, positions))
+        if isinstance(node, ast.BinaryOp) and node.operator in _COMPARE_OPS:
+            kernel = self._compare_kernel(node, memo)
+            if kernel is not None:
+                return kernel
+        fn, const = self.compile(node)
+        if const:
+            value = fn(())
+            return lambda positions: [value] * len(positions)
+        row = memo.rows.__getitem__
+        return lambda positions: list(map(fn, map(row, positions)))
+
+    def _compare_kernel(self, node: ast.BinaryOp, memo) -> BatchExpression | None:
+        """``column <op> constant`` (either order) as a list kernel, or None
+        when some value of the column could raise against the constant."""
+        column, other, operator = node.left, node.right, node.operator
+        if not isinstance(column, ast.ColumnRef):
+            column, other, operator = other, column, _REFLECTED[operator]
+        if not isinstance(column, ast.ColumnRef) or not self._layout.has(
+            column.name, column.table
+        ):
+            return None
+        other_fn, const = self.compile(other)
+        if not const or (constant := other_fn(())) is None:
+            return None
+        index = self._layout.resolve(column.name, column.table)
+        kinds = memo.types[index] - {type(None)}
+        if not kinds <= ({int, float} if _is_number(constant) else {type(constant)}):
+            return None
+        op_fn = _COMPARE_OPS[operator]
+        getter = memo.columns[index].__getitem__
+        if kinds == memo.types[index]:  # no NULLs
+            return lambda positions: list(map(op_fn, map(getter, positions), repeat(constant)))
+        return lambda positions: [
+            None if value is None else op_fn(value, constant)
+            for value in map(getter, positions)
+        ]
 
     def _fold(
         self, fn: CompiledExpression, const: bool

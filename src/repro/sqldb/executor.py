@@ -9,6 +9,15 @@ select list is evaluated only on the rows that survive LIMIT/OFFSET (as
 in sqlite3: a row the LIMIT cuts cannot raise).  DISTINCT must see every
 output row, so it keeps project → distinct → sort → limit.  Every
 expression is evaluated through :mod:`repro.sqldb.compile` closures.
+
+A scan filters *positions* into its table's column memo with each WHERE
+conjunct's batch form in turn; GROUP BY buckets them and folds value
+lists (:func:`~repro.sqldb.aggregates.make_fold`), so a single-table
+GROUP BY builds rows only for its output groups.  Joins, sort and
+projection keep rows, built from positions on first read.  Where the
+column-at-a-time path raises, the row loop's order is replayed, so the
+error raised is its first one.
+
 Each intermediate row carries
 
 * **where-lineage** — the set of ``(table, row_id)`` base rows it derives
@@ -26,20 +35,26 @@ queries share it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress, repeat
 
 from repro.errors import ExecutionError
 from repro.obs.metrics import counter
 from repro.obs.trace import current_span
 from repro.provenance.semiring import Polynomial, row_variable
 from repro.sqldb import ast
-from repro.sqldb.aggregates import make_aggregator
+from repro.sqldb.aggregates import make_aggregator, make_fold
 from repro.sqldb.catalog import Catalog
-from repro.sqldb.compile import CompiledExpression, compile_many
-from repro.sqldb.expressions import BoundColumn, RowLayout
+from repro.sqldb.compile import (
+    BatchExpression,
+    CompiledExpression,
+    compile_batch,
+    compile_many,
+)
+from repro.sqldb.expressions import BoundColumn, RowLayout, _as_bool
 from repro.sqldb.planner import JoinPlan, SelectPlan, plan_select, split_conjuncts
-from repro.sqldb.table import Table
+from repro.sqldb.table import ColumnMemo, Table
 from repro.sqldb.types import SQLValue
 
 #: A where-lineage set: base rows as (table_name, row_id) pairs.
@@ -52,13 +67,16 @@ _HASH_JOINS = counter("sqldb.planner.hash_joins")
 
 EMPTY_LINEAGE: Lineage = frozenset()
 
+#: What a WHERE/HAVING/ON value may be; anything else raises.
+_TRUTH_TYPES = frozenset({bool, type(None)})
+
 def _scan_provenance(
     table: Table, want_how: bool
 ) -> tuple[list[Lineage], list[Polynomial] | None]:
     """Shared singleton lineage sets (and how-variables) for every live row.
 
     Interned on the table instance itself (version-checked so any
-    mutation invalidates); row order matches :meth:`Table.rows_with_ids`.
+    mutation invalidates), by position in :meth:`Table.column_memo`.
     """
     entry: tuple[int, list[Lineage], list[Polynomial] | None] | None = getattr(
         table, "_scan_provenance", None
@@ -68,44 +86,26 @@ def _scan_provenance(
         if not want_how or hows is not None:
             return lineages, hows
     name = table.name
-    lineages = [frozenset({(name, row_id)}) for row_id, _values in table.rows_with_ids()]
-    hows = (
-        [
-            Polynomial.var(row_variable(name, row_id))
-            for row_id, _values in table.rows_with_ids()
-        ]
-        if want_how
-        else None
-    )
+    row_ids = table.column_memo().row_ids
+    lineages = [frozenset({(name, row_id)}) for row_id in row_ids]
+    hows = [Polynomial.var(row_variable(name, row_id)) for row_id in row_ids] if want_how else None
     object.__setattr__(table, "_scan_provenance", (table.version, lineages, hows))
     return lineages, hows
 
 
-def _all_true(fns) -> "CompiledExpression":
-    """Fuse conjunct closures into one all-exactly-TRUE test.
+def _all_true(fns, clause: str) -> "CompiledExpression":
+    """Fuse conjunct closures into one all-exactly-TRUE test, left to right.
 
-    Unrolled for the common small arities — a per-row generator
-    expression would cost more than the conjuncts themselves.
+    A value that is not TRUE, FALSE or NULL raises (``clause`` names it).
     """
-    if len(fns) == 1:
-        f0 = fns[0]
-        return lambda values: f0(values) is True
-    if len(fns) == 2:
-        f0, f1 = fns
-        return lambda values: f0(values) is True and f1(values) is True
-    if len(fns) == 3:
-        f0, f1, f2 = fns
-        return lambda values: (
-            f0(values) is True and f1(values) is True and f2(values) is True
-        )
 
-    def fn(values):
+    def keep(values):
         for conjunct_fn in fns:
-            if conjunct_fn(values) is not True:
+            if _as_bool(conjunct_fn(values), clause) is not True:
                 return False
         return True
 
-    return fn
+    return keep
 
 
 @dataclass
@@ -118,11 +118,38 @@ class ExecRow:
 
 
 @dataclass
-class Relation:
-    """An operator output: a shared layout and a list of rows."""
+class BaseRows:
+    """A scan's surviving rows, as positions into its table's column memo."""
 
-    layout: RowLayout
-    rows: list[ExecRow]
+    memo: ColumnMemo
+    positions: list[int]
+    #: Interned scan provenance, by position (None: not captured).
+    lineages: list[Lineage] | None
+    hows: list[Polynomial] | None
+
+    def exec_rows(self) -> list[ExecRow]:
+        at = self.positions
+        lineages = repeat(EMPTY_LINEAGE)
+        if self.lineages is not None:
+            lineages = map(self.lineages.__getitem__, at)
+        hows = repeat(None) if self.hows is None else map(self.hows.__getitem__, at)
+        return list(map(ExecRow, map(self.memo.rows.__getitem__, at), lineages, hows))
+
+
+class Relation:
+    """An operator output: a shared layout and a list of rows (straight from
+    a scan, ``base`` positions whose rows are built on first read)."""
+
+    def __init__(
+        self, layout: RowLayout, rows: list[ExecRow] | None = None, base: BaseRows | None = None
+    ):
+        self.layout, self._rows, self.base = layout, rows, base
+
+    @property
+    def rows(self) -> list[ExecRow]:
+        if self._rows is None:
+            self._rows = self.base.exec_rows()
+        return self._rows
 
 
 @dataclass
@@ -238,6 +265,11 @@ class SelectExecutor:
     ) -> CompiledExpression:
         return self._compile_values([expression], layout, aggregate_slots)[0]
 
+    def _compile_batch(
+        self, expression: ast.Expression, layout: RowLayout, memo: ColumnMemo
+    ) -> BatchExpression:
+        return compile_batch(expression, layout, memo, self._run_subquery, self._subquery_cache)
+
     def _execute_single(self, statement: ast.SelectStatement) -> SelectResult:
         relation, aggregate_slots = self._rows_to_project(statement)
         items = self._expand_items(statement, relation.layout)
@@ -285,7 +317,7 @@ class SelectExecutor:
             active.set_attribute("hash_joins", hash_joins)
         relation = self._build_from_plan(plan)
         if plan.where is not None:
-            relation = self._filter(relation, plan.where)
+            relation = self._filter(relation, plan.where, "WHERE")
         aggregates = self._collect_aggregates(statement)
         if statement.group_by or aggregates:
             relation, aggregate_slots = self._group(relation, statement, aggregates)
@@ -294,7 +326,7 @@ class SelectExecutor:
         if statement.having is not None:
             if not statement.group_by and not aggregates:
                 raise ExecutionError("HAVING requires GROUP BY or aggregates")
-            relation = self._filter(relation, statement.having, aggregate_slots)
+            relation = self._filter(relation, statement.having, "HAVING", aggregate_slots)
         return relation, aggregate_slots
 
     # -- provenance helpers --------------------------------------------------------
@@ -310,13 +342,20 @@ class SelectExecutor:
     def _merge_union(self, rows: list[ExecRow]) -> tuple[Lineage, Polynomial | None]:
         lineage: Lineage = EMPTY_LINEAGE
         if self._capture_lineage:
-            combined: set[tuple[str, int]] = set()
-            for row in rows:
-                combined |= row.lineage
-            lineage = frozenset(combined)
+            lineage = EMPTY_LINEAGE.union(*[row.lineage for row in rows])
         how = None
         if self._capture_how:
             how = Polynomial.sum_all(row.how for row in rows)
+        return lineage, how
+
+    @staticmethod
+    def _merge_base(base: BaseRows, at: list[int]) -> tuple[Lineage, Polynomial | None]:
+        """:meth:`_merge_union` of a scan's rows at positions ``at``: one
+        union of their interned lineage sets, which keep their atoms' hashes."""
+        lineage = EMPTY_LINEAGE
+        if base.lineages is not None:
+            lineage = EMPTY_LINEAGE.union(*map(base.lineages.__getitem__, at))
+        how = None if base.hows is None else Polynomial.sum_all(map(base.hows.__getitem__, at))
         return lineage, how
 
     # -- FROM / JOIN -------------------------------------------------------------
@@ -346,7 +385,11 @@ class SelectExecutor:
         layout = RowLayout(
             [BoundColumn(binding=binding, name=column.name) for column in table.schema]
         )
-        rows: list[ExecRow] = []
+        memo = table.column_memo()
+        self._scanned_rows += len(memo.rows)
+        positions = list(range(len(memo.rows)))
+        if predicate is not None:
+            positions = self._survivors(split_conjuncts(predicate), layout, memo, positions)
         # Interned scan provenance: the singleton lineage set (and the
         # how-variable) of a base row never changes while the table
         # version holds, so every query shares one object per row.
@@ -355,30 +398,37 @@ class SelectExecutor:
             if self._capture_lineage or self._capture_how
             else (None, None)
         )
-        # Pushed conjuncts are evaluated as independent closures — a row
-        # survives only if every one is exactly TRUE, which is the same
-        # row set as the conjoined 3VL predicate (WHERE keeps only TRUE
-        # rows; see the planner's error-order note).
-        keep = (
-            _all_true(self._compile_values(split_conjuncts(predicate), layout))
-            if predicate is not None
-            else None
-        )
-        if lineages is None or not self._capture_lineage:
-            lineages = itertools.repeat(EMPTY_LINEAGE)
-        if hows is None or not self._capture_how:
-            hows = itertools.repeat(None)
-        append = rows.append
-        scanned = 0
-        for (_row_id, values), lineage, how in zip(
-            table.rows_with_ids(), lineages, hows
-        ):
-            scanned += 1
-            if keep is not None and not keep(values):
-                continue
-            append(ExecRow(values, lineage, how))
-        self._scanned_rows += scanned
-        return Relation(layout, rows)
+        if not self._capture_lineage:
+            lineages = None
+        if not self._capture_how:
+            hows = None
+        return Relation(layout, base=BaseRows(memo, positions, lineages, hows))
+
+    def _survivors(
+        self,
+        conjuncts: list[ast.Expression],
+        layout: RowLayout,
+        memo: ColumnMemo,
+        positions: list[int],
+    ) -> list[int]:
+        """The ``positions`` whose row makes every conjunct exactly TRUE (the
+        rows the conjoined 3VL predicate keeps; see the planner's error-order
+        note).  Each conjunct runs on the survivors of the one before: the
+        (row, conjunct) pairs the fused row loop evaluates.  If one raises or
+        yields a non-boolean, that row loop raises its own first error."""
+        try:
+            for conjunct in conjuncts:
+                values = self._compile_batch(conjunct, layout, memo)(positions)
+                if not _TRUTH_TYPES.issuperset(map(type, values)):
+                    raise ExecutionError("WHERE requires a boolean")  # named below
+                positions = list(compress(positions, values))
+            return positions
+        except Exception as exc:  # noqa: BLE001 - replayed below
+            error = exc
+        keep = _all_true(self._compile_values(conjuncts, layout), "WHERE")
+        for values in memo.rows:
+            keep(values)
+        raise error
 
     def _cross_join(self, left: Relation, right: Relation) -> Relation:
         layout = left.layout.concat(right.layout)
@@ -397,7 +447,7 @@ class SelectExecutor:
         """INNER/LEFT join via composite hash keys plus a residual filter."""
         layout = left.layout.concat(right.layout)
         residual_fn = (
-            self._compile_one(join_plan.residual, layout)
+            _all_true([self._compile_one(join_plan.residual, layout)], "JOIN ON")
             if join_plan.residual is not None
             else None
         )
@@ -411,7 +461,7 @@ class SelectExecutor:
                 matched = False
                 for right_row in right.rows:
                     values = left_row.values + right_row.values
-                    if residual_fn(values) is True:
+                    if residual_fn(values):
                         lineage, how = self._merge_join(left_row, right_row)
                         rows.append(ExecRow(values, lineage, how))
                         matched = True
@@ -449,7 +499,7 @@ class SelectExecutor:
             if bucket is not None:
                 for right_row in bucket:
                     values = left_row.values + right_row.values
-                    if residual_fn is not None and residual_fn(values) is not True:
+                    if residual_fn is not None and not residual_fn(values):
                         continue
                     lineage, how = self._merge_join(left_row, right_row)
                     rows.append(ExecRow(values, lineage, how))
@@ -468,6 +518,7 @@ class SelectExecutor:
         self,
         relation: Relation,
         predicate: ast.Expression,
+        clause: str,
         aggregate_slots: dict[str, int] | None = None,
     ) -> Relation:
         # Independent closures per conjunct (same survivors as the
@@ -475,7 +526,8 @@ class SelectExecutor:
         keep = _all_true(
             self._compile_values(
                 split_conjuncts(predicate), relation.layout, aggregate_slots
-            )
+            ),
+            clause,
         )
         kept = [row for row in relation.rows if keep(row.values)]
         return Relation(relation.layout, kept)
@@ -512,67 +564,85 @@ class SelectExecutor:
             _validate_grouped(
                 order_item.expression, group_sqls, allow_bare_column=True
             )
-        key_fns = self._compile_values(list(statement.group_by), relation.layout)
-        argument_fns: list[CompiledExpression | None] = [
-            None
-            if isinstance(aggregate.argument, ast.Star)
-            else self._compile_one(aggregate.argument, relation.layout)
-            for aggregate in aggregates
-        ]
-        groups: dict[tuple, list[ExecRow]] = {}
-        order: list[tuple] = []
-        for row in relation.rows:
-            key = tuple(key_fn(row.values) for key_fn in key_fns)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
-        if not statement.group_by and not groups:
-            # Global aggregation over an empty input: one empty group.
-            groups[()] = []
-            order.append(())
+        layout, base = relation.layout, relation.base
+        if base is None:  # e.g. a join: its rows, through the row closures
+            members, merge = relation.rows, self._merge_union
+            first = lambda rows: rows[0].values  # noqa: E731
+
+            def evaluate(expression):
+                fn = self._compile_one(expression, layout)
+                return lambda rows: [fn(row.values) for row in rows]
+
+        else:  # straight from a scan: positions, through the batch forms
+            members, merge = base.positions, partial(self._merge_base, base)
+            first = lambda at: base.memo.rows[at[0]]  # noqa: E731
+
+            def evaluate(expression):
+                return self._compile_batch(expression, layout, base.memo)
+
+        try:
+            # Without GROUP BY: one group, empty over an empty input.
+            groups: dict[tuple, list] = {} if statement.group_by else {(): list(members)}
+            keys = [evaluate(expression)(members) for expression in statement.group_by]
+            for key, member in zip(zip(*keys), members):
+                bucket = groups.get(key)
+                if bucket is None:
+                    groups[key] = [member]
+                else:
+                    bucket.append(member)
+            arguments = [
+                None if isinstance(aggregate.argument, ast.Star) else evaluate(aggregate.argument)
+                for aggregate in aggregates
+            ]
+            folds = [make_fold(*_spec(aggregate)) for aggregate in aggregates] if groups else []
+            aggregated = [
+                tuple(fold(g if arg is None else arg(g)) for fold, arg in zip(folds, arguments))
+                for g in groups.values()
+            ]
+        except Exception as exc:  # noqa: BLE001 - replayed below
+            self._replay_group(relation, statement, aggregates)
+            raise exc
         aggregate_slots = {
-            aggregate.to_sql(): len(relation.layout) + position
+            aggregate.to_sql(): len(layout) + position
             for position, aggregate in enumerate(aggregates)
         }
         extended_layout = RowLayout(
-            relation.layout.columns
+            layout.columns
             + [
                 BoundColumn(binding="#agg", name=f"agg_{position}")
                 for position in range(len(aggregates))
             ]
         )
-        grouped_rows: list[ExecRow] = []
-        for key in order:
-            members = groups[key]
-            accumulators = [
-                make_aggregator(
-                    aggregate.name,
-                    star=isinstance(aggregate.argument, ast.Star),
-                    distinct=aggregate.distinct,
-                )
-                for aggregate in aggregates
-            ]
-            for member in members:
-                for argument_fn, accumulator in zip(argument_fns, accumulators):
-                    if argument_fn is None:
-                        accumulator.step(1)
-                    else:
-                        accumulator.step(argument_fn(member.values))
-            aggregate_values = tuple(
-                accumulator.finalize() for accumulator in accumulators
-            )
-            if members:
-                representative = members[0].values
-                lineage, how = self._merge_union(members)
-            else:
-                representative = (None,) * len(relation.layout)
-                lineage = EMPTY_LINEAGE
-                how = Polynomial.zero() if self._capture_how else None
-            grouped_rows.append(
-                ExecRow(representative + aggregate_values, lineage, how)
-            )
+        absent = (None,) * len(layout)
+        grouped_rows = [
+            ExecRow((first(g) if g else absent) + aggregate_values, *merge(g))
+            for g, aggregate_values in zip(groups.values(), aggregated)
+        ]
         return Relation(extended_layout, grouped_rows), aggregate_slots
+
+    def _replay_group(
+        self,
+        relation: Relation,
+        statement: ast.SelectStatement,
+        aggregates: list[ast.AggregateCall],
+    ) -> None:
+        """Group row at a time in the former order (every row's keys, then
+        each group's rows, each row's aggregates in turn) to raise the row
+        loop's first error."""
+        key_fns = self._compile_values(list(statement.group_by), relation.layout)
+        argument_fns = [
+            None if isinstance(aggregate.argument, ast.Star)
+            else self._compile_one(aggregate.argument, relation.layout)
+            for aggregate in aggregates
+        ]
+        groups: dict[tuple, list[tuple]] = {}
+        for row in relation.rows:
+            groups.setdefault(tuple(fn(row.values) for fn in key_fns), []).append(row.values)
+        for group in groups.values():
+            accumulators = [make_aggregator(*_spec(aggregate)) for aggregate in aggregates]
+            for values in group:
+                for argument_fn, accumulator in zip(argument_fns, accumulators):
+                    accumulator.step(1 if argument_fn is None else argument_fn(values))
 
     # -- projection -------------------------------------------------------------------
 
@@ -702,6 +772,11 @@ def _order_keys(
             )
         keys.append(key)
     return keys
+
+
+def _spec(aggregate: ast.AggregateCall) -> tuple[str, bool, bool]:
+    """``(name, star, distinct)``, as :func:`make_aggregator` takes them."""
+    return aggregate.name, isinstance(aggregate.argument, ast.Star), aggregate.distinct
 
 
 def _validate_grouped(

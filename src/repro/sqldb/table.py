@@ -5,15 +5,32 @@ gets reused.  Row ids are the atoms of where-provenance: the executor's
 lineage sets are sets of ``(table_name, row_id)`` pairs, so a stable id is
 what makes an explanation *invertible* — given the lineage one can fetch
 the exact base rows back (Section 2.2's invertibility property).
+
+Scans read rows column at a time, by *position* in :meth:`Table.column_memo`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.errors import CatalogError, IntegrityError
 from repro.sqldb.types import Column, ColumnType, Schema, SQLValue, coerce_value
+
+
+class ColumnMemo(NamedTuple):
+    """One table version's live rows: position ``p`` is the ``p``-th in
+    insertion order, with id ``row_ids[p]``, tuple ``rows[p]`` and value
+    ``columns[i][p]`` of column ``i``.  ``types[i]`` holds the value types
+    of column ``i`` (``NoneType`` for NULL); values are coerced on insert,
+    so it is a fact about the version."""
+
+    version: int
+    row_ids: tuple[int, ...]
+    rows: tuple[tuple[SQLValue, ...], ...]
+    columns: tuple[tuple[SQLValue, ...], ...]
+    types: tuple[frozenset, ...]
+    position: dict[int, int]  # row id -> position
 
 
 @dataclass
@@ -29,6 +46,7 @@ class Table:
     _pk_values: set = field(default_factory=set)
     #: Monotonic mutation counter; the query cache keys on it.
     _version: int = 0
+    _memo: ColumnMemo | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -156,10 +174,26 @@ class Table:
         """All row tuples in insertion order."""
         return list(self._rows.values())
 
+    def column_memo(self) -> ColumnMemo:
+        """The current version's rows, column by column (built once per version)."""
+        memo = self._memo
+        if memo is None or memo.version != self._version:
+            row_ids, rows = tuple(self._rows), tuple(self._rows.values())
+            columns = tuple(zip(*rows)) if rows else ((),) * len(self.schema)
+            types = tuple(frozenset(map(type, column)) for column in columns)
+            position = dict(zip(row_ids, range(len(row_ids))))
+            memo = self._memo = ColumnMemo(
+                self._version, row_ids, rows, columns, types, position
+            )
+        return memo
+
+    def column(self, name: str) -> tuple[SQLValue, ...]:
+        """All values of column ``name`` in insertion order (the memoised tuple)."""
+        return self.column_memo().columns[self.schema.index_of(name)]
+
     def column_values(self, name: str) -> list[SQLValue]:
-        """All values of column ``name`` in insertion order."""
-        index = self.schema.index_of(name)
-        return [row[index] for row in self._rows.values()]
+        """All values of column ``name`` in insertion order (a fresh list)."""
+        return list(self.column(name))
 
     # -- convenience constructors ----------------------------------------------
 

@@ -34,6 +34,10 @@ values instead of asking sqlite3:
    raises.  sqlite3 orders by an arbitrary row of each merged group.
 6. **A negated integer ORDER BY term is a constant.**  ``ORDER BY -1``
    sorts nothing here; sqlite3 reports it out of range.
+7. **WHERE, HAVING and JOIN ON take booleans only.**  A filter value that
+   is not TRUE, FALSE or NULL raises (``WHERE quantity`` reports "WHERE
+   requires a boolean, got 3"); sqlite3 keeps the rows whose value is
+   non-zero.
 
 Positional ORDER BY agrees: an integer term is a 1-based output column,
 a term outside 1..width raises in both, and a float such as ``2.0`` is a
