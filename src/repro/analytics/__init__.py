@@ -11,7 +11,7 @@ machinery:
 * :mod:`repro.analytics.seasonality` — ACF-based period detection with a
   statistical confidence and an explicit *insufficient-data abstention*;
 * :mod:`repro.analytics.stats` — descriptive statistics and correlation;
-* :mod:`repro.analytics.outliers` — z-score and IQR outlier detection.
+* :mod:`repro.analytics.outliers` — IQR outlier detection.
 
 Every routine reports *how* its numbers were computed (parameters, data
 coverage), feeding the provenance layer.
@@ -23,15 +23,8 @@ from repro.analytics.stats import (
     DescriptiveStats,
     describe,
     pearson_correlation,
-    group_summary,
 )
-from repro.analytics.outliers import OutlierReport, iqr_outliers, zscore_outliers
-from repro.analytics.bias import (
-    BiasAuditor,
-    BiasFinding,
-    SentimentLexicon,
-    keyness,
-)
+from repro.analytics.outliers import OutlierReport, iqr_outliers
 
 __all__ = [
     "Decomposition",
@@ -42,12 +35,6 @@ __all__ = [
     "DescriptiveStats",
     "describe",
     "pearson_correlation",
-    "group_summary",
     "OutlierReport",
     "iqr_outliers",
-    "zscore_outliers",
-    "BiasAuditor",
-    "BiasFinding",
-    "SentimentLexicon",
-    "keyness",
 ]

@@ -1,6 +1,6 @@
-"""Outlier detection: z-score and IQR methods.
+"""Outlier detection by Tukey's IQR rule.
 
-Both methods return the *rule they applied* alongside the hits, so the
+The report carries the *rule it applied* alongside the hits, so the
 answer generator can explain an anomaly report ("values beyond 1.5 IQR
 outside the quartiles") rather than just assert it.
 """
@@ -57,41 +57,6 @@ def _clean_with_positions(values) -> tuple[np.ndarray, list[int]]:
         cleaned.append(float(value))
         positions.append(index)
     return np.asarray(cleaned, dtype=np.float64), positions
-
-
-def zscore_outliers(values, threshold: float = 3.0) -> OutlierReport:
-    """Values with |z| beyond ``threshold`` standard deviations."""
-    sample, positions = _clean_with_positions(list(values))
-    if len(sample) < 3:
-        raise CDAError("z-score outlier detection needs at least 3 values")
-    mean = float(sample.mean())
-    std = float(sample.std(ddof=1))
-    if std == 0.0:
-        return OutlierReport(
-            method="z-score",
-            indices=[],
-            values=[],
-            lower_bound=mean,
-            upper_bound=mean,
-            n_observations=len(sample),
-            parameters={"threshold": threshold},
-        )
-    lower = mean - threshold * std
-    upper = mean + threshold * std
-    hits = [
-        (positions[i], float(sample[i]))
-        for i in range(len(sample))
-        if sample[i] < lower or sample[i] > upper
-    ]
-    return OutlierReport(
-        method="z-score",
-        indices=[index for index, _value in hits],
-        values=[value for _index, value in hits],
-        lower_bound=lower,
-        upper_bound=upper,
-        n_observations=len(sample),
-        parameters={"threshold": threshold},
-    )
 
 
 def iqr_outliers(values, multiplier: float = 1.5) -> OutlierReport:

@@ -16,13 +16,17 @@ analytics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import CDAError
 from repro.analytics.timeseries import MIN_PERIODS
+
+#: The standard normal, for the significance test of an ACF peak.
+_NORMAL = NormalDist()
 
 
 @dataclass
@@ -150,9 +154,12 @@ def detect_seasonality(
     standard_error = 1.0 / np.sqrt(n)
     z_score = best_value / standard_error
     n_tests = max(1, len(candidates))
-    single_tail = 1.0 - float(stats.norm.cdf(significance_z))
-    corrected_z = float(stats.norm.ppf(1.0 - single_tail / n_tests))
-    raw_p = 1.0 - float(stats.norm.cdf(z_score))
+    single_tail = 1.0 - _NORMAL.cdf(significance_z)
+    corrected_quantile = 1.0 - single_tail / n_tests
+    corrected_z = (
+        _NORMAL.inv_cdf(corrected_quantile) if corrected_quantile < 1.0 else math.inf
+    )
+    raw_p = 1.0 - _NORMAL.cdf(z_score)
     corrected_p = min(1.0, raw_p * n_tests)
     significance = 1.0 - corrected_p
     if z_score < corrected_z:

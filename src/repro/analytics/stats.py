@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.errors import CDAError
 
@@ -119,30 +118,11 @@ def pearson_correlation(values_a, values_b) -> CorrelationResult:
     array_b = np.array([b for _a, b in pairs])
     if float(array_a.std()) == 0.0 or float(array_b.std()) == 0.0:
         raise CDAError("correlation undefined for a constant column")
-    coefficient, p_value = scipy_stats.pearsonr(array_a, array_b)
+    # scipy is imported here, not at module level: no turn computes a
+    # correlation, and importing it would dominate the package's start-up.
+    from scipy.stats import pearsonr
+
+    coefficient, p_value = pearsonr(array_a, array_b)
     return CorrelationResult(
         coefficient=float(coefficient), p_value=float(p_value), n=len(pairs)
     )
-
-
-def group_summary(
-    groups, values
-) -> dict[object, DescriptiveStats]:
-    """Per-group descriptive statistics.
-
-    ``groups[i]`` labels ``values[i]``; NULL group labels form their own
-    ``None`` group so no data silently disappears.
-    """
-    group_list = list(groups)
-    value_list = list(values)
-    if len(group_list) != len(value_list):
-        raise CDAError("groups and values must align")
-    buckets: dict[object, list] = {}
-    for label, value in zip(group_list, value_list):
-        buckets.setdefault(label, []).append(value)
-    summary: dict[object, DescriptiveStats] = {}
-    for label, bucket in buckets.items():
-        non_null = [v for v in bucket if v is not None]
-        if non_null:
-            summary[label] = describe(bucket)
-    return summary

@@ -19,7 +19,7 @@ from repro.core.answer import Answer, AnswerKind
 from repro.core.session import Session
 from repro.core.engine import CDAEngine
 from repro.core.registry import Component, ComponentRegistry, Property
-from repro.core.composition import compose_properties, check_pipeline
+from repro.core.composition import compose_properties
 
 __all__ = [
     "ReliabilityConfig",
@@ -31,5 +31,4 @@ __all__ = [
     "ComponentRegistry",
     "Property",
     "compose_properties",
-    "check_pipeline",
 ]

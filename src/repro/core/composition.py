@@ -88,20 +88,3 @@ def compose_properties(
         lost_at=lost_at,
         established_at=established_at,
     )
-
-
-def check_pipeline(
-    pipeline: list[Component],
-    required: list[Property],
-    input_properties: frozenset[Property] | None = None,
-) -> CompositionVerdict:
-    """Compose and assert the pipeline has every ``required`` property."""
-    verdict = compose_properties(pipeline, input_properties)
-    missing = [prop for prop in required if not verdict.holds(prop)]
-    if missing:
-        reasons = "; ".join(verdict.explain(prop) for prop in missing)
-        raise CompositionError(
-            f"pipeline lacks required properties: {reasons}",
-            missing_properties=[prop.value for prop in missing],
-        )
-    return verdict

@@ -19,7 +19,6 @@ from repro.datasets.registry import DataSourceInfo, DataSourceRegistry
 from repro.datasets.swiss_labour import build_swiss_labour_registry
 from repro.datasets.ecommerce import build_ecommerce_registry
 from repro.datasets.healthcare import build_healthcare_registry
-from repro.datasets.rotting import RotDetector, RotReport, RotVerdict
 
 __all__ = [
     "DataSourceInfo",
@@ -27,7 +26,4 @@ __all__ = [
     "build_swiss_labour_registry",
     "build_ecommerce_registry",
     "build_healthcare_registry",
-    "RotDetector",
-    "RotReport",
-    "RotVerdict",
 ]

@@ -81,10 +81,6 @@ class OntologyError(KGError):
     """Inconsistent ontology definition (e.g. subsumption cycle)."""
 
 
-class LinkingError(KGError):
-    """Entity linking could not resolve a mention it was required to."""
-
-
 # --------------------------------------------------------------------------
 # NL model layer (repro.nl)
 # --------------------------------------------------------------------------

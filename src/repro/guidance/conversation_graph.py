@@ -25,8 +25,6 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.errors import GuidanceError
 
 
@@ -62,11 +60,16 @@ class TurnNode:
 
 
 class ConversationGraph:
-    """Typed digraph over conversation turns."""
+    """Typed digraph over conversation turns.
+
+    Adjacency is two insertion-ordered dicts: ``_succ[turn]`` maps each
+    successor to the edge's role, ``_pred[turn]`` holds the predecessors.
+    """
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
         self._nodes: dict[int, TurnNode] = {}
+        self._succ: dict[int, dict[int, str]] = {}
+        self._pred: dict[int, dict[int, None]] = {}
         self._counter = itertools.count()
         self._digest = hashlib.sha256(b"conversation-graph-v1").hexdigest()
 
@@ -95,7 +98,8 @@ class ConversationGraph:
             metadata=metadata or {},
         )
         self._nodes[turn.turn_id] = turn
-        self._graph.add_node(turn.turn_id)
+        self._succ[turn.turn_id] = {}
+        self._pred[turn.turn_id] = {}
         self._fold(
             {
                 "turn": {
@@ -119,7 +123,8 @@ class ConversationGraph:
             raise GuidanceError(f"unknown edge role {role!r}")
         if from_id not in self._nodes or to_id not in self._nodes:
             raise GuidanceError("both turns must exist before linking")
-        self._graph.add_edge(from_id, to_id, role=role)
+        self._succ[from_id][to_id] = role
+        self._pred[to_id][from_id] = None
         self._fold({"edge": {"from": from_id, "to": to_id, "role": role}})
 
     # -- running digest ---------------------------------------------------------
@@ -152,10 +157,11 @@ class ConversationGraph:
         return self._nodes[turn_id]
 
     def edges(self) -> list[tuple[int, int, str]]:
-        """All edges as ``(from_turn, to_turn, role)``."""
+        """All edges as ``(from_turn, to_turn, role)``, grouped by source turn."""
         return [
-            (source, target, data.get("role", "follows"))
-            for source, target, data in self._graph.edges(data=True)
+            (source, target, role)
+            for source, targets in self._succ.items()
+            for target, role in targets.items()
         ]
 
     # -- traversal -----------------------------------------------------------------
@@ -198,7 +204,7 @@ class ConversationGraph:
     def replies_to(self, turn_id: int) -> list[TurnNode]:
         """Turns that respond to ``turn_id`` (any edge role)."""
         self.turn(turn_id)
-        return [self._nodes[nid] for nid in self._graph.successors(turn_id)]
+        return [self._nodes[nid] for nid in self._succ[turn_id]]
 
     def thread_of(self, turn_id: int) -> list[TurnNode]:
         """The chain of turns leading to ``turn_id`` (where-from analysis)."""
@@ -206,7 +212,7 @@ class ConversationGraph:
         chain = [turn_id]
         current = turn_id
         while True:
-            predecessors = list(self._graph.predecessors(current))
+            predecessors = self._pred[current]
             if not predecessors:
                 break
             current = min(predecessors)  # earliest parent keeps chains linear
@@ -218,7 +224,7 @@ class ConversationGraph:
         self.turn(turn_id)
         return [
             self._nodes[nid]
-            for nid in self._graph.successors(turn_id)
+            for nid in self._succ[turn_id]
             if self._nodes[nid].speculative
         ]
 

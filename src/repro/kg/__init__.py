@@ -6,40 +6,25 @@ and schema descriptions (Sections 2.2 and 3.2).  This package provides:
 
 * :class:`~repro.kg.triple_store.TripleStore` — an indexed triple store
   (SPO/POS/OSP permutations) with wildcard matching;
-* :mod:`repro.kg.query` — basic-graph-pattern queries with variable
-  joins (the SPARQL core);
 * :class:`~repro.kg.ontology.Ontology` — classes, subsumption reasoning,
   domain/range metadata on top of the store;
 * :class:`~repro.kg.vocabulary.DomainVocabulary` — domain terms with
   synonyms and definitions, the disambiguation substrate;
-* :class:`~repro.kg.entity_linking.EntityLinker` — mention detection and
-  candidate ranking against KG labels;
 * :mod:`repro.kg.schema_kg` — the paper's proposal to encode *schema*
   information "in appropriate knowledge bases" instead of prompting with
   prose: a relational catalog rendered as a queryable knowledge graph.
 """
 
 from repro.kg.triple_store import Triple, TripleStore
-from repro.kg.query import TriplePattern, Variable, bgp_query
 from repro.kg.ontology import Ontology
 from repro.kg.vocabulary import DomainVocabulary, VocabularyTerm
-from repro.kg.entity_linking import EntityLinker, EntityLink
 from repro.kg.schema_kg import SchemaKnowledgeGraph
-from repro.kg.sparql import SparqlQuery, parse_sparql, sparql_select
 
 __all__ = [
     "Triple",
     "TripleStore",
-    "TriplePattern",
-    "Variable",
-    "bgp_query",
     "Ontology",
     "DomainVocabulary",
     "VocabularyTerm",
-    "EntityLinker",
-    "EntityLink",
     "SchemaKnowledgeGraph",
-    "SparqlQuery",
-    "parse_sparql",
-    "sparql_select",
 ]

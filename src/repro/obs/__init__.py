@@ -3,9 +3,9 @@
 The cross-cutting layer of the reproduction: every other package
 reports *into* it (spans via :mod:`repro.obs.trace`, tallies via
 :mod:`repro.obs.metrics`, occurrences via :mod:`repro.obs.events`) and
-the engine exports *out of* it — a turn trace as JSON/text
-(:mod:`repro.obs.export`) or Chrome trace-event JSON, the registry as
-Prometheus exposition (:mod:`repro.obs.exporters`), and the whole
+the engine exports *out of* it — a turn trace as JSON/text or Chrome
+trace-event JSON, the registry as Prometheus exposition (all in
+:mod:`repro.obs.exporters`), and the whole
 session as P1–P5 reliability verdicts (:mod:`repro.obs.scorecard`).
 Latency histograms carry a mergeable relative-error-bounded quantile
 sketch (:mod:`repro.obs.sketch`) so tail percentiles stay accurate at
@@ -34,19 +34,17 @@ from repro.obs.events import (
     emit,
     get_event_log,
 )
-from repro.obs.export import (
-    from_dict,
-    from_json,
-    render_text,
-    stage_timings,
-    to_dict,
-    to_json,
-)
 from repro.obs.exporters import (
     blackbox_chrome_trace,
     chrome_trace_json,
+    from_dict,
+    from_json,
+    render_text,
     sanitize_metric_name,
+    stage_timings,
     to_chrome_trace,
+    to_dict,
+    to_json,
     to_prometheus,
 )
 from repro.obs.scorecard import (

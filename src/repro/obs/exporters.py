@@ -1,8 +1,17 @@
-"""Standard-format exporters: Prometheus exposition + Chrome trace JSON.
+"""Trace and metric exporters: span-tree JSON and text, Prometheus
+exposition, Chrome trace JSON.
 
-Internal telemetry earns its keep when external tooling can read it.
-Two lingua francas cover the metric and trace sides:
+Internal telemetry earns its keep when it leaves the process and
+external tooling can read it:
 
+* a turn trace as JSON (``to_dict``/``to_json``, with ``from_dict`` as
+  its inverse) makes the trace a queryable object — the
+  Query-By-Provenance view of the pipeline itself — while
+  :func:`render_text` is the human report behind
+  ``python -m repro ... --trace``.  Attribute values are coerced to
+  JSON-safe scalars on export (anything exotic becomes its ``repr``), so
+  ``from_dict(to_dict(t))`` always round-trips to an identical
+  dictionary;
 * :func:`to_prometheus` renders the whole metrics registry in the
   Prometheus text exposition format (version 0.0.4): sanitized metric
   names, ``# TYPE`` headers, counters with the ``_total`` suffix, and
@@ -14,7 +23,7 @@ Two lingua francas cover the metric and trace sides:
   timestamps), loadable as-is in Perfetto (https://ui.perfetto.dev) or
   ``chrome://tracing`` for flame-graph inspection of a turn.
 
-Both are pure functions over :mod:`repro.obs` objects — stdlib only,
+All are pure functions over :mod:`repro.obs` objects — stdlib only,
 no servers or sockets here.
 """
 
@@ -23,7 +32,6 @@ from __future__ import annotations
 import json
 import re
 
-from repro.obs.export import _jsonable
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -34,12 +42,139 @@ from repro.obs.metrics import (
 from repro.obs.trace import Span
 
 __all__ = [
+    "to_dict",
+    "from_dict",
+    "to_json",
+    "from_json",
+    "render_text",
+    "stage_timings",
     "sanitize_metric_name",
     "to_prometheus",
     "to_chrome_trace",
     "chrome_trace_json",
     "blackbox_chrome_trace",
 ]
+
+
+# -- span trees as JSON and text ---------------------------------------------------
+
+
+def _jsonable(value):
+    """``value`` if JSON-representable, else its ``repr``."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _jsonable(item) for key, item in value.items()}
+    return repr(value)
+
+
+def to_dict(span: Span) -> dict:
+    """The span tree as a nested dictionary (JSON-ready)."""
+    payload: dict = {
+        "name": span.name,
+        "status": span.status,
+        "duration_ms": round(span.duration_ms, 6),
+    }
+    if span.error is not None:
+        payload["error"] = span.error
+    if span.attributes:
+        payload["attributes"] = {
+            str(key): _jsonable(value) for key, value in span.attributes.items()
+        }
+    if span.children:
+        payload["children"] = [to_dict(child) for child in span.children]
+    return payload
+
+
+def from_dict(payload: dict) -> Span:
+    """Rebuild a span tree from its :func:`to_dict` form.
+
+    Timings are restored from ``duration_ms`` (start rebased to zero), so
+    ``to_dict(from_dict(d)) == d`` — the JSON round-trip is lossless.
+    """
+    span = Span(payload["name"], dict(payload.get("attributes", {})) or None)
+    span.status = payload.get("status", "ok")
+    span.error = payload.get("error")
+    span.start_ns = 0
+    span.end_ns = int(round(payload.get("duration_ms", 0.0) * 1e6))
+    span.children = [from_dict(child) for child in payload.get("children", [])]
+    return span
+
+
+def to_json(span: Span, indent: int | None = 2) -> str:
+    """The span tree serialised as a JSON document."""
+    return json.dumps(to_dict(span), indent=indent)
+
+
+def from_json(text: str) -> Span:
+    """Inverse of :func:`to_json`."""
+    return from_dict(json.loads(text))
+
+
+def render_text(span: Span, max_attributes: int = 6) -> str:
+    """Indented one-line-per-span report of a turn trace::
+
+        engine.ask                        14.21 ms  ok  question='how many…'
+          engine.intent                    0.05 ms  ok  kind='data_query'
+          ...
+
+    Attribute values are elided past ``max_attributes`` per span and long
+    strings are truncated, keeping the report terminal-sized.
+    """
+    lines: list[str] = []
+    _render_into(span, 0, lines, max_attributes)
+    return "\n".join(lines)
+
+
+def _render_into(
+    span: Span, depth: int, lines: list[str], max_attributes: int
+) -> None:
+    label = "  " * depth + span.name
+    parts = [f"{label:<44}", f"{span.duration_ms:9.3f} ms", f" {span.status}"]
+    rendered = []
+    for index, (key, value) in enumerate(span.attributes.items()):
+        if index >= max_attributes:
+            rendered.append("…")
+            break
+        text = repr(value) if isinstance(value, str) else str(value)
+        if len(text) > 48:
+            text = text[:45] + "…"
+        rendered.append(f"{key}={text}")
+    if span.error is not None:
+        rendered.append(f"error={span.error!r}")
+    if rendered:
+        parts.append("  " + " ".join(rendered))
+    lines.append("".join(parts))
+    for child in span.children:
+        _render_into(child, depth + 1, lines, max_attributes)
+
+
+def stage_timings(roots: "Span | list[Span]") -> dict[str, dict]:
+    """Aggregate direct-child (stage) durations across one or many traces.
+
+    Returns ``{stage_name: {"count", "total_ms", "mean_ms"}}`` keyed in
+    first-seen order — the per-stage breakdown the end-to-end benchmark
+    reports instead of a single wall-clock number.
+    """
+    if isinstance(roots, Span):
+        roots = [roots]
+    stages: dict[str, dict] = {}
+    for root in roots:
+        for child in root.children:
+            entry = stages.setdefault(
+                child.name, {"count": 0, "total_ms": 0.0, "mean_ms": 0.0}
+            )
+            entry["count"] += 1
+            entry["total_ms"] += child.duration_ms
+    for entry in stages.values():
+        entry["total_ms"] = round(entry["total_ms"], 6)
+        entry["mean_ms"] = round(entry["total_ms"] / entry["count"], 6)
+    return stages
+
+
+# -- Prometheus exposition ---------------------------------------------------------
 
 _INVALID_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -109,6 +244,9 @@ def to_prometheus(
     return "\n".join(lines) + "\n"
 
 
+# -- Chrome trace-event JSON -------------------------------------------------------
+
+
 def to_chrome_trace(root: Span, pid: int = 1, tid: int = 1) -> dict:
     """The span tree as a Chrome trace-event document.
 
@@ -165,8 +303,6 @@ def blackbox_chrome_trace(blackbox, pid: int = 1) -> dict:
     synthetic span from their measured turn latency; anomalous turns are
     marked with their reasons in ``args``.
     """
-    from repro.obs.export import from_dict as span_from_dict
-
     events: list[dict] = [
         {
             "ph": "M",
@@ -191,7 +327,7 @@ def blackbox_chrome_trace(blackbox, pid: int = 1) -> dict:
             # Loaded black boxes store the tree as a dict; a live
             # recorder still holds the Span object (lazy serialisation).
             root = (
-                span_from_dict(trace_payload)
+                from_dict(trace_payload)
                 if isinstance(trace_payload, dict)
                 else trace_payload
             )

@@ -32,7 +32,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.obs.export import _jsonable, to_dict as span_to_dict
+from repro.obs.exporters import _jsonable, to_dict as span_to_dict
 
 __all__ = [
     "BLACKBOX_VERSION",

@@ -8,7 +8,7 @@ where its time, cache hits, and confidence mass went.  A
 :class:`Span` records one such stage — monotonic timings, free-form
 attributes, ok/error status — and spans nest into a tree that is itself
 a first-class answer artefact (``answer.trace``), exportable as JSON or
-an indented text report (:mod:`repro.obs.export`).
+an indented text report (:mod:`repro.obs.exporters`).
 
 Design constraints:
 

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.errors import ProvenanceError
-
 if TYPE_CHECKING:  # avoid a runtime import cycle with repro.sqldb
     from repro.sqldb.database import Database, QueryResult
 
@@ -217,57 +215,3 @@ def require_invertible(explanation: Explanation, database: "Database") -> None:
     violations = check_invertibility(explanation, database)
     if violations:
         raise InvertibilityViolation("; ".join(violations))
-
-
-def explain_difference(expected: list[tuple], actual: list[tuple]) -> str:
-    """Human-readable diff summary between two row lists (error mitigation).
-
-    Used when verification finds a mismatch: rather than a bare failure,
-    the system reports *what* differs, which Section 2.2 calls the ability
-    to mitigate errors in explanations.
-    """
-    expected_set = set(expected)
-    actual_set = set(actual)
-    only_expected = sorted(expected_set - actual_set)
-    only_actual = sorted(actual_set - expected_set)
-    parts = []
-    if only_expected:
-        parts.append(f"{len(only_expected)} expected row(s) missing, e.g. {only_expected[0]}")
-    if only_actual:
-        parts.append(f"{len(only_actual)} unexpected row(s), e.g. {only_actual[0]}")
-    if not parts:
-        if expected != actual:
-            parts.append("same rows in a different order")
-        else:
-            parts.append("no difference")
-    return "; ".join(parts)
-
-
-def merge_explanations(explanations: list[Explanation]) -> Explanation:
-    """Combine part-explanations into one (answers with differing scores).
-
-    The paper allows "a confidence score for the entire answer or for
-    parts of the answer"; when an answer is assembled from parts, the
-    merged explanation unions sources and concatenates notes.
-    """
-    if not explanations:
-        raise ProvenanceError("cannot merge zero explanations")
-    first = explanations[0]
-    source_rows = sorted({atom for exp in explanations for atom in exp.source_rows})
-    source_tables = sorted({table for exp in explanations for table in exp.source_tables})
-    grounding: list[str] = []
-    computation: list[str] = []
-    for exp in explanations:
-        grounding.extend(exp.grounding_notes)
-        computation.extend(exp.computation_notes)
-    return Explanation(
-        question=first.question,
-        sql="; ".join(exp.sql for exp in explanations),
-        columns=list(first.columns),
-        rows=[row for exp in explanations for row in exp.rows],
-        source_rows=source_rows,
-        source_tables=source_tables,
-        how=[poly for exp in explanations for poly in exp.how],
-        grounding_notes=grounding,
-        computation_notes=computation,
-    )

@@ -18,8 +18,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.errors import ProvenanceError
 
 
@@ -58,11 +56,18 @@ class ProvenanceNode:
 
 
 class ProvenanceGraph:
-    """A DAG of provenance nodes with where-from / where-to traversal."""
+    """A DAG of provenance nodes with where-from / where-to traversal.
+
+    Adjacency is two insertion-ordered dicts: ``_succ[node]`` maps each
+    successor to the edge's role, ``_pred[node]`` holds the predecessors.
+    Every traversal therefore follows insertion order and is
+    deterministic.
+    """
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
         self._nodes: dict[str, ProvenanceNode] = {}
+        self._succ: dict[str, dict[str, str]] = {}
+        self._pred: dict[str, dict[str, None]] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -86,7 +91,8 @@ class ProvenanceGraph:
                 )
             return existing
         self._nodes[node.node_id] = node
-        self._graph.add_node(node.node_id)
+        self._succ[node.node_id] = {}
+        self._pred[node.node_id] = {}
         return node
 
     def node(self, node_id: str) -> ProvenanceNode:
@@ -96,34 +102,56 @@ class ProvenanceGraph:
         return self._nodes[node_id]
 
     def add_edge(self, from_id: str, to_id: str, role: str = "derives") -> None:
-        """Add a derivation edge; cycles are rejected (provenance is a DAG)."""
+        """Add a derivation edge; cycles are rejected (provenance is a DAG).
+
+        Re-adding an edge updates its role in place.  The cycle check
+        walks only when ``to_id`` has successors and ``from_id`` has
+        predecessors, so an edge into a fresh activity node costs O(1).
+        """
         if from_id not in self._nodes or to_id not in self._nodes:
             raise ProvenanceError("both edge endpoints must be added first")
-        self._graph.add_edge(from_id, to_id, role=role)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(from_id, to_id)
+        if from_id == to_id or (
+            self._succ[to_id]
+            and self._pred[from_id]
+            and to_id in self._reach(from_id, self._pred)
+        ):
             raise ProvenanceError(
                 f"edge {from_id!r} -> {to_id!r} would create a cycle"
             )
+        self._succ[from_id][to_id] = role
+        self._pred[to_id][from_id] = None
 
     def edges(self) -> list[tuple[str, str, str]]:
-        """All edges as ``(from, to, role)``."""
+        """All edges as ``(from, to, role)``, grouped by source node."""
         return [
-            (source, target, data.get("role", "derives"))
-            for source, target, data in self._graph.edges(data=True)
+            (source, target, role)
+            for source, targets in self._succ.items()
+            for target, role in targets.items()
         ]
 
     # -- traversal ---------------------------------------------------------------
 
+    def _reach(self, node_id: str, adjacency: dict) -> dict[str, None]:
+        """Every node reachable from ``node_id`` along ``adjacency``, in
+        breadth-first order."""
+        seen: dict[str, None] = {}
+        frontier = [node_id]
+        for current in frontier:
+            for neighbour in adjacency[current]:
+                if neighbour not in seen:
+                    seen[neighbour] = None
+                    frontier.append(neighbour)
+        return seen
+
     def where_from(self, node_id: str) -> list[ProvenanceNode]:
         """All ancestors of ``node_id`` (what it was derived from)."""
         self.node(node_id)
-        return [self._nodes[nid] for nid in nx.ancestors(self._graph, node_id)]
+        return [self._nodes[nid] for nid in self._reach(node_id, self._pred)]
 
     def where_to(self, node_id: str) -> list[ProvenanceNode]:
         """All descendants of ``node_id`` (everything it influenced)."""
         self.node(node_id)
-        return [self._nodes[nid] for nid in nx.descendants(self._graph, node_id)]
+        return [self._nodes[nid] for nid in self._reach(node_id, self._succ)]
 
     def sources_of(self, node_id: str) -> list[ProvenanceNode]:
         """The *leaf* sources an answer rests on (where-from, sources only)."""
@@ -140,20 +168,38 @@ class ProvenanceGraph:
         ]
 
     def derivation_path(self, source_id: str, answer_id: str) -> list[ProvenanceNode]:
-        """One shortest derivation chain from a source to an answer."""
+        """One shortest derivation chain from a source to an answer
+        (breadth-first from the source, in edge order)."""
         self.node(source_id)
         self.node(answer_id)
-        try:
-            path = nx.shortest_path(self._graph, source_id, answer_id)
-        except nx.NetworkXNoPath as exc:
-            raise ProvenanceError(
-                f"{source_id!r} does not derive {answer_id!r}"
-            ) from exc
-        return [self._nodes[nid] for nid in path]
+        parent: dict[str, str | None] = {source_id: None}
+        frontier = [source_id]
+        for current in frontier:
+            if current == answer_id:
+                break
+            for successor in self._succ[current]:
+                if successor not in parent:
+                    parent[successor] = current
+                    frontier.append(successor)
+        if answer_id not in parent:
+            raise ProvenanceError(f"{source_id!r} does not derive {answer_id!r}")
+        path = [answer_id]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return [self._nodes[nid] for nid in reversed(path)]
 
     def topological_order(self) -> list[ProvenanceNode]:
-        """All nodes in a topological order (sources before answers)."""
-        return [self._nodes[nid] for nid in nx.topological_sort(self._graph)]
+        """All nodes in a topological order (sources before answers):
+        Kahn's algorithm, first-in first-out from the zero-indegree nodes
+        in insertion order."""
+        indegree = {nid: len(preds) for nid, preds in self._pred.items()}
+        order = [nid for nid, degree in indegree.items() if degree == 0]
+        for current in order:
+            for successor in self._succ[current]:
+                indegree[successor] -= 1
+                if indegree[successor] == 0:
+                    order.append(successor)
+        return [self._nodes[nid] for nid in order]
 
 
 def source_row_id(table: str, row_id: int) -> str:

@@ -9,10 +9,9 @@ with sufficient certainty".  This package implements that machinery:
   uncertainty quantification for text-to-SQL (after Bhattacharjya et al.
   [7]): sample the generator several times, execute the candidates, and
   use answer agreement as the confidence signal;
-* :mod:`repro.soundness.calibration` — ECE / Brier / AUROC metrics,
-  reliability diagrams, and recalibration (histogram binning and isotonic
-  regression), quantifying the paper's claim that self-reported LLM
-  confidence is miscalibrated;
+* :mod:`repro.soundness.calibration` — ECE / Brier / AUROC metrics and
+  isotonic recalibration, quantifying the paper's claim that
+  self-reported LLM confidence is miscalibrated;
 * :mod:`repro.soundness.verifier` — answer verification at increasing
   depth: static validation, re-execution, and provenance-based
   re-derivation of aggregates from cited source rows;
@@ -28,9 +27,7 @@ from repro.soundness.calibration import (
     auroc,
     brier_score,
     expected_calibration_error,
-    HistogramBinningCalibrator,
     IsotonicCalibrator,
-    reliability_diagram,
 )
 from repro.soundness.verifier import (
     AnswerVerifier,
@@ -57,9 +54,7 @@ __all__ = [
     "auroc",
     "brier_score",
     "expected_calibration_error",
-    "HistogramBinningCalibrator",
     "IsotonicCalibrator",
-    "reliability_diagram",
     "AnswerVerifier",
     "RowVerdict",
     "VerificationReport",

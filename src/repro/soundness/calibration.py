@@ -1,4 +1,4 @@
-"""Confidence calibration: metrics, diagrams, and recalibrators.
+"""Confidence calibration: metrics and a recalibrator.
 
 "Accurately quantifying the confidence of responses requires the system
 to be able to evaluate when it is competent" (Section 2.2).  Competence
@@ -7,15 +7,12 @@ evaluation starts with measurement:
 * :func:`expected_calibration_error` (ECE) — the standard binned gap
   between stated confidence and empirical accuracy;
 * :func:`brier_score`, :func:`auroc` — proper scoring and discrimination;
-* :func:`reliability_diagram` — the binned data behind calibration plots;
-* :class:`HistogramBinningCalibrator` / :class:`IsotonicCalibrator` —
-  post-hoc recalibration fitted on held-out (confidence, correctness)
-  pairs.  Isotonic uses the classic pool-adjacent-violators algorithm.
+* :class:`IsotonicCalibrator` — post-hoc recalibration fitted on
+  held-out (confidence, correctness) pairs, with the classic
+  pool-adjacent-violators algorithm.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,80 +93,6 @@ def auroc(confidences, correctness) -> float:
     n_neg = len(negatives)
     u_statistic = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u_statistic / (n_pos * n_neg))
-
-
-@dataclass
-class ReliabilityBin:
-    """One bin of a reliability diagram."""
-
-    lower: float
-    upper: float
-    count: int
-    mean_confidence: float
-    accuracy: float
-
-
-def reliability_diagram(
-    confidences, correctness, n_bins: int = 10
-) -> list[ReliabilityBin]:
-    """Binned (confidence, accuracy) pairs for calibration plots."""
-    conf, correct = _validate(confidences, correctness)
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    bins: list[ReliabilityBin] = []
-    for lower, upper in zip(edges[:-1], edges[1:]):
-        if upper == 1.0:
-            mask = (conf >= lower) & (conf <= upper)
-        else:
-            mask = (conf >= lower) & (conf < upper)
-        count = int(mask.sum())
-        bins.append(
-            ReliabilityBin(
-                lower=float(lower),
-                upper=float(upper),
-                count=count,
-                mean_confidence=float(conf[mask].mean()) if count else 0.0,
-                accuracy=float(correct[mask].mean()) if count else 0.0,
-            )
-        )
-    return bins
-
-
-class HistogramBinningCalibrator:
-    """Recalibrate by replacing confidence with its bin's empirical accuracy."""
-
-    def __init__(self, n_bins: int = 10):
-        if n_bins < 2:
-            raise SoundnessError("n_bins must be >= 2")
-        self.n_bins = n_bins
-        self._edges: np.ndarray | None = None
-        self._bin_accuracy: np.ndarray | None = None
-
-    def fit(self, confidences, correctness) -> "HistogramBinningCalibrator":
-        """Estimate per-bin accuracy on held-out data."""
-        conf, correct = _validate(confidences, correctness)
-        self._edges = np.linspace(0.0, 1.0, self.n_bins + 1)
-        accuracies = np.empty(self.n_bins)
-        overall = float(correct.mean())
-        for index in range(self.n_bins):
-            lower = self._edges[index]
-            upper = self._edges[index + 1]
-            if index == self.n_bins - 1:
-                mask = (conf >= lower) & (conf <= upper)
-            else:
-                mask = (conf >= lower) & (conf < upper)
-            accuracies[index] = float(correct[mask].mean()) if mask.any() else overall
-        self._bin_accuracy = accuracies
-        return self
-
-    def transform(self, confidences) -> np.ndarray:
-        """Map raw confidences to calibrated ones."""
-        if self._edges is None or self._bin_accuracy is None:
-            raise SoundnessError("calibrator not fitted")
-        conf = np.asarray(confidences, dtype=np.float64)
-        indices = np.clip(
-            np.digitize(conf, self._edges[1:-1], right=False), 0, self.n_bins - 1
-        )
-        return self._bin_accuracy[indices]
 
 
 class IsotonicCalibrator:

@@ -7,11 +7,9 @@ from repro.analytics import (
     decompose,
     describe,
     detect_seasonality,
-    group_summary,
     iqr_outliers,
     pearson_correlation,
     sufficient_data,
-    zscore_outliers,
 )
 from repro.analytics.timeseries import InsufficientDataError
 from repro.errors import CDAError
@@ -173,24 +171,7 @@ class TestCorrelation:
         assert "strong positive" in text
 
 
-class TestGroupSummary:
-    def test_per_group(self):
-        summary = group_summary(["a", "a", "b"], [1.0, 3.0, 10.0])
-        assert summary["a"].mean == pytest.approx(2.0)
-        assert summary["b"].count == 1
-
-    def test_alignment_required(self):
-        with pytest.raises(CDAError):
-            group_summary(["a"], [1, 2])
-
-
 class TestOutliers:
-    def test_zscore_finds_planted_outlier(self):
-        values = [10.0] * 30 + [10.5] * 30 + [9.5] * 30 + [100.0]
-        report = zscore_outliers(values)
-        assert report.count == 1
-        assert report.values == [100.0]
-
     def test_iqr_finds_planted_outlier(self):
         values = list(np.linspace(1, 10, 50)) + [500.0]
         report = iqr_outliers(values)
@@ -203,19 +184,13 @@ class TestOutliers:
 
     def test_indices_refer_to_original_positions(self):
         values = [1.0, None, 1.1, 0.9, 1.0, 1.05, 0.95, 99.0]
-        report = zscore_outliers(values, threshold=2.0)
+        report = iqr_outliers(values)
         assert report.indices == [7]
-
-    def test_constant_data(self):
-        report = zscore_outliers([5.0] * 10)
-        assert report.count == 0
 
     def test_describe(self):
         values = list(np.linspace(1, 10, 50)) + [500.0]
         assert "outlier" in iqr_outliers(values).describe()
 
     def test_minimums(self):
-        with pytest.raises(CDAError):
-            zscore_outliers([1.0, 2.0])
         with pytest.raises(CDAError):
             iqr_outliers([1.0, 2.0, 3.0])

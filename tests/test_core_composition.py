@@ -6,7 +6,6 @@ from repro.core import (
     Component,
     ComponentRegistry,
     Property,
-    check_pipeline,
     compose_properties,
 )
 from repro.core.registry import default_cda_registry
@@ -109,22 +108,6 @@ class TestComposition:
         pipeline = registry.resolve(["answer_generator"])
         verdict = compose_properties(
             pipeline, input_properties=frozenset({Property.SOUNDNESS})
-        )
-        assert verdict.holds(Property.SOUNDNESS)
-
-    def test_check_pipeline_raises_with_reasons(self, registry):
-        pipeline = registry.resolve(["llm_generator", "sql_engine"])
-        with pytest.raises(CompositionError) as excinfo:
-            check_pipeline(pipeline, required=[Property.GROUNDING])
-        assert "P2_grounding" in excinfo.value.missing_properties
-
-    def test_check_pipeline_passes(self, registry):
-        pipeline = registry.resolve(
-            ["grounded_parser", "sql_engine", "verifier", "answer_generator"]
-        )
-        verdict = check_pipeline(
-            pipeline,
-            required=[Property.GROUNDING, Property.SOUNDNESS],
         )
         assert verdict.holds(Property.SOUNDNESS)
 

@@ -1,12 +1,11 @@
-"""Tests for the extension features: bias auditing, reward decoding,
-query caching, active clarification, data rotting."""
+"""Tests for the extension features: reward decoding, query caching,
+active clarification."""
 
 import numpy as np
 import pytest
 
-from repro.analytics import BiasAuditor, SentimentLexicon, keyness
-from repro.datasets import RotDetector, build_swiss_labour_registry
-from repro.errors import CDAError, GuidanceError, SoundnessError
+from repro.datasets import build_swiss_labour_registry
+from repro.errors import GuidanceError, SoundnessError
 from repro.guidance import ActiveClarificationSelector, entropy
 from repro.nl import SimulatedLLM
 from repro.nl.llmsim import LLMOutput
@@ -17,104 +16,6 @@ from repro.soundness import (
 )
 from repro.soundness.reward import N_FEATURES
 from repro.sqldb import Database
-
-
-# ---------------------------------------------------------------------------
-# Bias analysis (CADS + sentiment)
-# ---------------------------------------------------------------------------
-
-
-class TestSentimentLexicon:
-    def test_positive_and_negative(self):
-        lexicon = SentimentLexicon()
-        assert lexicon.score("the results are excellent and reliable") > 0
-        assert lexicon.score("a terrible and unreliable failure") < 0
-
-    def test_negation_flips(self):
-        lexicon = SentimentLexicon()
-        positive = lexicon.score("the data is reliable")
-        negated = lexicon.score("the data is not reliable")
-        assert positive > 0
-        assert negated < 0
-
-    def test_neutral_text_scores_zero(self):
-        assert SentimentLexicon().score("the table has twelve rows") == 0.0
-
-    def test_custom_terms(self):
-        lexicon = SentimentLexicon()
-        lexicon.add("overheated", -0.5)
-        assert lexicon.score("the market is overheated") < 0
-
-    def test_valence_bounds(self):
-        with pytest.raises(CDAError):
-            SentimentLexicon().add("x", 2.0)
-
-
-class TestKeyness:
-    def test_characteristic_terms_surface(self):
-        corpus_a = ["alpha beta beta beta market", "beta growth market"] * 3
-        corpus_b = ["gamma delta decline market", "gamma market"] * 3
-        results = keyness(corpus_a, corpus_b)
-        by_term = {result.term: result.z_score for result in results}
-        assert by_term["beta"] > 0
-        assert by_term["gamma"] < 0
-
-    def test_shared_terms_near_zero(self):
-        corpus_a = ["market data market"] * 4
-        corpus_b = ["market data market"] * 4
-        results = keyness(corpus_a, corpus_b)
-        for result in results:
-            assert abs(result.z_score) < 1.0
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(CDAError):
-            keyness([], ["x"])
-
-    def test_min_count_filters_rares(self):
-        results = keyness(["unique word here"], ["other text body"], min_count=2)
-        assert all(result.count_a + result.count_b >= 2 for result in results)
-
-
-class TestBiasAuditor:
-    def make_log(self):
-        # Turns about 'north' are systematically negative, 'south' positive.
-        return (
-            ["the north region shows a terrible decline and failure"] * 4
-            + ["north results are poor and unreliable again"] * 2
-            + ["the south region shows excellent growth and success"] * 4
-            + ["south results are strong and reliable"] * 2
-            + ["overall numbers for the quarter"] * 2
-        )
-
-    def test_disparity_flagged(self):
-        auditor = BiasAuditor(group_terms=["north", "south"])
-        findings = auditor.audit(self.make_log())
-        assert findings
-        assert findings[0].group_low == "north"
-        assert findings[0].group_high == "south"
-        assert "human review" in findings[0].describe()
-
-    def test_balanced_log_is_clean(self):
-        auditor = BiasAuditor(group_terms=["north", "south"])
-        balanced = (
-            ["north shows excellent growth"] * 4
-            + ["south shows excellent growth"] * 4
-        )
-        assert auditor.audit(balanced) == []
-
-    def test_small_groups_not_flagged(self):
-        auditor = BiasAuditor(group_terms=["north", "south"], min_turns_per_group=5)
-        short = ["north is terrible"] * 2 + ["south is excellent"] * 2
-        assert auditor.audit(short) == []
-
-    def test_group_reports_expose_vocabulary(self):
-        auditor = BiasAuditor(group_terms=["north", "south"])
-        reports = {r.group: r for r in auditor.group_reports(self.make_log())}
-        assert reports["north"].mean_sentiment < reports["south"].mean_sentiment
-
-    def test_needs_groups(self):
-        with pytest.raises(CDAError):
-            BiasAuditor(group_terms=[])
 
 
 # ---------------------------------------------------------------------------
@@ -320,56 +221,6 @@ class TestActiveClarification:
     def test_empty_rejected(self):
         with pytest.raises(GuidanceError):
             ActiveClarificationSelector().plan({})
-
-
-# ---------------------------------------------------------------------------
-# Data rotting
-# ---------------------------------------------------------------------------
-
-
-class TestRotDetector:
-    def test_fresh_sources_pass(self):
-        detector = RotDetector()
-        verdict = detector.assess("barometer", "monthly", age_days=15)
-        assert not verdict.rotten
-
-    def test_overdue_sources_rot(self):
-        detector = RotDetector()
-        verdict = detector.assess("barometer", "monthly", age_days=90)
-        assert verdict.rotten
-        assert "ROTTEN" in verdict.describe()
-
-    def test_no_cadence_not_assessed(self):
-        verdict = RotDetector().assess("doc", "", age_days=9999)
-        assert not verdict.rotten
-        assert verdict.max_age_days is None
-
-    def test_scan_quarantines_and_restores(self):
-        domain = build_swiss_labour_registry(seed=2)
-        detector = RotDetector()
-        report = detector.scan(domain.registry, {"barometer": 365.0})
-        assert any(v.name == "barometer" and v.rotten for v in report.rotten)
-        assert domain.registry.info("barometer").stale
-        # A refreshed source is automatically restored on the next scan.
-        detector.scan(domain.registry, {"barometer": 5.0})
-        assert not domain.registry.info("barometer").stale
-
-    def test_rotten_sources_hidden_from_discovery_only(self):
-        domain = build_swiss_labour_registry(seed=2)
-        RotDetector().scan(domain.registry, {"barometer": 365.0})
-        names = {info.name for info in domain.registry.sources()}
-        assert "barometer" not in names
-        # ... but provenance replay still works: the table is queryable.
-        result = domain.registry.database.execute("SELECT COUNT(*) FROM barometer")
-        assert result.scalar() == 120
-
-    def test_negative_age_rejected(self):
-        with pytest.raises(CDAError):
-            RotDetector().assess("x", "daily", age_days=-1)
-
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(CDAError):
-            RotDetector(tolerances={"daily": 0.0})
 
 
 class TestEngineCacheIntegration:

@@ -1,13 +1,9 @@
-"""Tests for conversational follow-ups, SPARQL-lite, and where-to analysis."""
+"""Tests for conversational follow-ups, where-to analysis and expertise adaptation."""
 
 import pytest
 
 from repro.core import AnswerKind, CDAEngine
 from repro.datasets import build_swiss_labour_registry
-from repro.errors import KGError
-from repro.kg import SchemaKnowledgeGraph
-from repro.kg.sparql import parse_sparql, sparql_select
-from repro.kg.triple_store import TripleStore
 
 
 @pytest.fixture
@@ -65,80 +61,6 @@ class TestFollowUps:
         assert followup.confidence is not None
         assert followup.explanation is not None
         assert any("follow-up" in n for n in followup.explanation.grounding_notes)
-
-
-class TestSparql:
-    @pytest.fixture
-    def store(self, employees_db):
-        return SchemaKnowledgeGraph(employees_db.catalog).store
-
-    def test_single_pattern(self, store):
-        rows = sparql_select(
-            store,
-            'SELECT ?c WHERE { ?c cda:columnOf table:employees . }',
-        )
-        assert ("column:employees.salary",) in rows
-        assert len(rows) == 5
-
-    def test_join_patterns(self, store):
-        rows = sparql_select(
-            store,
-            'SELECT ?c WHERE { ?c cda:columnOf table:employees . '
-            '?c cda:datatype "FLOAT" . }',
-        )
-        assert rows == [("column:employees.salary",)]
-
-    def test_distinct_and_limit(self, store):
-        rows = sparql_select(
-            store,
-            "SELECT DISTINCT ?t WHERE { ?c cda:columnOf ?t . } LIMIT 1",
-        )
-        assert len(rows) == 1
-
-    def test_star_projection(self, store):
-        query = parse_sparql(
-            "SELECT * WHERE { ?c cda:columnOf ?t . }"
-        )
-        assert query.variables == ["c", "t"]
-
-    def test_boolean_literal(self, store):
-        rows = sparql_select(
-            store,
-            "SELECT ?c WHERE { ?c cda:nullable false . }",
-        )
-        # The two primary-key-ish NOT NULL columns (employees.id is
-        # nullable=False via PRIMARY KEY; departments.department too).
-        assert rows
-
-    def test_numeric_literal(self):
-        store = TripleStore()
-        store.add("s", "age", 30)
-        rows = sparql_select(store, "SELECT ?x WHERE { ?x age 30 . }")
-        assert rows == [("s",)]
-
-    def test_parse_errors(self):
-        with pytest.raises(KGError):
-            parse_sparql("ASK { ?s ?p ?o }")
-        with pytest.raises(KGError):
-            parse_sparql("SELECT ?x WHERE { ?x p }")
-        with pytest.raises(KGError):
-            parse_sparql("SELECT ?x WHERE { ?x p o . } LIMIT abc")
-        with pytest.raises(KGError):
-            parse_sparql("SELECT WHERE { ?x p o . }")
-        with pytest.raises(KGError):
-            parse_sparql("SELECT ?x WHERE { ?x p o . ")
-
-    def test_unbound_projection_rejected(self):
-        store = TripleStore()
-        store.add("s", "p", "o")
-        with pytest.raises(KGError):
-            sparql_select(store, "SELECT ?zzz WHERE { ?x p o . }")
-
-    def test_trailing_dot_optional(self):
-        store = TripleStore()
-        store.add("s", "p", "o")
-        rows = sparql_select(store, "SELECT ?x WHERE { ?x p o }")
-        assert rows == [("s",)]
 
 
 class TestWhereToAnalysis:

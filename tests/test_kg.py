@@ -5,17 +5,12 @@ import pytest
 from repro.errors import KGError, OntologyError
 from repro.kg import (
     DomainVocabulary,
-    EntityLinker,
     Ontology,
     SchemaKnowledgeGraph,
     Triple,
-    TriplePattern,
     TripleStore,
-    Variable,
     VocabularyTerm,
-    bgp_query,
 )
-from repro.kg.query import select
 from repro.kg.vocabulary import edit_similarity, token_overlap, trigram_similarity
 
 
@@ -73,71 +68,6 @@ class TestTripleStore:
     def test_empty_subject_rejected(self):
         with pytest.raises(KGError):
             TripleStore().add("", "p", "o")
-
-
-class TestBGPQuery:
-    def make(self):
-        store = TripleStore()
-        store.add_all(
-            [
-                ("alice", "works_at", "acme"),
-                ("bob", "works_at", "acme"),
-                ("carol", "works_at", "globex"),
-                ("acme", "located_in", "zurich"),
-                ("globex", "located_in", "bern"),
-            ]
-        )
-        return store
-
-    def test_single_pattern(self):
-        bindings = bgp_query(
-            self.make(), [TriplePattern(Variable("who"), "works_at", "acme")]
-        )
-        assert {binding["who"] for binding in bindings} == {"alice", "bob"}
-
-    def test_join_across_patterns(self):
-        bindings = bgp_query(
-            self.make(),
-            [
-                TriplePattern(Variable("p"), "works_at", Variable("c")),
-                TriplePattern(Variable("c"), "located_in", "zurich"),
-            ],
-        )
-        assert {binding["p"] for binding in bindings} == {"alice", "bob"}
-
-    def test_shared_variable_consistency(self):
-        store = TripleStore()
-        store.add("x", "p", "x")
-        store.add("y", "p", "z")
-        bindings = bgp_query(
-            store, [TriplePattern(Variable("a"), "p", Variable("a"))]
-        )
-        assert [binding["a"] for binding in bindings] == ["x"]
-
-    def test_filters(self):
-        bindings = bgp_query(
-            self.make(),
-            [TriplePattern(Variable("who"), "works_at", Variable("c"))],
-            filters=[lambda binding: binding["who"] != "bob"],
-        )
-        assert all(binding["who"] != "bob" for binding in bindings)
-
-    def test_no_match_is_empty(self):
-        assert bgp_query(
-            self.make(), [TriplePattern("nobody", "works_at", Variable("c"))]
-        ) == []
-
-    def test_empty_patterns_rejected(self):
-        with pytest.raises(KGError):
-            bgp_query(self.make(), [])
-
-    def test_select_projection_dedupes(self):
-        rows = select(
-            self.make(),
-            ["c"],
-            [TriplePattern(Variable("p"), "works_at", Variable("c"))],
-        )
-        assert sorted(rows) == [("acme",), ("globex",)]
 
 
 class TestOntology:
@@ -268,34 +198,6 @@ class TestVocabulary:
 
     def test_expand(self):
         assert "workforce" in self.make().expand("employment")
-
-
-class TestEntityLinker:
-    def test_links_schema_labels(self, employees_kg):
-        linker = EntityLinker(employees_kg.ontology)
-        links = linker.link_text("average salary per department")
-        mentions = {link.mention: link.entity for link in links}
-        assert mentions.get("salary") == "column:employees.salary"
-
-    def test_ambiguity_reported(self, employees_kg):
-        linker = EntityLinker(employees_kg.ontology, ambiguity_margin=0.5)
-        links = linker.link_text("department")
-        assert links
-        # 'department' exists in both tables: competitors must be visible.
-        assert links[0].ambiguous_with
-
-    def test_below_threshold_returns_none(self, employees_kg):
-        linker = EntityLinker(employees_kg.ontology)
-        assert linker.link_phrase("zzzzqqq") is None
-
-    def test_refresh_picks_up_new_labels(self, employees_kg):
-        linker = EntityLinker(employees_kg.ontology)
-        employees_kg.ontology.add_instance(
-            "ent:new", "cda:Table", label="brand new table"
-        )
-        assert linker.link_phrase("brand new table") is None
-        linker.refresh()
-        assert linker.link_phrase("brand new table") is not None
 
 
 class TestSchemaKG:

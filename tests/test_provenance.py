@@ -18,12 +18,7 @@ from repro.provenance import (
     check_invertibility,
     check_losslessness,
 )
-from repro.provenance.explanation import (
-    explain_difference,
-    merge_explanations,
-    require_invertible,
-    require_lossless,
-)
+from repro.provenance.explanation import require_invertible, require_lossless
 from repro.provenance.model import source_row_id
 from repro.provenance.semiring import parse_row_variable, row_variable
 
@@ -265,25 +260,6 @@ class TestExplanations:
     def test_code_snippet_contains_sql(self, employees_db):
         _result, explanation = self.make(employees_db)
         assert "db.execute" in explanation.code_snippet
-
-    def test_explain_difference(self):
-        summary = explain_difference([(1,), (2,)], [(1,), (3,)])
-        assert "missing" in summary
-        assert "unexpected" in summary
-
-    def test_explain_difference_order_only(self):
-        assert "order" in explain_difference([(1,), (2,)], [(2,), (1,)])
-
-    def test_merge_explanations(self, employees_db):
-        _result, first = self.make(employees_db)
-        result2 = employees_db.execute("SELECT COUNT(*) FROM departments")
-        second = ExplanationBuilder(employees_db).from_query_result(result2)
-        merged = merge_explanations([first, second])
-        assert set(merged.source_tables) == {"employees", "departments"}
-
-    def test_merge_zero_raises(self):
-        with pytest.raises(ProvenanceError):
-            merge_explanations([])
 
     def test_source_row_id_helper(self):
         assert source_row_id("t", 3) == "row:t:3"

@@ -9,7 +9,6 @@ from repro.nl.llmsim import LLMOutput
 from repro.soundness import (
     AnswerVerifier,
     ConsistencyUQ,
-    HistogramBinningCalibrator,
     IsotonicCalibrator,
     RowVerdict,
     SelectiveAnsweringPolicy,
@@ -18,7 +17,6 @@ from repro.soundness import (
     brier_score,
     expected_calibration_error,
     fuse_confidence,
-    reliability_diagram,
     risk_coverage_curve,
 )
 from repro.soundness.abstention import accuracy_at_coverage
@@ -114,11 +112,6 @@ class TestCalibrationMetrics:
     def test_auroc_degenerate(self):
         assert auroc([0.5, 0.6], [1, 1]) == 0.5
 
-    def test_reliability_diagram_masses(self):
-        bins = reliability_diagram([0.05, 0.95, 0.96], [0, 1, 1], n_bins=10)
-        assert sum(b.count for b in bins) == 3
-        assert bins[-1].count == 2
-
     def test_input_validation(self):
         with pytest.raises(SoundnessError):
             expected_calibration_error([1.5], [1])
@@ -135,17 +128,6 @@ class TestRecalibration:
         true_probability = (confidences - 0.5) * 0.8  # actual accuracy lower
         outcomes = (rng.random(n) < true_probability).astype(float)
         return confidences, outcomes
-
-    def test_histogram_binning_reduces_ece(self):
-        confidences, outcomes = self.make_overconfident()
-        calibrator = HistogramBinningCalibrator().fit(
-            confidences[:1000], outcomes[:1000]
-        )
-        raw = expected_calibration_error(confidences[1000:], outcomes[1000:])
-        calibrated = expected_calibration_error(
-            calibrator.transform(confidences[1000:]), outcomes[1000:]
-        )
-        assert calibrated < raw / 2
 
     def test_isotonic_reduces_ece(self):
         confidences, outcomes = self.make_overconfident()
@@ -166,8 +148,6 @@ class TestRecalibration:
     def test_unfitted_calibrator_raises(self):
         with pytest.raises(SoundnessError):
             IsotonicCalibrator().transform([0.5])
-        with pytest.raises(SoundnessError):
-            HistogramBinningCalibrator().transform([0.5])
 
 
 class TestVerifier:
