@@ -177,28 +177,18 @@ class CDAEngine:
         return answer
 
     def _record_turn(self, answer: Answer, seconds: float, root) -> None:
-        """Fold one finished turn into the telemetry pipeline: the turn
-        latency sketch, per-stage latency histograms (when traced), the
-        fused-confidence distribution, and the event log."""
+        """Fold one finished turn into the cross-turn aggregates: the
+        turn latency sketch, the fused-confidence distribution and, when
+        traced, one observation per stage latency histogram.  The turn's
+        own timings stay in its span tree and the recorder's
+        ``latency_s``; no event copies them."""
         _TURN_LATENCY.observe(seconds)
         if answer.confidence is not None:
             _CONFIDENCE.observe(answer.confidence.value)
-        emit(
-            "engine.turn",
-            kind=answer.kind.value,
-            seconds=round(seconds, 6),
-        )
         if root is not None:
             for stage in root.children:
                 histogram(f"core.stage.{stage.name}.latency").observe(
                     stage.duration_seconds
-                )
-                emit(
-                    "engine.stage",
-                    severity="debug",
-                    stage=stage.name,
-                    status=stage.status,
-                    ms=round(stage.duration_ms, 3),
                 )
 
     def _capture_turn(

@@ -210,12 +210,13 @@ class ConversationGraph:
         """The chain of turns leading to ``turn_id`` (where-from analysis)."""
         self.turn(turn_id)
         chain = [turn_id]
+        seen = {turn_id}
         current = turn_id
-        while True:
-            predecessors = self._pred[current]
-            if not predecessors:
+        while self._pred[current]:
+            current = min(self._pred[current])  # earliest parent keeps chains linear
+            if current in seen:  # ``link`` accepts cycles; stop at the first repeat
                 break
-            current = min(predecessors)  # earliest parent keeps chains linear
+            seen.add(current)
             chain.append(current)
         return [self._nodes[nid] for nid in reversed(chain)]
 
@@ -267,9 +268,23 @@ class ConversationGraph:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ConversationGraph":
-        """Rebuild a graph exported by :meth:`to_dict`."""
+        """Rebuild a graph exported by :meth:`to_dict`.
+
+        A session links each edge right after the later of its two turns
+        is added, so the rebuild does the same (in exported edge order):
+        the rebuilt graph's :meth:`digest` then equals the live one's.
+        Successor order is restored from the export afterwards, so
+        ``from_dict(g.to_dict()).to_dict() == g.to_dict()`` for any graph.
+        """
         graph = cls()
         turns = sorted(payload.get("turns", []), key=lambda t: t["turn_id"])
+        known = {turn["turn_id"] for turn in turns}
+        edges = payload.get("edges", [])
+        edges_after: dict[int, list[dict]] = {}
+        for edge in edges:
+            if edge["from"] not in known or edge["to"] not in known:
+                raise GuidanceError("edge references a missing turn")
+            edges_after.setdefault(max(edge["from"], edge["to"]), []).append(edge)
         id_map: dict[int, int] = {}
         for turn in turns:
             node = graph.add_turn(
@@ -281,12 +296,18 @@ class ConversationGraph:
                 metadata=turn.get("metadata", {}),
             )
             id_map[turn["turn_id"]] = node.turn_id
-        for edge in payload.get("edges", []):
-            source = id_map.get(edge["from"])
-            target = id_map.get(edge["to"])
-            if source is None or target is None:
-                raise GuidanceError("edge references a missing turn")
-            graph.link(source, target, role=edge.get("role", "follows"))
+            for edge in edges_after.get(turn["turn_id"], ()):
+                graph.link(
+                    id_map[edge["from"]],
+                    id_map[edge["to"]],
+                    role=edge.get("role", "follows"),
+                )
+        exported: dict[int, list[int]] = {}
+        for edge in edges:
+            exported.setdefault(id_map[edge["from"]], []).append(id_map[edge["to"]])
+        for source, targets in exported.items():
+            successors = graph._succ[source]
+            graph._succ[source] = {target: successors[target] for target in targets}
         return graph
 
     def mean_confidence(self) -> float | None:

@@ -3,13 +3,19 @@
 The cross-cutting layer of the reproduction: every other package
 reports *into* it (spans via :mod:`repro.obs.trace`, tallies via
 :mod:`repro.obs.metrics`, occurrences via :mod:`repro.obs.events`) and
-the engine exports *out of* it — a turn trace as JSON/text or Chrome
+the engine exports *out of* it — a turn trace as a dict, text or Chrome
 trace-event JSON, the registry as Prometheus exposition (all in
 :mod:`repro.obs.exporters`), and the whole
 session as P1–P5 reliability verdicts (:mod:`repro.obs.scorecard`).
 Latency histograms carry a mergeable relative-error-bounded quantile
 sketch (:mod:`repro.obs.sketch`) so tail percentiles stay accurate at
 any scale.
+
+Each measurement has one per-turn record: a turn's stage timings live
+in its span tree, its latency in the flight recorder's ``latency_s``.
+Histograms aggregate both across turns; events hold only what neither
+records (abstentions, clarifications, cache invalidations, verifier
+failures, recorder anomalies).
 
 Dependency-free by design — stdlib only — so any layer can import it
 without cycles, and disabled instrumentation costs one no-op call.
@@ -18,11 +24,9 @@ without cycles, and disabled instrumentation costs one no-op call.
 from repro.obs.trace import NULL_SPAN, Span, current_span, span, start_trace
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     counter,
-    gauge,
     get_registry,
     histogram,
 )
@@ -35,16 +39,12 @@ from repro.obs.events import (
     get_event_log,
 )
 from repro.obs.exporters import (
-    blackbox_chrome_trace,
     chrome_trace_json,
-    from_dict,
-    from_json,
     render_text,
     sanitize_metric_name,
     stage_timings,
     to_chrome_trace,
     to_dict,
-    to_json,
     to_prometheus,
 )
 from repro.obs.scorecard import (
@@ -78,12 +78,10 @@ __all__ = [
     "start_trace",
     "current_span",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "get_registry",
     "counter",
-    "gauge",
     "histogram",
     "QuantileSketch",
     "Event",
@@ -92,15 +90,11 @@ __all__ = [
     "emit",
     "get_event_log",
     "to_dict",
-    "from_dict",
-    "to_json",
-    "from_json",
     "render_text",
     "stage_timings",
     "to_prometheus",
     "to_chrome_trace",
     "chrome_trace_json",
-    "blackbox_chrome_trace",
     "sanitize_metric_name",
     "SLOThresholds",
     "CheckResult",

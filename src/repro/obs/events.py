@@ -5,18 +5,15 @@ work in total".  What neither captures is *what happened, in order*: a
 cache invalidation storm, a run of verifier failures, the abstention
 that preceded a clarification.  The event log records those discrete
 occurrences as structured entries in a bounded ring buffer — old events
-fall off the back, so the recorder is always on and never grows.
+fall off the back, so the recorder is always on and never grows.  It
+holds only what no span or metric already records: no event copies a
+stage or turn duration.
 
 Each :class:`Event` carries a dotted name (``layer.component.event``),
 a severity, free-form attributes, and a timestamp taken from the
 monotonic clock *relative to the log's creation* — event times order
 and subtract correctly within a process but deliberately carry no
 wall-clock meaning (no ``Date.now`` flakiness, nothing to redact).
-
-Subscriber hooks fan events out as they are emitted (a test asserting
-on an invalidation, a future shipper pushing to an external collector);
-a failing subscriber is dropped after the fact rather than allowed to
-break the emitting layer.
 
 Stdlib only, like the rest of :mod:`repro.obs`.
 """
@@ -51,18 +48,9 @@ class Event:
     t_ns: int
     attrs: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        """JSON-ready form."""
-        return {
-            "name": self.name,
-            "severity": self.severity,
-            "t_ms": round(self.t_ns / 1e6, 6),
-            "attrs": dict(self.attrs),
-        }
-
 
 class EventLog:
-    """Ring buffer of :class:`Event` with subscriber fan-out.
+    """Ring buffer of :class:`Event`.
 
     ``capacity`` bounds memory: the log keeps the most recent events and
     silently drops the oldest (``dropped`` counts how many fell off).
@@ -73,14 +61,13 @@ class EventLog:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._events: deque[Event] = deque(maxlen=capacity)
-        self._subscribers: list = []
         self._origin_ns = monotonic_ns()
         self.emitted = 0
 
     # -- emission ----------------------------------------------------------------
 
     def emit(self, name: str, severity: str = "info", **attrs) -> Event:
-        """Record one event (and notify subscribers)."""
+        """Record one event."""
         if severity not in _SEVERITY_RANK:
             raise ValueError(f"severity must be one of {SEVERITIES}")
         event = Event(
@@ -91,25 +78,7 @@ class EventLog:
         )
         self._events.append(event)
         self.emitted += 1
-        for subscriber in list(self._subscribers):
-            try:
-                subscriber(event)
-            except Exception:  # noqa: BLE001 - a bad hook must not break emitters
-                self.unsubscribe(subscriber)
         return event
-
-    # -- subscriptions -----------------------------------------------------------
-
-    def subscribe(self, callback) -> None:
-        """Call ``callback(event)`` on every future emission."""
-        self._subscribers.append(callback)
-
-    def unsubscribe(self, callback) -> None:
-        """Remove a subscriber (no-op if absent)."""
-        try:
-            self._subscribers.remove(callback)
-        except ValueError:
-            pass
 
     # -- queries -----------------------------------------------------------------
 
@@ -157,17 +126,6 @@ class EventLog:
         tail.reverse()
         return tail
 
-    def counts_by_severity(self) -> dict[str, int]:
-        """Buffered event counts keyed by severity (all keys present)."""
-        counts = {severity: 0 for severity in SEVERITIES}
-        for event in self._events:
-            counts[event.severity] += 1
-        return counts
-
-    def to_dicts(self, prefix: str = "") -> list[dict]:
-        """The buffer as JSON-ready dicts, oldest first."""
-        return [event.to_dict() for event in self.events(prefix)]
-
     def __len__(self) -> int:
         return len(self._events)
 
@@ -178,7 +136,7 @@ class EventLog:
 
     def reset(self) -> None:
         """Drop every buffered event and zero the counters in place
-        (subscribers stay attached; the time origin is kept)."""
+        (the time origin is kept)."""
         self._events.clear()
         self.emitted = 0
 

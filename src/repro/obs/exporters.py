@@ -1,17 +1,16 @@
-"""Trace and metric exporters: span-tree JSON and text, Prometheus
+"""Trace and metric exporters: span-tree dicts and text, Prometheus
 exposition, Chrome trace JSON.
 
 Internal telemetry earns its keep when it leaves the process and
 external tooling can read it:
 
-* a turn trace as JSON (``to_dict``/``to_json``, with ``from_dict`` as
-  its inverse) makes the trace a queryable object — the
-  Query-By-Provenance view of the pipeline itself — while
-  :func:`render_text` is the human report behind
-  ``python -m repro ... --trace``.  Attribute values are coerced to
-  JSON-safe scalars on export (anything exotic becomes its ``repr``), so
-  ``from_dict(to_dict(t))`` always round-trips to an identical
-  dictionary;
+* :func:`to_dict` turns a turn trace into a nested JSON-ready dict — the
+  form the flight recorder stores in a black box, so the trace is a
+  queryable object (the Query-By-Provenance view of the pipeline
+  itself).  Attribute values are coerced to JSON-safe scalars (anything
+  exotic becomes its ``repr``).  :func:`render_text` is the human report
+  behind ``python -m repro ... --trace``, and :func:`stage_timings`
+  aggregates stage durations across traces;
 * :func:`to_prometheus` renders the whole metrics registry in the
   Prometheus text exposition format (version 0.0.4): sanitized metric
   names, ``# TYPE`` headers, counters with the ``_total`` suffix, and
@@ -32,31 +31,21 @@ from __future__ import annotations
 import json
 import re
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-)
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry, get_registry
 from repro.obs.trace import Span
 
 __all__ = [
     "to_dict",
-    "from_dict",
-    "to_json",
-    "from_json",
     "render_text",
     "stage_timings",
     "sanitize_metric_name",
     "to_prometheus",
     "to_chrome_trace",
     "chrome_trace_json",
-    "blackbox_chrome_trace",
 ]
 
 
-# -- span trees as JSON and text ---------------------------------------------------
+# -- span trees as dicts and text --------------------------------------------------
 
 
 def _jsonable(value):
@@ -86,31 +75,6 @@ def to_dict(span: Span) -> dict:
     if span.children:
         payload["children"] = [to_dict(child) for child in span.children]
     return payload
-
-
-def from_dict(payload: dict) -> Span:
-    """Rebuild a span tree from its :func:`to_dict` form.
-
-    Timings are restored from ``duration_ms`` (start rebased to zero), so
-    ``to_dict(from_dict(d)) == d`` — the JSON round-trip is lossless.
-    """
-    span = Span(payload["name"], dict(payload.get("attributes", {})) or None)
-    span.status = payload.get("status", "ok")
-    span.error = payload.get("error")
-    span.start_ns = 0
-    span.end_ns = int(round(payload.get("duration_ms", 0.0) * 1e6))
-    span.children = [from_dict(child) for child in payload.get("children", [])]
-    return span
-
-
-def to_json(span: Span, indent: int | None = 2) -> str:
-    """The span tree serialised as a JSON document."""
-    return json.dumps(to_dict(span), indent=indent)
-
-
-def from_json(text: str) -> Span:
-    """Inverse of :func:`to_json`."""
-    return from_dict(json.loads(text))
 
 
 def render_text(span: Span, max_attributes: int = 6) -> str:
@@ -224,10 +188,6 @@ def to_prometheus(
             lines.append(f"# HELP {family} {name}")
             lines.append(f"# TYPE {family} counter")
             lines.append(f"{family} {_format_value(metric.value)}")
-        elif isinstance(metric, Gauge):
-            lines.append(f"# HELP {base} {name}")
-            lines.append(f"# TYPE {base} gauge")
-            lines.append(f"{base} {_format_value(metric.value)}")
         elif isinstance(metric, Histogram):
             lines.append(f"# HELP {base} {name}")
             lines.append(f"# TYPE {base} histogram")
@@ -291,74 +251,3 @@ def chrome_trace_json(root: Span, indent: int | None = None) -> str:
     """:func:`to_chrome_trace` serialised as a JSON document."""
     return json.dumps(to_chrome_trace(root), indent=indent)
 
-
-def blackbox_chrome_trace(blackbox, pid: int = 1) -> dict:
-    """A whole black box as one Perfetto-loadable session timeline.
-
-    Each recorded turn's captured span tree (stored in its output
-    envelope by :func:`repro.obs.recorder.output_envelope`) is laid out
-    sequentially on a single thread — turn N starts where turn N-1
-    ended — so a dumped session can be inspected end to end as one
-    flame graph.  Turns recorded without tracing contribute a single
-    synthetic span from their measured turn latency; anomalous turns are
-    marked with their reasons in ``args``.
-    """
-    events: list[dict] = [
-        {
-            "ph": "M",
-            "name": "process_name",
-            "pid": pid,
-            "tid": 1,
-            "args": {"name": "repro session"},
-        }
-    ]
-    cursor_us = 0.0
-    for recording in blackbox.turns:
-        outputs = recording.outputs
-        args: dict = {
-            "turn_index": recording.turn_index,
-            "question": recording.question,
-            "kind": outputs.get("kind"),
-        }
-        if recording.anomaly:
-            args["anomaly"] = recording.anomaly
-        trace_payload = outputs.get("trace")
-        if trace_payload is not None:
-            # Loaded black boxes store the tree as a dict; a live
-            # recorder still holds the Span object (lazy serialisation).
-            root = (
-                from_dict(trace_payload)
-                if isinstance(trace_payload, dict)
-                else trace_payload
-            )
-            origin_ns = root.start_ns
-            for node in root.iter_spans():
-                events.append(
-                    {
-                        "name": node.name,
-                        "cat": node.name.split(".", 1)[0],
-                        "ph": "X",
-                        "ts": cursor_us + (node.start_ns - origin_ns) / 1e3,
-                        "dur": node.duration_ns / 1e3,
-                        "pid": pid,
-                        "tid": 1,
-                        "args": args if node is root else {"status": node.status},
-                    }
-                )
-            duration_us = root.duration_ns / 1e3
-        else:
-            duration_us = (outputs.get("latency_s") or 0.0) * 1e6
-            events.append(
-                {
-                    "name": "engine.ask",
-                    "cat": "engine",
-                    "ph": "X",
-                    "ts": cursor_us,
-                    "dur": duration_us,
-                    "pid": pid,
-                    "tid": 1,
-                    "args": args,
-                }
-            )
-        cursor_us += duration_us
-    return {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -1,4 +1,4 @@
-"""Unified metrics registry: counters, gauges, fixed-bucket histograms.
+"""Unified metrics registry: counters and fixed-bucket histograms.
 
 Before this module every layer kept bespoke tallies — ``CacheStats`` on
 the query cache, ``QueryStats`` on the database, ad-hoc ints on the
@@ -15,9 +15,8 @@ Design constraints mirror :mod:`repro.obs.trace`:
   (:func:`get_registry`); :meth:`MetricsRegistry.reset` zeroes every
   metric *in place*, so handles cached at import time (the hot-path
   pattern) survive test-isolation resets;
-* **no numpy in the hot path** — :class:`Histogram` buckets are a plain
-  linear scan over a short tuple of bounds; observation is O(#buckets)
-  with no allocation.
+* **no numpy in the hot path** — :class:`Histogram` observation is a
+  binary search over a short tuple of bucket bounds, with no allocation.
 """
 
 from __future__ import annotations
@@ -28,12 +27,10 @@ from repro.obs.sketch import QuantileSketch
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "get_registry",
     "counter",
-    "gauge",
     "histogram",
 ]
 
@@ -57,63 +54,8 @@ class Counter:
         """Zero the tally in place (handles stay valid)."""
         self.value = 0
 
-    def snapshot(self):
-        """The current value (plain int/float for JSON export)."""
-        return self.value
-
-    def to_dict(self) -> dict:
-        """Full state (lossless, JSON-safe)."""
-        return {"kind": "counter", "value": self.value}
-
-    def restore(self, payload: dict) -> None:
-        """Inverse of :meth:`to_dict`, in place."""
-        self.value = payload["value"]
-
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, {self.value})"
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("name", "value")
-
-    kind = "gauge"
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        """Record the current level."""
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Adjust the level relatively (e.g. open connections)."""
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Inverse of :meth:`inc`."""
-        self.value -= amount
-
-    def reset(self) -> None:
-        """Zero the gauge in place."""
-        self.value = 0.0
-
-    def snapshot(self):
-        """The current value."""
-        return self.value
-
-    def to_dict(self) -> dict:
-        """Full state (lossless, JSON-safe)."""
-        return {"kind": "gauge", "value": self.value}
-
-    def restore(self, payload: dict) -> None:
-        """Inverse of :meth:`to_dict`, in place."""
-        self.value = payload["value"]
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name!r}, {self.value})"
 
 
 #: Default histogram bounds: decade-spanning, unit-agnostic (callers
@@ -234,56 +176,6 @@ class Histogram:
         if self.sketch is not None:
             self.sketch.reset()
 
-    def snapshot(self) -> dict:
-        """Summary dict (JSON-ready)."""
-        summary = {
-            "count": self.count,
-            "sum": self.total,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "buckets": {
-                str(bound): self.counts[index]
-                for index, bound in enumerate(self.buckets)
-                if self.counts[index]
-            },
-            "overflow": self.counts[-1],
-        }
-        if self.sketch is not None and self.count:
-            summary["quantiles"] = self.sketch.quantiles()
-        return summary
-
-    def to_dict(self) -> dict:
-        """Full state (lossless, JSON-safe) — unlike :meth:`snapshot`,
-        which summarises."""
-        payload: dict = {
-            "kind": "histogram",
-            "buckets": list(self.buckets),
-            "counts": list(self.counts),
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-        }
-        if self.sketch is not None:
-            payload["sketch"] = self.sketch.to_dict()
-        return payload
-
-    def restore(self, payload: dict) -> None:
-        """Inverse of :meth:`to_dict`, in place (bucket bounds included)."""
-        self.buckets = tuple(payload["buckets"])
-        self.counts = list(payload["counts"])
-        self.count = payload["count"]
-        self.total = payload["sum"]
-        self.min = payload["min"]
-        self.max = payload["max"]
-        sketch_state = payload.get("sketch")
-        self.sketch = (
-            QuantileSketch.from_dict(sketch_state)
-            if sketch_state is not None
-            else None
-        )
-
     def __repr__(self) -> str:
         return f"Histogram({self.name!r}, n={self.count}, mean={self.mean:.4g})"
 
@@ -291,14 +183,14 @@ class Histogram:
 class MetricsRegistry:
     """Named metrics, created on first use, resettable as a unit.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create: the first call
+    ``counter``/``histogram`` are get-or-create: the first call
     registers, later calls return the same object — which is what lets
     hot paths cache a handle at import time and never pay a lookup again.
     Asking for an existing name as a different kind raises.
     """
 
     def __init__(self):
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._metrics: dict[str, Counter | Histogram] = {}
 
     def _get_or_create(self, name: str, factory, kind: str):
         metric = self._metrics.get(name)
@@ -314,10 +206,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         """The counter named ``name`` (created on first use)."""
         return self._get_or_create(name, lambda: Counter(name), "counter")
-
-    def gauge(self, name: str) -> Gauge:
-        """The gauge named ``name`` (created on first use)."""
-        return self._get_or_create(name, lambda: Gauge(name), "gauge")
 
     def histogram(
         self,
@@ -373,52 +261,6 @@ class MetricsRegistry:
         for metric in self._metrics.values():
             metric.reset()
 
-    def snapshot(self, prefix: str = "") -> dict:
-        """Name → value/summary for every metric (optionally filtered by
-        name prefix); counters/gauges flatten to scalars, histograms to
-        summary dicts.  Sorted for stable JSON diffs."""
-        return {
-            name: metric.snapshot()
-            for name, metric in sorted(self._metrics.items())
-            if name.startswith(prefix)
-        }
-
-    def to_dict(self) -> dict:
-        """Every metric's *full* state, name-keyed and JSON-safe.
-
-        Unlike :meth:`snapshot` (a human summary), this is lossless:
-        ``MetricsRegistry.from_dict(r.to_dict())`` reconstructs an
-        equivalent registry, and ``from_dict(d).to_dict() == d`` — the
-        round-trip the scorecard and exporters rely on to move metrics
-        across processes.
-        """
-        return {
-            name: metric.to_dict()
-            for name, metric in sorted(self._metrics.items())
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MetricsRegistry":
-        """Rebuild a registry from its :meth:`to_dict` form."""
-        registry = cls()
-        factories = {
-            "counter": registry.counter,
-            "gauge": registry.gauge,
-        }
-        for name, state in payload.items():
-            kind = state["kind"]
-            if kind == "histogram":
-                metric = registry.histogram(
-                    name,
-                    buckets=tuple(state["buckets"]),
-                    sketch=False,  # restore() reinstates the sketch state
-                )
-            else:
-                metric = factories[kind](name)
-            metric.restore(state)
-        return registry
-
-
 #: The process-wide default registry every layer reports into.
 _GLOBAL = MetricsRegistry()
 
@@ -431,11 +273,6 @@ def get_registry() -> MetricsRegistry:
 def counter(name: str) -> Counter:
     """Shorthand for ``get_registry().counter(name)``."""
     return _GLOBAL.counter(name)
-
-
-def gauge(name: str) -> Gauge:
-    """Shorthand for ``get_registry().gauge(name)``."""
-    return _GLOBAL.gauge(name)
 
 
 def histogram(

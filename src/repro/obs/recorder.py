@@ -7,8 +7,8 @@ keeps the full input envelope (question, oracle SQL for the simulated
 LLM, serialized :class:`~repro.core.config.ReliabilityConfig`, the
 session-state digest before the turn, the dataset fingerprint in the
 header) and the full output envelope (answer fields, SQL, confidence,
-abstention, rows, span tree, event slice, per-turn counter deltas, the
-post-turn state digest) in a bounded ring — old turns fall off the
+abstention, rows, turn latency, span tree, event slice, per-turn
+counter deltas, the post-turn state digest) in a bounded ring — old turns fall off the
 back, so the recorder is always on and never grows.
 
 The buffer serialises as a versioned JSONL "black-box" file (one header
@@ -17,8 +17,9 @@ line, one line per turn) via :meth:`FlightRecorder.dump` /
 :mod:`repro.obs.replay` re-executes a black box on a fresh engine and
 diffs each replayed output envelope against the recorded one with
 :func:`diff_envelopes` — only the :data:`COMPARED_FIELDS` participate;
-timings, span durations and event timestamps are captured for diagnosis
-but never flagged, so a healthy replay reports **zero divergences**.
+the turn latency, the span tree and the event slice are captured for
+diagnosis but never flagged, so a healthy replay reports **zero
+divergences**.
 
 Like the rest of :mod:`repro.obs` this module is stdlib-only and
 imports nothing from the wider package: the answer object is accessed
@@ -143,13 +144,9 @@ def output_envelope(
         "metrics_delta": dict(sorted((metrics_delta or {}).items())),
         "post_digest": post_digest,
         # -- diagnosis-only (never compared) -------------------------------
+        # The turn's timing, once: its latency here, its stage timings in
+        # the span tree.
         "latency_s": round(latency_s, 9) if latency_s is not None else None,
-        "stage_latency_ms": {
-            child.name: round(child.duration_ms, 6)
-            for child in answer.trace.children
-        }
-        if answer.trace is not None
-        else {},
         # The finished span tree is kept as the live object and only
         # serialised when the envelope leaves the process (to_dict) —
         # per-turn capture must not pay for a full tree walk.

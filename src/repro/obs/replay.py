@@ -14,8 +14,8 @@ The product is a :class:`DivergenceReport`:
   ("which commit changed this answer?") possible;
 * after a config or code change, every difference is *field-attributed*
   (``sql`` changed, ``confidence.value`` moved, the turn now abstains)
-  and carries both values, plus per-stage latency deltas for the
-  performance side of the diff.
+  and carries both values.  Timings are not compared: each envelope
+  keeps its own span tree and ``latency_s`` for diagnosis.
 
 ``replay_session()`` is the API; ``python -m repro --replay FILE`` is
 the CLI (exit code 1 on any divergence, so CI can gate on it).  Module
@@ -47,15 +47,6 @@ class FieldDivergence:
     recorded: object
     replayed: object
 
-    def to_dict(self) -> dict:
-        """JSON-ready form."""
-        return {
-            "turn_index": self.turn_index,
-            "field": self.field,
-            "recorded": self.recorded,
-            "replayed": self.replayed,
-        }
-
     def describe(self) -> str:
         """One line for the text report (long values elided)."""
         return (
@@ -76,27 +67,11 @@ class TurnReplay:
     turn_index: int
     question: str
     divergences: list[FieldDivergence] = field(default_factory=list)
-    #: stage → (recorded_ms, replayed_ms); informational, never flagged.
-    stage_delta_ms: dict = field(default_factory=dict)
-    latency_delta_s: float | None = None
 
     @property
     def diverged(self) -> bool:
         """Whether any compared field differed."""
         return bool(self.divergences)
-
-    def to_dict(self) -> dict:
-        """JSON-ready form."""
-        return {
-            "turn_index": self.turn_index,
-            "question": self.question,
-            "diverged": self.diverged,
-            "divergences": [d.to_dict() for d in self.divergences],
-            "stage_delta_ms": {
-                stage: list(pair) for stage, pair in self.stage_delta_ms.items()
-            },
-            "latency_delta_s": self.latency_delta_s,
-        }
 
 
 @dataclass
@@ -128,17 +103,6 @@ class DivergenceReport:
             if divergence.field not in seen:
                 seen.append(divergence.field)
         return seen
-
-    def to_dict(self) -> dict:
-        """JSON-ready form (the machine output of ``--replay``)."""
-        return {
-            "diverged": self.diverged,
-            "turns_replayed": len(self.turns),
-            "divergence_count": self.divergence_count,
-            "fields_flagged": self.fields_flagged(),
-            "header_issues": list(self.header_issues),
-            "turns": [turn.to_dict() for turn in self.turns],
-        }
 
     def render_text(self) -> str:
         """The terminal report behind ``python -m repro --replay``."""
@@ -262,36 +226,21 @@ def replay_session(
         turn = TurnReplay(
             turn_index=recording.turn_index, question=recording.question
         )
-        divergences = []
         recorded_pre = recording.inputs.get("pre_digest")
         if recorded_pre is not None:
             live_pre = engine.session.state_digest()
             if live_pre != recorded_pre:
-                divergences.append(
+                turn.divergences.append(
                     FieldDivergence(
                         recording.turn_index, "pre_digest", recorded_pre, live_pre
                     )
                 )
         engine.ask(recording.question, recording.inputs.get("gold_sql"))
-        replayed = engine.recorder.last().outputs
-        recorded = recording.outputs
-        divergences.extend(
+        turn.divergences.extend(
             FieldDivergence(recording.turn_index, name, a, b)
-            for name, a, b in diff_envelopes(recorded, replayed)
-        )
-        turn.divergences = divergences
-        recorded_stages = recorded.get("stage_latency_ms") or {}
-        replayed_stages = replayed.get("stage_latency_ms") or {}
-        turn.stage_delta_ms = {
-            stage: (recorded_stages.get(stage), replayed_stages.get(stage))
-            for stage in {**recorded_stages, **replayed_stages}
-        }
-        if (
-            recorded.get("latency_s") is not None
-            and replayed.get("latency_s") is not None
-        ):
-            turn.latency_delta_s = round(
-                replayed["latency_s"] - recorded["latency_s"], 9
+            for name, a, b in diff_envelopes(
+                recording.outputs, engine.recorder.last().outputs
             )
+        )
         report.turns.append(turn)
     return report

@@ -20,8 +20,7 @@ Properties the telemetry pipeline relies on:
   property that makes per-shard sketches aggregable;
 * **bounded memory** — bucket count grows with the *log* of the value
   range (one dict entry per occupied bucket), not with observations;
-* **lossless round-trip** — :meth:`to_dict`/:meth:`from_dict` preserve
-  the full state for registry export.
+  :meth:`to_dict` exposes the occupied buckets.
 
 Like the rest of :mod:`repro.obs`: stdlib only, no numpy on the
 observation path (one ``log`` + one dict increment per value).
@@ -191,7 +190,7 @@ class QuantileSketch:
 
     def to_dict(self) -> dict:
         """Full state as a JSON-safe dict (buckets as sorted pairs)."""
-        payload: dict = {
+        return {
             "relative_accuracy": self.relative_accuracy,
             "count": self.count,
             "sum": self.total,
@@ -205,20 +204,6 @@ class QuantileSketch:
                 [index, self._negative[index]] for index in sorted(self._negative)
             ],
         }
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "QuantileSketch":
-        """Inverse of :meth:`to_dict` (exact state restoration)."""
-        sketch = cls(payload["relative_accuracy"])
-        sketch.count = payload["count"]
-        sketch.total = payload["sum"]
-        sketch.min = payload["min"]
-        sketch.max = payload["max"]
-        sketch._zeros = payload["zeros"]
-        sketch._positive = {int(index): count for index, count in payload["positive"]}
-        sketch._negative = {int(index): count for index, count in payload["negative"]}
-        return sketch
 
     def __repr__(self) -> str:
         return (

@@ -8,6 +8,7 @@ list-scanning Kahn's algorithm for the topological order, and
 Bellman-Ford-style relaxation for shortest derivation paths.
 """
 
+import signal
 from collections import deque
 
 import pytest
@@ -283,8 +284,9 @@ class TestConversationGraphOracle:
             assert [node.turn_id for node in graph.speculative_children(turn)] == [
                 target for target in successors if target % 3 == 2
             ]
-        # The digest chains mutations in call order, so a rebuild (turns
-        # first, then edges by source) is compared with a second rebuild.
+        # The digest chains mutations in call order; a rebuild links each
+        # edge after its later turn, so arbitrary link orders are compared
+        # with a second rebuild (engine sessions match the live digest).
         rebuilt = ConversationGraph.from_dict(graph.to_dict())
         assert rebuilt.to_dict() == graph.to_dict()
         assert ConversationGraph.from_dict(rebuilt.to_dict()).digest() == rebuilt.digest()
@@ -297,3 +299,43 @@ class TestConversationGraphOracle:
         graph.link(1, 3, role="replies_to")
         graph.link(2, 3, role="follows")
         assert [node.turn_id for node in graph.thread_of(3)] == [1, 3]
+
+    def test_thread_of_stops_on_a_cycle(self):
+        graph = ConversationGraph()
+        for index in range(2):
+            graph.add_turn("user", TurnKind.USER_QUESTION, f"q{index}")
+        graph.link(0, 1, role="replies_to")
+        graph.link(1, 0, role="follows")
+
+        def hang(signum, frame):
+            raise TimeoutError("thread_of did not stop on a cycle")
+
+        # An unbounded walk grows its chain forever: cut it off early.
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        try:
+            thread = graph.thread_of(1)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [node.turn_id for node in thread] == [0, 1]
+
+    def test_rebuilt_engine_session_matches_the_live_digest(self):
+        domain = build_swiss_labour_registry(seed=5)
+        engine = CDAEngine(domain.registry, domain.vocabulary)
+        kinds = [
+            engine.ask(question).kind.value
+            for question in (
+                "how many employees are there",
+                "what datasets do you have about jobs",
+                "xyzzy plugh",
+                "employment",
+                "how many employees are there in zurich",
+                "and for bern?",
+            )
+        ]
+        assert kinds == ["data", "discovery", "clarification", "metadata", "data", "data"]
+        graph = engine.session.graph
+        rebuilt = ConversationGraph.from_dict(graph.to_dict())
+        assert rebuilt.to_dict() == graph.to_dict()
+        assert rebuilt.digest() == graph.digest()

@@ -8,6 +8,7 @@ sqldb / retrieval children, and the near-zero cost of tracing off.
 
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
@@ -19,14 +20,12 @@ from repro.obs import (
     MetricsRegistry,
     Span,
     current_span,
-    from_json,
     get_registry,
     render_text,
     span,
     stage_timings,
     start_trace,
     to_dict,
-    to_json,
 )
 
 
@@ -103,24 +102,18 @@ class TestSpan:
 
 
 class TestMetrics:
-    def test_counter_gauge_histogram_basics(self):
+    def test_counter_histogram_basics(self):
         registry = MetricsRegistry()
         c = registry.counter("c")
         c.inc()
         c.inc(4)
-        assert c.snapshot() == 5
-        g = registry.gauge("g")
-        g.set(2.0)
-        g.inc()
-        g.dec(0.5)
-        assert g.snapshot() == 2.5
+        assert c.value == 5
         h = registry.histogram("h", buckets=(1.0, 10.0))
         for value in (0.5, 5.0, 500.0):
             h.observe(value)
-        snap = h.snapshot()
-        assert snap["count"] == 3
-        assert snap["min"] == 0.5 and snap["max"] == 500.0
-        assert snap["overflow"] == 1
+        assert h.count == 3
+        assert h.min == 0.5 and h.max == 500.0
+        assert h.counts == [1, 1, 1]  # the last bin is the overflow bin
         assert h.mean == pytest.approx(505.5 / 3)
         assert h.quantile(0.0) <= h.quantile(1.0)
 
@@ -133,7 +126,7 @@ class TestMetrics:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(TypeError):
-            registry.gauge("x")
+            registry.histogram("x")
 
     def test_reset_zeroes_in_place_keeping_handles(self):
         registry = MetricsRegistry()
@@ -149,7 +142,7 @@ class TestMetrics:
         registry = MetricsRegistry()
         registry.counter("a.one").inc()
         registry.counter("b.two").inc()
-        assert list(registry.snapshot(prefix="a.")) == ["a.one"]
+        assert registry.counter_values(prefix="a.") == {"a.one": 1}
         assert registry.names() == ["a.one", "b.two"]
         assert "a.one" in registry
 
@@ -186,7 +179,7 @@ class TestExport:
     def test_json_round_trip_is_lossless(self):
         root = self._sample_trace()
         payload = to_dict(root)
-        assert to_dict(from_json(to_json(root))) == payload
+        assert json.loads(json.dumps(payload)) == payload
         assert payload["children"][1]["status"] == "error"
         # Exotic attribute values were coerced to JSON-safe forms.
         assert payload["children"][0]["attributes"]["weird"] == {"tuple": [1, 2]}
@@ -200,13 +193,12 @@ class TestExport:
                     raise SoundnessError("verification exploded")
         except SoundnessError:
             pass
-        restored = from_json(to_json(root))
-        failed = restored.find("engine.execution")
-        assert failed.status == "error"
-        assert failed.error == "SoundnessError: verification exploded"
-        assert restored.status == "error"
-        # A second round trip is a fixed point.
-        assert to_dict(from_json(to_json(restored))) == to_dict(restored)
+        restored = json.loads(json.dumps(to_dict(root)))
+        (failed,) = restored["children"]
+        assert failed["name"] == "engine.execution"
+        assert failed["status"] == "error"
+        assert failed["error"] == "SoundnessError: verification exploded"
+        assert restored["status"] == "error"
 
     def test_render_text_shows_tree_and_errors(self):
         report = render_text(self._sample_trace())
@@ -251,8 +243,8 @@ class TestEngineTracing:
         execution = root.find("engine.execution")
         assert execution.find("sqldb.executor.execute") is not None
         assert root.find("soundness.verifier.verify") is not None
-        # And the whole turn exports both ways.
-        assert to_dict(from_json(to_json(root))) == to_dict(root)
+        # And the whole turn exports as JSON and text.
+        assert json.loads(json.dumps(to_dict(root))) == to_dict(root)
         assert "engine.ask" in render_text(root)
 
     def test_discovery_ask_has_retrieval_children(self, engine):

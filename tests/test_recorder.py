@@ -229,12 +229,14 @@ class TestEngineCapture:
         assert outputs["post_digest"] == engine.session.state_digest()
         assert outputs["metrics_delta"]["core.session.questions"] == 1
         assert outputs["latency_s"] > 0
-        assert "engine.execution" in outputs["stage_latency_ms"]
+        assert outputs["trace"].find("engine.execution") is not None
         # The span tree is held live and only serialised on to_dict().
         serialised = engine.recorder.last().to_dict()["outputs"]
         assert serialised["trace"]["name"] == "engine.ask"
-        assert any(
-            event["name"] == "engine.turn" for event in outputs["events"]
+        # The event slice holds no copy of the turn's timings.
+        assert not any(
+            event["name"] in ("engine.turn", "engine.stage")
+            for event in outputs["events"]
         )
 
     def test_pre_digest_chains_to_previous_post_digest(self, engine):
@@ -277,7 +279,7 @@ class TestEngineCapture:
         outputs = engine.recorder.last().outputs
         assert outputs["kind"] == "data"
         assert outputs["trace"] is None
-        assert outputs["stage_latency_ms"] == {}
+        assert outputs["latency_s"] > 0
 
 
 # -- black-box files ----------------------------------------------------------
