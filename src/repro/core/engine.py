@@ -976,7 +976,7 @@ class CDAEngine:
             description=result.sql,
             inputs=[
                 f"dataset:{table}"
-                for table in sorted(read.union(result.lineage_index().tables))
+                for table in sorted(read.union(result.lineage_index.tables))
             ],
             outputs=[f"answer:{self.session.answers_given}"],
         )

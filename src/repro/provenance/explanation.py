@@ -16,8 +16,9 @@ enough metadata to pass.
 
 An explanation built by :meth:`ExplanationBuilder.from_query_result`
 renders ``source_rows``, ``source_tables`` and ``how`` on first read, from
-the result's lineage index and the how-polynomials taken when it was
-built: an answer whose explanation nobody reads pays for neither.
+the (immutable) result's lineage index and how-polynomials, which it
+shares rather than copies: an answer whose explanation nobody reads pays
+for neither.
 """
 
 from __future__ import annotations
@@ -127,8 +128,8 @@ class ExplanationBuilder:
             rows=list(result.rows),
             grounding_notes=list(grounding_notes or []),
             computation_notes=list(computation_notes or []),
-            _lineage=result.lineage_index(),
-            _polynomials=tuple(result.how or ()),
+            _lineage=result.lineage_index,
+            _polynomials=result.how or (),
         )
         return explanation
 

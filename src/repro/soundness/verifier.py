@@ -8,14 +8,15 @@ verifier offers three depths — benchmark E4's ablation axis:
   which type-checks against the catalog (catches schema hallucinations
   and swapped text, not wrong logic); only non-canonical text is parsed;
 * ``"reexecution"`` — execute the recorded statement again and compare the
-  answer with what the database returns: the pristine copy it kept when
-  it executed the query.  With the query cache on, that copy is served
-  from the cache while the cited tables are unchanged and re-computed
-  after a change, so a tampered answer and a stale one both fail.  Rows
-  are compared as multisets of their ``repr`` (``1`` and ``1.0`` differ);
+  answer with what the database returns.  With the query cache on, the
+  replay is the very result the cache computed while the read tables are
+  unchanged, and a re-computed one after a change.  Results are
+  immutable, so a tampered answer is another object, and it fails like a
+  stale one.  Rows are compared as multisets of their ``repr`` (``1`` and
+  ``1.0`` differ);
 * ``"provenance"`` — re-derive the answer from its *cited source rows*,
   set-at-a-time: one ``_CitedRows`` per verification reads the answer's
-  lineage index (``QueryResult.lineage_index``, grouped by table once),
+  lineage index (``QueryResult.lineage_index``, built once per result),
   existence is one set difference per table, and for single-table
   statements the WHERE clause and the aggregate argument are compiled
   once and evaluated column at a time over the distinct cited rows'
@@ -147,7 +148,7 @@ class AnswerVerifier:
                 checks_run=["re-execute recorded SQL"],
                 issues=[f"re-execution failed: {exc}"],
             )
-        if list(replay.columns) != list(result.columns):
+        if replay.columns != result.columns:
             issues.append("re-execution produced different columns")
         if not _same_row_multiset(replay.rows, result.rows):
             issues.append("re-execution produced different rows")
@@ -172,7 +173,7 @@ class AnswerVerifier:
         statement = result.statement
         simple = statement is not None and self._is_simple_single_table(statement)
         cited = _CitedRows(
-            self.database.catalog, result.lineage_index(), statement if simple else None
+            self.database.catalog, result.lineage_index, statement if simple else None
         )
         issues = cited.existence_issues(result.lineage)
         if simple:
@@ -304,7 +305,7 @@ def _row_verdicts(
         return None
     agg_position = expressions.index(aggregate)
     if cited is None:
-        cited = _CitedRows(catalog, result.lineage_index(), statement)
+        cited = _CitedRows(catalog, result.lineage_index, statement)
     if isinstance(aggregate.argument, ast.Star):
         values, errors = None, cited.missing_from_queried()
     else:
@@ -398,7 +399,7 @@ class _CitedRows:
         """Cited ids of the queried table with no row, with their fetch errors."""
         return self._missing.get(self._queried.name.lower(), {})
 
-    def existence_issues(self, lineage: list[Lineage]) -> list[str]:
+    def existence_issues(self, lineage: tuple[Lineage, ...]) -> list[str]:
         """One issue per foreign or gone atom, in lineage order."""
         if not self.foreign and not self._missing:
             return []
@@ -521,16 +522,14 @@ def _denotes(sql: str, statement: ast.SelectStatement) -> bool:
         return False
 
 
-def _same_row_multiset(a: list[tuple], b: list[tuple]) -> bool:
+def _same_row_multiset(a: tuple[tuple, ...], b: tuple[tuple, ...]) -> bool:
     """Whether ``a`` and ``b`` hold the same rows, compared by ``repr``.
 
-    ``repr`` keeps ``1`` and ``1.0`` apart.  A cache-served replay shares
-    its row tuples with the answer it produced, and the same immutable
-    tuple has the same ``repr``, so identical lists skip the formatting.
+    ``repr`` keeps ``1`` and ``1.0`` apart.  A cache-served replay of an
+    untampered answer hands back the answer's own rows tuple, which skips
+    the formatting.
     """
-    if len(a) == len(b) and all(map(is_, a, b)):
-        return True
-    return Counter(map(repr, a)) == Counter(map(repr, b))
+    return a is b or Counter(map(repr, a)) == Counter(map(repr, b))
 
 
 def _values_close(a, b) -> bool:

@@ -13,6 +13,11 @@ monotonically increasing version bumped on any mutation, and a cache
 entry records the versions of every table its query touched.  A lookup
 whose recorded versions differ from the live ones is a miss, never a
 stale hit — correctness by construction, measured in benchmark E11.
+
+An entry holds the one :class:`~repro.sqldb.database.QueryResult` the
+miss computed, and a hit hands that object out.  Results are immutable,
+so no caller can change what later callers receive, and the lineage
+index built for the entry is shared by every turn that reuses it.
 """
 
 from __future__ import annotations

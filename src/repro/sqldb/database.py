@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
-from operator import is_, itemgetter
+from dataclasses import dataclass, replace
+from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 from repro.errors import ExecutionError
@@ -37,9 +38,8 @@ class LineageIndex:
     names sorted.  Sorted ids and atoms are computed only on request.
     """
 
-    def __init__(self, lineage: list[Lineage]):
-        self.source = tuple(lineage)
-        self.atoms: Lineage = frozenset().union(*self.source)
+    def __init__(self, lineage: tuple[Lineage, ...]):
+        self.atoms: Lineage = frozenset().union(*lineage)
         names = set(map(itemgetter(0), self.atoms))
         if len(names) == 1:
             self.by_table = {names.pop(): frozenset(map(itemgetter(1), self.atoms))}
@@ -50,10 +50,6 @@ class LineageIndex:
             }
         self.tables = sorted(self.by_table)
 
-    def built_from(self, lineage: list[Lineage]) -> bool:
-        """Whether each entry of ``lineage`` is the set object indexed here."""
-        return len(lineage) == len(self.source) and all(map(is_, lineage, self.source))
-
     def sorted_ids(self, table_name: str) -> list[int]:
         """The cited row ids of ``table_name``, ascending (sorted per call)."""
         return sorted(self.by_table[table_name])
@@ -63,27 +59,26 @@ class LineageIndex:
         return [(name, row_id) for name in self.tables for row_id in self.sorted_ids(name)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryResult:
-    """A query answer annotated with its provenance.
+    """A query answer annotated with its provenance; an immutable value.
 
     ``lineage[i]`` is the set of base rows that produced ``rows[i]``;
     ``how[i]`` (when how-provenance capture is on) is the N[X] polynomial
     describing how they combined.  ``sql`` and ``statement`` record the
-    query provenance required by P3.
+    query provenance required by P3.  Every field is immutable, so the
+    query cache hands out the one object it computed; a changed answer is
+    a new object (``dataclasses.replace``).
     """
 
-    columns: list[str]
-    rows: list[tuple[SQLValue, ...]]
+    columns: tuple[str, ...]
+    rows: tuple[tuple[SQLValue, ...], ...]
     sql: str
     statement: ast.SelectStatement | None = None
-    lineage: list[Lineage] = field(default_factory=list)
-    how: list[Polynomial] | None = None
+    lineage: tuple[Lineage, ...] = ()
+    how: tuple[Polynomial, ...] | None = None
     elapsed_seconds: float = 0.0
     scanned_rows: int = 0
-    _lineage_index: LineageIndex | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -114,16 +109,14 @@ class QueryResult:
         """Rows as dictionaries keyed by output column name."""
         return [dict(zip(self.columns, row)) for row in self.rows]
 
+    @cached_property
     def lineage_index(self) -> LineageIndex:
-        """The index of ``lineage``, rebuilt once an entry is replaced or rebound."""
-        index = self._lineage_index
-        if index is None or not index.built_from(self.lineage):
-            index = self._lineage_index = LineageIndex(self.lineage)
-        return index
+        """The index of ``lineage``, built on first read."""
+        return LineageIndex(self.lineage)
 
     def all_source_rows(self) -> Lineage:
         """Union of the lineage of every output row."""
-        return self.lineage_index().atoms
+        return self.lineage_index.atoms
 
 
 @dataclass
@@ -224,18 +217,24 @@ class Database:
             return self.execute_select(statement, sql=sql)
         if isinstance(statement, ast.CreateTableStatement):
             self._execute_create(statement)
-            return QueryResult(columns=[], rows=[], sql=sql)
+            return QueryResult(columns=(), rows=(), sql=sql)
         if isinstance(statement, ast.InsertStatement):
             inserted = self._execute_insert(statement)
-            return QueryResult(
-                columns=["inserted"], rows=[(inserted,)], sql=sql
-            )
+            return QueryResult(columns=("inserted",), rows=((inserted,),), sql=sql)
         raise ExecutionError(f"unsupported statement type {type(statement).__name__}")
 
     def execute_select(
         self, statement: ast.SelectStatement, sql: str | None = None
     ) -> QueryResult:
-        """Execute an already-parsed SELECT statement (cache-aware)."""
+        """Execute an already-parsed SELECT statement (cache-aware).
+
+        The result's ``sql`` is ``sql``, or the statement's rendering when
+        ``sql`` is None.  A cache hit returns the stored result itself, or,
+        when asked under another spelling, a copy carrying the caller's
+        text that shares its rows, lineage and lineage index.
+        """
+        if sql is None:
+            sql = statement.to_sql()
         # Capture flags are part of the cache key: a result computed
         # without how-polynomials must not satisfy a lookup that needs them.
         cache_flags = (self.capture_lineage, self.capture_how)
@@ -245,7 +244,11 @@ class Database:
                 cache_span.set_attribute("hit", cached is not None)
             if cached is not None:
                 self.stats.queries_executed += 1
-                return _copy_result(cached)
+                if cached.sql == sql:
+                    return cached
+                respelled = replace(cached, sql=sql)
+                respelled.__dict__["lineage_index"] = cached.lineage_index
+                return respelled
         executor = SelectExecutor(
             self.catalog,
             capture_lineage=self.capture_lineage,
@@ -264,23 +267,17 @@ class Database:
         self._metric_rows_scanned.inc(result.scanned_rows)
         self._metric_seconds.observe(elapsed)
         query_result = QueryResult(
-            columns=result.columns,
-            rows=result.rows,
-            sql=sql if sql is not None else statement.to_sql(),
+            columns=tuple(result.columns),
+            rows=tuple(result.rows),
+            sql=sql,
             statement=statement,
-            lineage=result.lineage,
-            how=result.how,
+            lineage=tuple(result.lineage),
+            how=None if result.how is None else tuple(result.how),
             elapsed_seconds=elapsed,
             scanned_rows=result.scanned_rows,
         )
         if self.cache is not None:
-            # Store a private copy: callers may mutate the result they
-            # received (or be tampered with), and verification relies on
-            # re-execution producing the *computed* answer, not whatever
-            # the caller's object now holds.
-            self.cache.put(
-                statement, self.catalog, _copy_result(query_result), flags=cache_flags
-            )
+            self.cache.put(statement, self.catalog, query_result, flags=cache_flags)
         return query_result
 
     def fetch_source_row(self, table_name: str, row_id: int) -> dict[str, SQLValue]:
@@ -331,20 +328,6 @@ class Database:
                 table.insert(values)
             inserted += 1
         return inserted
-
-
-def _copy_result(result: QueryResult) -> QueryResult:
-    """Independent copy of a result (rows/lineage lists are rebuilt)."""
-    return QueryResult(
-        columns=list(result.columns),
-        rows=list(result.rows),
-        sql=result.sql,
-        statement=result.statement,
-        lineage=list(result.lineage),
-        how=list(result.how) if result.how is not None else None,
-        elapsed_seconds=result.elapsed_seconds,
-        scanned_rows=result.scanned_rows,
-    )
 
 
 def _parse_csv_value(text: str | None) -> SQLValue:

@@ -73,7 +73,7 @@ class TestSQLEdges:
             "SELECT name FROM employees WHERE salary IS NOT NULL "
             "ORDER BY salary * -1 ASC LIMIT 1"
         ).rows
-        assert rows == [("ann",)]
+        assert list(rows) == [("ann",)]
 
     def test_case_in_aggregate(self, employees_db):
         result = employees_db.execute(
@@ -99,10 +99,10 @@ class TestSQLEdges:
         rows = employees_db.execute(
             "SELECT id FROM employees ORDER BY id LIMIT 5 OFFSET 100"
         ).rows
-        assert rows == []
+        assert list(rows) == []
 
     def test_limit_zero(self, employees_db):
-        assert employees_db.execute("SELECT id FROM employees LIMIT 0").rows == []
+        assert list(employees_db.execute("SELECT id FROM employees LIMIT 0").rows) == []
 
     def test_division_error_inside_aggregate_argument(self, employees_db):
         with pytest.raises(ExecutionError):
@@ -121,7 +121,7 @@ class TestSQLEdges:
         rows = employees_db.execute(
             "SELECT id FROM employees WHERE salary BETWEEN 75 AND 95 ORDER BY id"
         ).rows
-        assert rows == [(2,), (3,)]
+        assert list(rows) == [(2,), (3,)]
 
 
 class TestProgressiveBatching:

@@ -1,6 +1,8 @@
 """Tests for the extension features: reward decoding, query caching,
 active clarification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,6 @@ class TestEngineCacheIntegration:
         engine = CDAEngine(domain.registry, domain.vocabulary)
         result = engine.database.execute("SELECT COUNT(*) FROM cantons")
         engine.database.execute("SELECT COUNT(*) FROM cantons")  # prime cache
-        result.rows = [(999,)]
+        result = replace(result, rows=((999,),))
         report = AnswerVerifier(engine.database).verify(result, depth="reexecution")
         assert not report.passed

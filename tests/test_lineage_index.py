@@ -1,17 +1,21 @@
 """One lineage index per answer, shared by every provenance consumer.
 
-``QueryResult.lineage_index`` is built once per answer and read by the
-verifier (existence, WHERE and aggregate re-derivation, row verdicts),
-by the lazily rendered explanation and by the tracker capture.  These
-tests pin the sharing (how many passes a turn makes), the memo's
-soundness when the lineage is tampered with after a verification, and
-that the lazy explanation and the report's row verdicts equal the eager
-formulas and the per-atom reference.  The query cache's table versions
+``QueryResult.lineage_index`` is built once per (immutable) result and
+read by the verifier (existence, WHERE and aggregate re-derivation, row
+verdicts), by the lazily rendered explanation and by the tracker capture.
+The query cache hands out the result it computed, so the index is built
+once per cache entry.  These tests pin the sharing (how many passes a
+turn makes, which objects a hit shares), that a tampered answer is a new
+object the verifier catches, and that the lazy explanation and the
+report's row verdicts equal the eager formulas and the per-atom
+reference.  The query cache's table versions
 and the where-to analysis ride on the same statement walk, so they are
 tested here too.
 """
 
 from __future__ import annotations
+
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +34,9 @@ from repro.provenance.semiring import Polynomial
 from repro.soundness import verifier as verifier_module
 from repro.soundness.verifier import DEPTHS, AnswerVerifier
 from repro.sqldb import Database
+from repro.sqldb.cache import QueryCache
 from repro.sqldb.database import LineageIndex
+from repro.sqldb.parser import parse_sql
 from tests.conftest import build_employees_db
 from tests.test_verifier_reference import reference_verify_rows, single_table_queries
 
@@ -120,30 +126,103 @@ class TestMemoSoundness:
         assert verifier.verify(result).passed
         tampered = result.lineage[0] | {atom}
         if how == "in_place":
-            result.lineage[0] = tampered
-        else:
-            result.lineage = [tampered, *result.lineage[1:]]
+            with pytest.raises(TypeError):
+                result.lineage[0] = tampered
+            assert atom not in result.all_source_rows()
+            assert verifier.verify(result).passed
+            return
+        result = replace(result, lineage=(tampered, *result.lineage[1:]))
         report = verifier.verify(result)
         assert not report.passed
         assert report.row_verdicts is None
         assert any(found.startswith(issue) for found in report.issues)
         assert atom in result.all_source_rows()
 
-    def test_index_is_reused_while_the_lineage_is_untouched(self):
-        result = build_employees_db().execute(self.SQL)
-        index = result.lineage_index()
-        assert result.lineage_index() is index
-        result.lineage = list(result.lineage)  # same sets, new list
-        assert result.lineage_index() is index
-        result.lineage.append(frozenset())
-        assert result.lineage_index() is not index
 
-    def test_cache_copies_do_not_share_the_index(self):
+class TestOneResultPerCacheEntry:
+    SQL = "SELECT x FROM a WHERE x > 1"
+
+    def test_results_are_frozen_tuples(self):
         db = _cache_db()
-        first = db.execute("SELECT x FROM a WHERE x > 1")
-        second = db.execute("SELECT x FROM a WHERE x > 1")
-        assert db.cache.stats.hits == 1
-        assert first.lineage_index() is not second.lineage_index()
+        db.capture_how = True
+        result = db.execute(self.SQL)
+        for name in ("columns", "rows", "sql", "statement", "lineage", "how"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(result, name, getattr(result, name))
+        for container in (result.columns, result.rows, result.lineage, result.how):
+            assert type(container) is tuple
+        assert result.rows == ((2,), (3,))
+
+    def test_a_hit_is_the_object_of_the_miss(self, monkeypatch):
+        db = _cache_db()
+        built = _count_calls(monkeypatch, LineageIndex, "__init__")
+        first = db.execute(self.SQL)
+        verifier = AnswerVerifier(db)
+        for _ in range(3):
+            again = db.execute(self.SQL)
+            assert again is first
+            assert verifier.verify(again).passed
+            assert again.lineage_index is first.lineage_index
+        assert db.cache.stats.hits == 3 + 3  # three executes, three re-executions
+        assert len(built) == 1
+
+    def test_repeated_asks_build_one_index_per_cache_entry(self, monkeypatch):
+        engine = _engine()
+        built = _count_calls(monkeypatch, LineageIndex, "__init__")
+        answers = [engine.ask(question) for question in QUESTIONS * 3]
+        assert all(answer.kind is AnswerKind.DATA for answer in answers)
+        assert len(built) == len(QUESTIONS)
+
+    def test_each_caller_gets_its_own_sql_text(self):
+        db = _cache_db()
+        statement = parse_sql(self.SQL)
+        spellings = ["select x from a where x > 1", "SELECT x FROM a WHERE (x > 1)", None]
+        results = [db.execute_select(statement, sql=text) for text in spellings]
+        results.append(db.execute("select  x  from a where x > 1"))
+        assert [result.sql for result in results] == [
+            "select x from a where x > 1",
+            "SELECT x FROM a WHERE (x > 1)",
+            statement.to_sql(),
+            "select  x  from a where x > 1",
+        ]
+        assert db.cache.stats.hits == 3
+        first = results[0]
+        for result in results[1:]:
+            assert result.rows is first.rows
+            assert result.lineage is first.lineage
+            assert result.lineage_index is first.lineage_index
+        assert db.execute_select(statement, sql=spellings[0]) is first
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT COUNT(*) FROM a WHERE x IN (SELECT y FROM b)",
+            "SELECT x FROM a WHERE x = 1 UNION SELECT y FROM b",
+        ],
+    )
+    def test_a_write_to_an_inner_table_makes_a_new_result(self, sql):
+        db = _cache_db()
+        first = db.execute(sql)
+        index = first.lineage_index
+        assert db.execute(sql) is first
+        db.execute("INSERT INTO b VALUES (2, 2)")
+        second = db.execute(sql)
+        assert second is not first
+        assert second.lineage_index is not index
+        assert db.execute(sql) is second
+
+    @pytest.mark.parametrize("depth", DEPTHS)
+    @settings(max_examples=40, deadline=None)
+    @given(sql=single_table_queries())
+    def test_cache_served_result_verifies_like_an_uncached_one(self, depth, sql):
+        cached_db = build_employees_db()
+        cached_db.cache = QueryCache()
+        cached_db.execute(sql)
+        served = cached_db.execute(sql)
+        assert cached_db.cache.stats.hits == 1
+        plain_db = build_employees_db()
+        expected = AnswerVerifier(plain_db).verify(plain_db.execute(sql), depth)
+        assert AnswerVerifier(cached_db).verify(served, depth) == expected
 
 
 class TestAgainstEagerFormulas:
@@ -232,7 +311,7 @@ class TestCacheSeesEveryReadTable:
         db = _cache_db()
         db.execute("CREATE TABLE empty (v INT)")
         sql = "SELECT v FROM empty WHERE v IN (SELECT z FROM nosuch)"
-        assert db.execute(sql).rows == []
+        assert list(db.execute(sql).rows) == []
         assert len(db.cache) == 0
 
 

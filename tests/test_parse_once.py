@@ -12,6 +12,7 @@ Every ``parse_sql`` call is counted, whichever module imported the name.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -130,7 +131,7 @@ class TestDatabaseBoundary:
         sql = "SELECT name FROM employees WHERE id = 1"
         parses.clear()
         result = employees_db.execute(sql)
-        assert result.rows == [("ann",)]
+        assert list(result.rows) == [("ann",)]
         assert parses == [sql]
 
     def test_execute_select_parses_nothing(self, parses, employees_db):
@@ -151,31 +152,31 @@ class TestStaticDepthChecksTheExecutedStatement:
         assert parses == []
 
     def test_bogus_statement_with_its_own_text_fails(self, employees_db):
-        result = employees_db.execute(self.SQL)
-        result.statement = parser_module.parse_sql("SELECT bogus_column FROM employees")
-        result.sql = result.statement.to_sql()
+        bogus = parser_module.parse_sql("SELECT bogus_column FROM employees")
+        result = replace(employees_db.execute(self.SQL), statement=bogus, sql=bogus.to_sql())
         report = AnswerVerifier(employees_db).verify(result, depth="static")
         assert not report.passed
         assert report.issues == ["unknown column 'bogus_column'"]
 
     def test_text_of_another_statement_fails(self, employees_db):
-        result = employees_db.execute(self.SQL)
-        result.sql = "select name from employees where id = 2"
+        result = replace(
+            employees_db.execute(self.SQL), sql="select name from employees where id = 2"
+        )
         report = AnswerVerifier(employees_db).verify(result, depth="provenance")
         assert not report.passed
         assert report.issues == ["the recorded SQL is not the statement that was executed"]
 
     def test_other_spelling_of_the_same_statement_passes(self, parses, employees_db):
-        result = employees_db.execute(self.SQL)
-        result.sql = "select name  from employees where (id = 1)"
+        result = replace(
+            employees_db.execute(self.SQL), sql="select name  from employees where (id = 1)"
+        )
         parses.clear()
         report = AnswerVerifier(employees_db).verify(result, depth="provenance")
         assert report.passed, report.issues
         assert parses == [result.sql]
 
     def test_unparseable_text_fails(self, employees_db):
-        result = employees_db.execute(self.SQL)
-        result.sql = "SELCT name FROM employees"
+        result = replace(employees_db.execute(self.SQL), sql="SELCT name FROM employees")
         report = AnswerVerifier(employees_db).verify(result, depth="static")
         assert not report.passed
         assert report.issues == ["the recorded SQL is not the statement that was executed"]

@@ -1,5 +1,7 @@
 """Tests for the soundness layer: UQ, calibration, verification, abstention."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -158,14 +160,12 @@ class TestVerifier:
             assert verifier.verify(result, depth=depth).passed
 
     def test_static_catches_schema_hallucination(self, employees_db):
-        result = employees_db.execute(GOLD)
-        result.sql = "SELECT bogus_column FROM employees"
+        result = replace(employees_db.execute(GOLD), sql="SELECT bogus_column FROM employees")
         report = AnswerVerifier(employees_db).verify(result, depth="static")
         assert not report.passed
 
     def test_reexecution_catches_tampered_rows(self, employees_db):
-        result = employees_db.execute(GOLD)
-        result.rows = [(999.0,)]
+        result = replace(employees_db.execute(GOLD), rows=((999.0,),))
         report = AnswerVerifier(employees_db).verify(result, depth="reexecution")
         assert not report.passed
         assert any("different rows" in issue for issue in report.issues)
@@ -176,8 +176,9 @@ class TestVerifier:
         assert any("recompute aggregate" in check for check in report.checks_run)
 
     def test_provenance_catches_missing_lineage(self, employees_db):
-        result = employees_db.execute("SELECT name FROM employees WHERE id = 1")
-        result.lineage = []
+        result = replace(
+            employees_db.execute("SELECT name FROM employees WHERE id = 1"), lineage=()
+        )
         report = AnswerVerifier(employees_db).verify(result, depth="provenance")
         assert not report.passed
 
@@ -186,7 +187,7 @@ class TestVerifier:
             "SELECT name FROM employees WHERE city = 'zurich'"
         )
         # Claim a bern row supports a zurich answer.
-        result.lineage = [frozenset({("employees", 1)})] * len(result.rows)
+        result = replace(result, lineage=(frozenset({("employees", 1)}),) * len(result.rows))
         report = AnswerVerifier(employees_db).verify(result, depth="provenance")
         assert not report.passed
         assert any("WHERE clause" in issue for issue in report.issues)
@@ -197,7 +198,7 @@ class TestVerifier:
         )
         # departments[0] is 'engineering' too, so a per-row WHERE re-check
         # alone would accept it; the query never read that table.
-        result.lineage = [frozenset({("departments", 0), ("employees", 0)})]
+        result = replace(result, lineage=(frozenset({("departments", 0), ("employees", 0)}),))
         report = AnswerVerifier(employees_db).verify(result, depth="provenance")
         assert not report.passed
         assert report.issues == [
@@ -231,7 +232,7 @@ class TestVerifierSubqueries:
             "SELECT COUNT(*) FROM employees WHERE department IN "
             "(SELECT department FROM departments WHERE floor = 2)"
         )
-        assert result.rows == [(3,)]
+        assert list(result.rows) == [(3,)]
         report = AnswerVerifier(employees_db).verify(result, depth="provenance")
         assert report.passed, report.issues
         assert "recompute aggregate from cited rows alone" in report.checks_run
@@ -239,7 +240,7 @@ class TestVerifierSubqueries:
     def test_tampered_row_still_fails(self, employees_db):
         result = employees_db.execute(self.ABOVE_AVERAGE)
         # Cite dan (salary 70, below the average of 85) for every row.
-        result.lineage = [frozenset({("employees", 3)})] * len(result.rows)
+        result = replace(result, lineage=(frozenset({("employees", 3)}),) * len(result.rows))
         report = AnswerVerifier(employees_db).verify(result, depth="provenance")
         assert not report.passed
         assert report.issues == [
@@ -345,7 +346,7 @@ class TestRowVerification:
         )
         tampered = list(result.rows)
         tampered[1] = (tampered[1][0], 999)
-        result.rows = tampered
+        result = replace(result, rows=tuple(tampered))
         verdicts = verify_rows(employees_db, result)
         assert verdicts[0].verified
         assert not verdicts[1].verified
@@ -359,10 +360,10 @@ class TestRowVerification:
             "GROUP BY department ORDER BY department"
         )
         # Two engineering rows, but cited from the departments table.
-        result.lineage = [
-            frozenset({("departments", 0), ("departments", 1)}),
-            result.lineage[1],
-        ]
+        result = replace(
+            result,
+            lineage=(frozenset({("departments", 0), ("departments", 1)}), result.lineage[1]),
+        )
         report = AnswerVerifier(employees_db).verify(result, depth="provenance")
         assert not report.passed
         assert sorted(report.issues) == [

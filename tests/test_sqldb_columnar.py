@@ -213,8 +213,8 @@ class TestScanErrorOrder:
         with pytest.raises(ExecutionError, match="cannot compare str with int"):
             db.execute("SELECT a FROM t WHERE c > 1")
         # Behind a conjunct that is FALSE on every row, it never runs.
-        assert db.execute("SELECT a FROM t WHERE a > 5 AND c > 1").rows == []
-        assert db.execute("SELECT a FROM t WHERE a = 2 AND c = 'y'").rows == [(2,)]
+        assert list(db.execute("SELECT a FROM t WHERE a > 5 AND c > 1").rows) == []
+        assert list(db.execute("SELECT a FROM t WHERE a = 2 AND c = 'y'").rows) == [(2,)]
 
     def test_two_conjuncts_raising_on_different_rows_give_the_row_loops_error(self):
         db = Database()
@@ -361,8 +361,8 @@ class TestNonBooleanFilters:
 
     def test_booleans_and_nulls_still_filter(self):
         db = self._db()
-        assert db.execute("SELECT k FROM t WHERE q > 0").rows == [(1,)]
-        assert db.execute("SELECT k FROM t WHERE q IS NULL OR q > 0").rows == [(1,), (3,)]
+        assert list(db.execute("SELECT k FROM t WHERE q > 0").rows) == [(1,)]
+        assert list(db.execute("SELECT k FROM t WHERE q IS NULL OR q > 0").rows) == [(1,), (3,)]
 
 
 # -- the memo follows the table -----------------------------------------------------------

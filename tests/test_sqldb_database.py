@@ -171,14 +171,14 @@ class TestDatabaseFacade:
         db = Database()
         db.execute("CREATE TABLE t (id INT PRIMARY KEY, v FLOAT)")
         inserted = db.execute("INSERT INTO t VALUES (1, 2.5), (2, 3.5)")
-        assert inserted.rows == [(2,)]
+        assert list(inserted.rows) == [(2,)]
         assert db.execute("SELECT SUM(v) FROM t").scalar() == 6.0
 
     def test_insert_with_columns_reordered(self):
         db = Database()
         db.execute("CREATE TABLE t (a INT, b TEXT)")
         db.execute("INSERT INTO t (b, a) VALUES ('x', 1)")
-        assert db.execute("SELECT a, b FROM t").rows == [(1, "x")]
+        assert list(db.execute("SELECT a, b FROM t").rows) == [(1, "x")]
 
     def test_load_records(self):
         db = Database()
@@ -191,7 +191,7 @@ class TestDatabaseFacade:
         db = Database()
         db.load_csv("t", path)
         result = db.execute("SELECT a, b, c FROM t ORDER BY a")
-        assert result.rows == [(1, "x", True), (2, "y", False), (3, None, True)]
+        assert list(result.rows) == [(1, "x", True), (2, "y", False), (3, None, True)]
 
     def test_query_result_helpers(self, employees_db):
         result = employees_db.execute(

@@ -23,21 +23,21 @@ class TestSelection:
         result = employees_db.execute(
             "SELECT name FROM employees WHERE salary IS NULL"
         )
-        assert result.rows == [("eve",)]
+        assert list(result.rows) == [("eve",)]
 
     def test_projection_expression(self, employees_db):
         result = employees_db.execute(
             "SELECT name, salary * 2 AS double_pay FROM employees WHERE id = 1"
         )
-        assert result.columns == ["name", "double_pay"]
-        assert result.rows == [("ann", 200.0)]
+        assert list(result.columns) == ["name", "double_pay"]
+        assert list(result.rows) == [("ann", 200.0)]
 
     def test_select_without_from(self, employees_db):
         assert employees_db.execute("SELECT 1 + 1").scalar() == 2
 
     def test_star_expansion(self, employees_db):
         result = employees_db.execute("SELECT * FROM departments")
-        assert result.columns == ["department", "budget", "floor"]
+        assert list(result.columns) == ["department", "budget", "floor"]
         assert len(result.rows) == 2
 
 
@@ -48,7 +48,7 @@ class TestJoins:
             "JOIN departments d ON e.department = d.department "
             "WHERE e.city = 'zurich' ORDER BY e.name"
         )
-        assert result.rows == [("ann", 3), ("cat", 2), ("eve", 2)]
+        assert list(result.rows) == [("ann", 3), ("cat", 2), ("eve", 2)]
 
     def test_left_join_keeps_unmatched(self):
         db = Database()
@@ -59,7 +59,7 @@ class TestJoins:
         result = db.execute(
             "SELECT a.x, b.y FROM a LEFT JOIN b ON a.x = b.x ORDER BY a.x"
         )
-        assert result.rows == [(1, "one"), (2, None)]
+        assert list(result.rows) == [(1, "one"), (2, None)]
 
     def test_cross_join_cardinality(self, employees_db):
         result = employees_db.execute(
@@ -104,14 +104,14 @@ class TestAggregation:
             "SELECT department, COUNT(*) AS n FROM employees "
             "GROUP BY department ORDER BY department"
         )
-        assert result.rows == [("engineering", 2), ("sales", 3)]
+        assert list(result.rows) == [("engineering", 2), ("sales", 3)]
 
     def test_having(self, employees_db):
         result = employees_db.execute(
             "SELECT department FROM employees GROUP BY department "
             "HAVING COUNT(*) > 2"
         )
-        assert result.rows == [("sales",)]
+        assert list(result.rows) == [("sales",)]
 
     def test_having_without_group_rejected(self, employees_db):
         with pytest.raises(ExecutionError):
@@ -121,7 +121,7 @@ class TestAggregation:
         result = employees_db.execute(
             "SELECT COUNT(*), SUM(salary) FROM employees WHERE id > 100"
         )
-        assert result.rows == [(0, None)]
+        assert list(result.rows) == [(0, None)]
 
     def test_non_grouped_column_rejected(self, employees_db):
         with pytest.raises(ExecutionError):
@@ -157,7 +157,7 @@ class TestOrderingAndLimits:
         desc = employees_db.execute(
             "SELECT id FROM employees WHERE salary IS NOT NULL ORDER BY salary DESC"
         ).rows
-        assert asc == list(reversed(desc))
+        assert asc == tuple(reversed(desc))
 
     def test_nulls_sort_last_ascending(self, employees_db):
         rows = employees_db.execute(
@@ -177,25 +177,25 @@ class TestOrderingAndLimits:
         rows = employees_db.execute(
             "SELECT id FROM employees ORDER BY id LIMIT 2 OFFSET 1"
         ).rows
-        assert rows == [(2,), (3,)]
+        assert list(rows) == [(2,), (3,)]
 
     def test_distinct(self, employees_db):
         rows = employees_db.execute(
             "SELECT DISTINCT city FROM employees ORDER BY city"
         ).rows
-        assert rows == [("bern",), ("geneva",), ("zurich",)]
+        assert list(rows) == [("bern",), ("geneva",), ("zurich",)]
 
     def test_order_by_unselected_column(self, employees_db):
         rows = employees_db.execute(
             "SELECT name FROM employees WHERE salary IS NOT NULL ORDER BY salary DESC LIMIT 1"
         ).rows
-        assert rows == [("ann",)]
+        assert list(rows) == [("ann",)]
 
 
 class TestProvenance:
     def test_scan_lineage_is_singleton(self, employees_db):
         result = employees_db.execute("SELECT name FROM employees WHERE id = 1")
-        assert result.lineage == [frozenset({("employees", 0)})]
+        assert list(result.lineage) == [frozenset({("employees", 0)})]
 
     def test_join_lineage_unions_sides(self, employees_db):
         result = employees_db.execute(
@@ -242,7 +242,7 @@ class TestProvenance:
         db.execute("CREATE TABLE t (x INT)")
         db.execute("INSERT INTO t VALUES (1)")
         result = db.execute("SELECT x FROM t")
-        assert result.lineage == [frozenset()]
+        assert list(result.lineage) == [frozenset()]
 
     def test_scanned_rows_counted(self, employees_db):
         result = employees_db.execute("SELECT COUNT(*) FROM employees")

@@ -303,7 +303,7 @@ class TestPositionalKeys:
     def test_matches_sqlite(self, employees_db, sql):
         # NULLs sort last here; sqlite3 needs it spelled out (difference 4).
         sqlite_sql = sql + " NULLS LAST" if sql.endswith("ORDER BY 2") else sql
-        assert employees_db.execute(sql).rows == _sqlite_rows(employees_db, sqlite_sql)
+        assert list(employees_db.execute(sql).rows) == _sqlite_rows(employees_db, sqlite_sql)
 
     @pytest.mark.parametrize("term", ["0", "3", "1, 3"])
     def test_out_of_range_raises_like_sqlite(self, employees_db, term):
@@ -317,7 +317,7 @@ class TestPositionalKeys:
         sql = "SELECT name FROM employees ORDER BY 2.0"
         unordered = employees_db.execute("SELECT name FROM employees").rows
         assert employees_db.execute(sql).rows == unordered
-        assert _sqlite_rows(employees_db, sql) == unordered
+        assert _sqlite_rows(employees_db, sql) == list(unordered)
 
     def test_negated_integer_stays_a_constant(self, employees_db):
         # Dialect difference 6: sqlite3 reports ORDER BY -1 out of range.
@@ -353,14 +353,14 @@ class TestDistinctKeys:
     )
     def test_keys_the_output_determines(self, employees_db, order):
         sql = f"SELECT DISTINCT department AS dept FROM employees ORDER BY {order}"
-        assert employees_db.execute(sql).rows == [("sales",), ("engineering",)]
+        assert list(employees_db.execute(sql).rows) == [("sales",), ("engineering",)]
 
 
 class TestLazyProjection:
     def test_rows_cut_by_limit_are_never_projected(self, employees_db):
         # salary 100 would divide by zero; it sorts past the LIMIT.
         sql = "SELECT name, 10 / (salary - 100) FROM employees ORDER BY salary LIMIT 2"
-        assert employees_db.execute(sql).rows == [("dan", -1 / 3), ("cat", -0.5)]
+        assert list(employees_db.execute(sql).rows) == [("dan", -1 / 3), ("cat", -0.5)]
         with pytest.raises(ExecutionError):
             employees_db.execute(sql.replace(" LIMIT 2", ""))
 
@@ -380,4 +380,4 @@ class TestKeySemantics:
         result = db.execute(
             "SELECT s FROM t ORDER BY CASE WHEN b THEN b ELSE k END DESC"
         )
-        assert result.rows == [("first",), ("second",)]
+        assert list(result.rows) == [("first",), ("second",)]

@@ -232,7 +232,7 @@ class TestEquiJoinDetection:
             "ORDER BY l.v"
         )
         result = db.execute(sql)
-        assert result.rows == [("n", None), ("p", "P"), ("z", None)]
+        assert list(result.rows) == [("n", None), ("p", "P"), ("z", None)]
         assert_parity(db, sql)
 
 
@@ -256,7 +256,7 @@ class TestLegacyJoinFastPaths:
         db.execute("CREATE TABLE b (x INT)")
         sql = "SELECT a.x FROM a JOIN b ON a.x = b.x"
         assert_parity(db, sql)
-        assert db.execute(sql).rows == []
+        assert list(db.execute(sql).rows) == []
 
 
 # -- randomized parity corpus ----------------------------------------------------

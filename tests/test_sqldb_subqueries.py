@@ -27,7 +27,7 @@ class TestScalarSubquery:
             "SELECT id FROM emp WHERE salary > (SELECT AVG(salary) FROM emp) "
             "ORDER BY id"
         ).rows
-        assert rows == [(1,), (2,)]
+        assert list(rows) == [(1,), (2,)]
 
     def test_in_select_list(self, db):
         rows = db.execute(
@@ -40,7 +40,7 @@ class TestScalarSubquery:
         rows = db.execute(
             "SELECT id FROM emp WHERE salary > (SELECT salary FROM emp WHERE id = 99)"
         ).rows
-        assert rows == []  # NULL comparison keeps nothing
+        assert list(rows) == []  # NULL comparison keeps nothing
 
     def test_multi_row_rejected(self, db):
         with pytest.raises(ExecutionError):
@@ -56,7 +56,7 @@ class TestScalarSubquery:
             "WHERE salary >= (SELECT AVG(salary) FROM emp) "
             "GROUP BY dept ORDER BY dept"
         ).rows
-        assert rows == [("eng", 2)]
+        assert list(rows) == [("eng", 2)]
 
 
 class TestInSubquery:
@@ -65,14 +65,14 @@ class TestInSubquery:
             "SELECT id FROM emp WHERE dept IN "
             "(SELECT dept FROM dept WHERE floor > 2) ORDER BY id"
         ).rows
-        assert rows == [(1,), (2,)]
+        assert list(rows) == [(1,), (2,)]
 
     def test_not_in(self, db):
         rows = db.execute(
             "SELECT id FROM emp WHERE dept NOT IN "
             "(SELECT dept FROM dept WHERE floor > 2) ORDER BY id"
         ).rows
-        assert rows == [(3,), (4,)]
+        assert list(rows) == [(3,), (4,)]
 
     def test_null_in_subquery_gives_unknown(self, db):
         db.execute("CREATE TABLE n (v TEXT)")
@@ -80,7 +80,7 @@ class TestInSubquery:
         rows = db.execute(
             "SELECT id FROM emp WHERE dept NOT IN (SELECT v FROM n)"
         ).rows
-        assert rows == []  # NULL in the list makes NOT IN unknown
+        assert list(rows) == []  # NULL in the list makes NOT IN unknown
 
     def test_multi_column_subquery_rejected(self, db):
         with pytest.raises(ExecutionError):
@@ -117,7 +117,7 @@ class TestUnion:
             "SELECT dept FROM emp WHERE id = 1 "
             "UNION SELECT dept FROM dept WHERE floor = 3"
         )
-        assert result.rows == [("eng",)]
+        assert list(result.rows) == [("eng",)]
         assert result.lineage[0] == frozenset({("emp", 0), ("dept", 0)})
         assert str(result.how[0]) == "dept:0 + emp:0"
 
@@ -125,7 +125,7 @@ class TestUnion:
         rows = db.execute(
             "SELECT 1 UNION ALL SELECT 2 UNION ALL SELECT 3"
         ).rows
-        assert rows == [(1,), (2,), (3,)]
+        assert list(rows) == [(1,), (2,), (3,)]
 
     def test_union_round_trip(self, db):
         sql = "SELECT id FROM emp UNION ALL SELECT floor FROM dept"

@@ -19,6 +19,8 @@ such rows when re-deriving) and asks for exact agreement again.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -388,15 +390,19 @@ SAME_TABLE_TAMPERS = (
 )
 
 
-def _with_lineage(result: QueryResult, index: int, lineage: frozenset) -> None:
-    result.lineage = [
-        lineage if position == index else row_lineage
-        for position, row_lineage in enumerate(result.lineage)
-    ]
+def _with_lineage(result: QueryResult, index: int, lineage: frozenset) -> QueryResult:
+    return replace(
+        result,
+        lineage=tuple(
+            lineage if position == index else row_lineage
+            for position, row_lineage in enumerate(result.lineage)
+        ),
+    )
 
 
-def _tamper(data, db: Database, result: QueryResult, table: str, kind: str) -> None:
-    """Apply one tamper of ``kind`` (a no-op when the answer has nothing to tamper)."""
+def _tamper(data, db: Database, result: QueryResult, table: str, kind: str) -> QueryResult:
+    """Apply one tamper of ``kind`` and return the answer to verify (``result``
+    itself when the tamper edits the database or has nothing to tamper)."""
     cited = sorted(result.all_source_rows())
     if kind == "delete_cited_row" and cited:
         table_name, row_id = data.draw(st.sampled_from(cited))
@@ -426,19 +432,20 @@ def _tamper(data, db: Database, result: QueryResult, table: str, kind: str) -> N
             row[position] = data.draw(st.sampled_from([None, 999, "tampered"]))
         rows = list(result.rows)
         rows[index] = tuple(row)
-        result.rows = rows
+        return replace(result, rows=tuple(rows))
     elif kind == "drop_atom" and cited:
         candidates = [i for i, lineage in enumerate(result.lineage) if lineage]
         index = data.draw(st.sampled_from(candidates))
         atom = data.draw(st.sampled_from(sorted(result.lineage[index])))
-        _with_lineage(result, index, result.lineage[index] - {atom})
+        return _with_lineage(result, index, result.lineage[index] - {atom})
     elif kind in ("add_same_table_atom", "cite_missing_id") and result.lineage:
         index = data.draw(st.integers(0, len(result.lineage) - 1))
         if kind == "cite_missing_id":
             row_id = data.draw(st.sampled_from([99, 1000, -1]))
         else:
             row_id = data.draw(st.sampled_from(db.catalog.table(table).row_ids))
-        _with_lineage(result, index, result.lineage[index] | {(table, row_id)})
+        return _with_lineage(result, index, result.lineage[index] | {(table, row_id)})
+    return result
 
 
 def _assert_same_reports(ours: VerificationReport, theirs: VerificationReport) -> None:
@@ -456,7 +463,7 @@ class TestAgainstReference:
         db = build_employees_db()
         result = db.execute(sql)
         table = result.statement.from_table.name
-        _tamper(data, db, result, table, tamper)
+        result = _tamper(data, db, result, table, tamper)
         ours, reference = AnswerVerifier(db), ReferenceVerifier(db)
         _assert_same_reports(ours._verify_provenance(result), reference_provenance(db, result))
         for depth in ("static", "reexecution", "provenance"):
@@ -480,7 +487,7 @@ class TestAgainstReference:
         other = TABLES[table]["other"]
         row_id = data.draw(st.sampled_from(db.catalog.table(other).row_ids + [99]))
         index = data.draw(st.integers(0, len(result.lineage) - 1))
-        _with_lineage(result, index, result.lineage[index] | {(other, row_id)})
+        result = _with_lineage(result, index, result.lineage[index] | {(other, row_id)})
         foreign = f"cited row {other}[{row_id}] is not from the queried table {table}"
 
         report = AnswerVerifier(db).verify(result)
@@ -505,12 +512,12 @@ class TestAgainstReference:
         db = build_employees_db()
         result = db.execute(sql)
         table = result.statement.from_table.name
-        _tamper(data, db, result, table, tamper)
+        result = _tamper(data, db, result, table, tamper)
         if result.lineage:
             other = TABLES[table]["other"]
             row_id = data.draw(st.sampled_from(db.catalog.table(other).row_ids + [99]))
             index = data.draw(st.integers(0, len(result.lineage) - 1))
-            _with_lineage(result, index, result.lineage[index] | {(other, row_id)})
+            result = _with_lineage(result, index, result.lineage[index] | {(other, row_id)})
         _assert_same_reports(
             AnswerVerifier(db)._verify_provenance(result),
             reference_provenance(db, result, foreign_rule=True),
@@ -528,16 +535,26 @@ def _set_value(db: Database, table_name: str, row_id: int, column: str, value) -
     table._version += 1
 
 
+def _edit_db(edit):
+    """A tamper that edits the database and keeps the answer."""
+
+    def tamper(db: Database, result: QueryResult) -> QueryResult:
+        edit(db)
+        return result
+
+    return tamper
+
+
 def _retarget(sql: str):
-    def tamper(db: Database, result: QueryResult) -> None:
-        result.statement = parse_sql(sql)
+    def tamper(db: Database, result: QueryResult) -> QueryResult:
+        return replace(result, statement=parse_sql(sql))
 
     return tamper
 
 
 def _add_atoms(*atoms):
-    def tamper(db: Database, result: QueryResult) -> None:
-        result.lineage = [lineage | set(atoms) for lineage in result.lineage]
+    def tamper(db: Database, result: QueryResult) -> QueryResult:
+        return replace(result, lineage=tuple(lineage | set(atoms) for lineage in result.lineage))
 
     return tamper
 
@@ -546,22 +563,24 @@ def _add_atoms(*atoms):
 PINNED_CASES = {
     "first failing atom in sorted order": (
         "SELECT SUM(salary) FROM employees",
-        lambda db, result: [_set_value(db, "employees", i, "salary", "x") for i in (3, 1)],
+        _edit_db(lambda db: [_set_value(db, "employees", i, "salary", "x") for i in (3, 1)]),
     ),
     "float SUM re-added in row-id order": (
         "SELECT SUM(salary) FROM employees",
-        lambda db, result: [
-            _set_value(db, "employees", i, "salary", value)
-            for i, value in enumerate((0.1, 0.2, 0.3, 0.0))
-        ],
+        _edit_db(
+            lambda db: [
+                _set_value(db, "employees", i, "salary", value)
+                for i, value in enumerate((0.1, 0.2, 0.3, 0.0))
+            ]
+        ),
     ),
     "COUNT(*) group cites a deleted row": (
         "SELECT department, COUNT(*) FROM employees GROUP BY department",
-        lambda db, result: db.catalog.table("employees").delete_row(0),
+        _edit_db(lambda db: db.catalog.table("employees").delete_row(0)),
     ),
     "NULL WHERE verdict on a cited row": (
         "SELECT name FROM employees WHERE salary > 75",
-        lambda db, result: _set_value(db, "employees", 1, "salary", None),
+        _edit_db(lambda db: _set_value(db, "employees", 1, "salary", None)),
     ),
     "WHERE naming an unknown column": (
         "SELECT name FROM employees WHERE salary > 75",
@@ -583,11 +602,11 @@ PINNED_CASES = {
     ),
     "subquery filter over a deleted row": (
         "SELECT COUNT(*) FROM employees WHERE salary > (SELECT AVG(salary) FROM employees)",
-        lambda db, result: db.catalog.table("employees").delete_row(0),
+        _edit_db(lambda db: db.catalog.table("employees").delete_row(0)),
     ),
     "aggregate over a row gone from the table": (
         "SELECT AVG(salary) FROM employees WHERE city = 'zurich'",
-        lambda db, result: db.catalog.table("employees").delete_row(2),
+        _edit_db(lambda db: db.catalog.table("employees").delete_row(2)),
     ),
 }
 
@@ -596,8 +615,7 @@ class TestPinnedCases:
     @pytest.mark.parametrize("case", sorted(PINNED_CASES))
     def test_agrees_with_reference(self, employees_db, case):
         sql, tamper = PINNED_CASES[case]
-        result = employees_db.execute(sql)
-        tamper(employees_db, result)
+        result = tamper(employees_db, employees_db.execute(sql))
         reference = reference_provenance(employees_db, result)
         reference_rows = reference_verify_rows(employees_db, result)
         # Every pinned tamper is caught, by the answer or by a row verdict.
@@ -609,8 +627,7 @@ class TestPinnedCases:
 
     def test_first_failing_atom_is_the_lowest_id(self, employees_db):
         sql, tamper = PINNED_CASES["first failing atom in sorted order"]
-        result = employees_db.execute(sql)
-        tamper(employees_db, result)
+        result = tamper(employees_db, employees_db.execute(sql))
         issues = AnswerVerifier(employees_db)._verify_provenance(result).issues
         assert issues == [
             "cannot recompute aggregate on employees[1]: "
@@ -620,8 +637,7 @@ class TestPinnedCases:
 
     def test_float_sum_follows_row_id_order(self, employees_db):
         sql, tamper = PINNED_CASES["float SUM re-added in row-id order"]
-        result = employees_db.execute(sql)
-        tamper(employees_db, result)
+        result = tamper(employees_db, employees_db.execute(sql))
         issues = AnswerVerifier(employees_db)._verify_provenance(result).issues
         assert issues == [
             "aggregate recomputed from cited rows is 0.6000000000000001, "
@@ -637,14 +653,13 @@ class TestReferenceHarness:
         result = employees_db.execute(
             "SELECT COUNT(*) FROM employees WHERE department = 'engineering'"
         )
-        result.lineage = [frozenset({("departments", 0), ("employees", 0)})]
+        result = replace(result, lineage=(frozenset({("departments", 0), ("employees", 0)}),))
         assert reference_provenance(employees_db, result).passed
 
-    @pytest.mark.parametrize("tampered", [[(5.0,)], [(5,), (5,)], []])
+    @pytest.mark.parametrize("tampered", [((5.0,),), ((5,), (5,)), ()])
     def test_reexecution_compares_rows_by_repr(self, employees_db, tampered):
         """``5`` and ``5.0`` differ, and so do row multiplicities."""
-        result = employees_db.execute("SELECT COUNT(*) FROM employees")
-        result.rows = tampered
+        result = replace(employees_db.execute("SELECT COUNT(*) FROM employees"), rows=tampered)
         for verifier in (AnswerVerifier(employees_db), ReferenceVerifier(employees_db)):
             report = verifier.verify(result, depth="reexecution")
             assert report.issues == ["re-execution produced different rows"]
