@@ -27,12 +27,21 @@ verifier offers three depths — benchmark E4's ablation axis:
   A fabricated answer cannot survive this: its provenance either does not
   exist or does not reproduce it.  A report that passes carries the row
   verdicts of :func:`verify_rows`, built from that same ``_CitedRows``.
+  This depth runs once per cache entry: when re-execution gets the
+  answer object itself back from the cache, which has just checked every
+  table the query reads, the report kept on that result is reused.  A
+  tampered copy, a stale answer, another spelling of the SQL or a
+  cache-less database always gets the full check.
+
+Reports are frozen, so one report can be shared by every turn that is
+served the same cached answer; the static check and the counters,
+events and span stay per call.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import is_, itemgetter
 from typing import Iterator
@@ -56,16 +65,16 @@ from repro.sqldb.types import SQLValue
 DEPTHS = ("static", "reexecution", "provenance")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     """Outcome of verifying one answer; an answer that passes carries its
     row verdicts when its statement is row-verifiable (see :func:`verify_rows`)."""
 
     depth: str
     passed: bool
-    checks_run: list[str] = field(default_factory=list)
-    issues: list[str] = field(default_factory=list)
-    row_verdicts: list["RowVerdict"] | None = None
+    checks_run: tuple[str, ...] = ()
+    issues: tuple[str, ...] = ()
+    row_verdicts: tuple["RowVerdict", ...] | None = None
 
     def merge(self, other: "VerificationReport") -> "VerificationReport":
         """Combine two reports (used when stacking depths)."""
@@ -94,7 +103,9 @@ class AnswerVerifier:
         with span("soundness.verifier.verify", depth=depth) as verify_span:
             report = self._verify_at_depth(result, depth)
             if report.passed and report.row_verdicts is None:
-                report.row_verdicts = _row_verdicts(result, self.database.catalog)
+                report = replace(
+                    report, row_verdicts=_row_verdicts(result, self.database.catalog)
+                )
             verify_span.set_attribute("passed", report.passed)
             verify_span.set_attribute("checks", len(report.checks_run))
         if report.passed:
@@ -113,31 +124,41 @@ class AnswerVerifier:
         report = self._verify_static(result)
         if depth == "static" or not report.passed:
             return report
-        report = report.merge(self._verify_reexecution(result))
+        reexecution, replay = self._verify_reexecution(result)
+        report = report.merge(reexecution)
         if depth == "reexecution" or not report.passed:
             return report
-        return report.merge(self._verify_provenance(result))
+        if replay is not result:
+            return report.merge(self._verify_provenance(result))
+        # The cache just handed back this very answer, so every table it
+        # reads is the table, at the version, that the memo was derived at.
+        if result.provenance_report is None:
+            object.__setattr__(result, "provenance_report", self._verify_provenance(result))
+        return report.merge(result.provenance_report)
 
     # -- depth 1: static -------------------------------------------------------------
 
     def _verify_static(self, result: QueryResult) -> VerificationReport:
         statement = result.statement
         if statement is None:
-            issues = ["no SELECT statement was executed"]
+            issues = ("no SELECT statement was executed",)
         elif result.sql != statement.to_sql() and not _denotes(result.sql, statement):
-            issues = ["the recorded SQL is not the statement that was executed"]
+            issues = ("the recorded SQL is not the statement that was executed",)
         else:
-            issues = self._validator.check(statement, result.sql).problems
+            issues = tuple(self._validator.check(statement, result.sql).problems)
         return VerificationReport(
             depth="static",
             passed=not issues,
-            checks_run=["sql parses and type-checks against the catalog"],
+            checks_run=("sql parses and type-checks against the catalog",),
             issues=issues,
         )
 
     # -- depth 2: re-execution ----------------------------------------------------------
 
-    def _verify_reexecution(self, result: QueryResult) -> VerificationReport:
+    def _verify_reexecution(
+        self, result: QueryResult
+    ) -> tuple[VerificationReport, QueryResult | None]:
+        """The report and the replay (None when re-execution raised)."""
         issues: list[str] = []
         try:
             replay = self.database.execute_select(result.statement, sql=result.sql)
@@ -145,9 +166,9 @@ class AnswerVerifier:
             return VerificationReport(
                 depth="reexecution",
                 passed=False,
-                checks_run=["re-execute recorded SQL"],
-                issues=[f"re-execution failed: {exc}"],
-            )
+                checks_run=("re-execute recorded SQL",),
+                issues=(f"re-execution failed: {exc}",),
+            ), None
         if replay.columns != result.columns:
             issues.append("re-execution produced different columns")
         if not _same_row_multiset(replay.rows, result.rows):
@@ -155,9 +176,9 @@ class AnswerVerifier:
         return VerificationReport(
             depth="reexecution",
             passed=not issues,
-            checks_run=["re-execute recorded SQL and compare results"],
-            issues=issues,
-        )
+            checks_run=("re-execute recorded SQL and compare results",),
+            issues=tuple(issues),
+        ), replay
 
     # -- depth 3: provenance re-derivation --------------------------------------------------
 
@@ -167,8 +188,8 @@ class AnswerVerifier:
             return VerificationReport(
                 depth="provenance",
                 passed=False,
-                checks_run=checks,
-                issues=["answer has rows but no lineage was captured"],
+                checks_run=tuple(checks),
+                issues=("answer has rows but no lineage was captured",),
             )
         statement = result.statement
         simple = statement is not None and self._is_simple_single_table(statement)
@@ -186,8 +207,8 @@ class AnswerVerifier:
         return VerificationReport(
             depth="provenance",
             passed=not issues,
-            checks_run=checks,
-            issues=issues,
+            checks_run=tuple(checks),
+            issues=tuple(issues),
             row_verdicts=(
                 None if issues else _row_verdicts(result, self.database.catalog, cited)
             ),
@@ -258,7 +279,7 @@ class AnswerVerifier:
         return []
 
 
-@dataclass
+@dataclass(frozen=True)
 class RowVerdict:
     """Per-row verification outcome (part-scored answers)."""
 
@@ -269,7 +290,7 @@ class RowVerdict:
 
 def verify_rows(
     database: Database, result: QueryResult
-) -> list[RowVerdict] | None:
+) -> tuple[RowVerdict, ...] | None:
     """Re-derive each output row of a grouped aggregate from its lineage.
 
     The paper allows "a confidence score for the entire answer or for
@@ -289,7 +310,7 @@ def verify_rows(
 
 def _row_verdicts(
     result: QueryResult, catalog: Catalog, cited: "_CitedRows | None" = None
-) -> list[RowVerdict] | None:
+) -> tuple[RowVerdict, ...] | None:
     """:func:`verify_rows`, reusing ``cited`` when the caller has built it."""
     statement = result.statement
     if (
@@ -321,7 +342,7 @@ def _row_verdicts(
             close = _values_close(recomputed, reported)
             detail = "" if close else f"cited rows give {recomputed!r}, answer says {reported!r}"
         verdicts.append(RowVerdict(row_index, not detail, detail))
-    return verdicts
+    return tuple(verdicts)
 
 
 class _CitedRows:

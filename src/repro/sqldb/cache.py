@@ -10,14 +10,18 @@ silent soundness violation.
 
 The cache is therefore versioned, not timed: every table carries a
 monotonically increasing version bumped on any mutation, and a cache
-entry records the versions of every table its query touched.  A lookup
-whose recorded versions differ from the live ones is a miss, never a
-stale hit — correctness by construction, measured in benchmark E11.
+entry records every table object its query touched, with its version.
+A lookup whose recorded tables are not the live ones (``is``: a dropped
+and re-created table restarts at version 0) or whose versions differ
+is a miss, never a stale hit — correctness by construction, measured in
+benchmark E11.
 
 An entry holds the one :class:`~repro.sqldb.database.QueryResult` the
 miss computed, and a hit hands that object out.  Results are immutable,
-so no caller can change what later callers receive, and the lineage
-index built for the entry is shared by every turn that reuses it.
+so no caller can change what later callers receive, and what is derived
+from the entry's result is shared by every turn that reuses it: the
+lineage index and the verifier's provenance report
+(``QueryResult.provenance_report``), which a hit proves still holds.
 """
 
 from __future__ import annotations
@@ -85,14 +89,19 @@ def _table_refs(statement: ast.SelectStatement) -> Iterator[ast.TableRef]:
         yield from _table_refs(statement.union[1])
 
 
+def _versions(tables) -> tuple[int, ...]:
+    return tuple(table.version for table in tables)
+
+
 class QueryCache:
-    """LRU cache of SELECT results keyed by (canonical SQL, table versions)."""
+    """LRU cache of SELECT results keyed by canonical SQL, valid while the
+    tables they read are the same objects at the same versions."""
 
     def __init__(self, max_entries: int = 256):
         if max_entries <= 0:
             raise CDAError("max_entries must be positive")
         self.max_entries = max_entries
-        self._entries: OrderedDict[tuple, tuple[tuple, object]] = OrderedDict()
+        self._entries: OrderedDict[tuple, tuple[tuple, tuple, object]] = OrderedDict()
         self.stats = CacheStats()
         # Registry handles are fetched once here; `MetricsRegistry.reset()`
         # zeroes metrics in place, so these stay valid across test resets.
@@ -108,10 +117,6 @@ class QueryCache:
         """Hits over lookups (0 when never used)."""
         return self.stats.hit_rate
 
-    @staticmethod
-    def _versions(names, catalog) -> tuple:
-        return tuple((name, catalog.table(name).version) for name in names)
-
     def get(self, statement: ast.SelectStatement, catalog, flags: tuple = ()):
         """The cached result, or None on miss / version change.
 
@@ -125,13 +130,15 @@ class QueryCache:
             self.stats.misses += 1
             self._metric_misses.inc()
             return None
-        versions, result = entry
+        tables, versions, result = entry
         try:
-            # The key's SQL names every table it reads: reuse the stored names.
-            current = self._versions((name for name, _version in versions), catalog)
+            # Identity, never ``==`` (a Table compares every row): a dropped
+            # and re-created table restarts at version 0.
+            same = all(catalog.table(table.name) is table for table in tables)
+            fresh = same and _versions(tables) == versions
         except Exception:  # noqa: BLE001 - dropped table: invalidate
-            current = None
-        if current != versions:
+            fresh = False
+        if not fresh:
             del self._entries[key]
             self.stats.invalidations += 1
             self.stats.misses += 1
@@ -147,13 +154,13 @@ class QueryCache:
     def put(
         self, statement: ast.SelectStatement, catalog, result, flags: tuple = ()
     ) -> None:
-        """Store a result under the current table versions."""
+        """Store a result under the current tables and their versions."""
         key = (statement.to_sql(), flags)
         try:
-            versions = self._versions(referenced_tables(statement), catalog)
+            tables = tuple(map(catalog.table, referenced_tables(statement)))
         except CatalogError:  # a subquery that never ran names a missing table
             return
-        self._entries[key] = (versions, result)
+        self._entries[key] = (tables, _versions(tables), result)
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)

@@ -156,7 +156,7 @@ class TestStaticDepthChecksTheExecutedStatement:
         result = replace(employees_db.execute(self.SQL), statement=bogus, sql=bogus.to_sql())
         report = AnswerVerifier(employees_db).verify(result, depth="static")
         assert not report.passed
-        assert report.issues == ["unknown column 'bogus_column'"]
+        assert list(report.issues) == ["unknown column 'bogus_column'"]
 
     def test_text_of_another_statement_fails(self, employees_db):
         result = replace(
@@ -164,7 +164,7 @@ class TestStaticDepthChecksTheExecutedStatement:
         )
         report = AnswerVerifier(employees_db).verify(result, depth="provenance")
         assert not report.passed
-        assert report.issues == ["the recorded SQL is not the statement that was executed"]
+        assert list(report.issues) == ["the recorded SQL is not the statement that was executed"]
 
     def test_other_spelling_of_the_same_statement_passes(self, parses, employees_db):
         result = replace(
@@ -179,10 +179,10 @@ class TestStaticDepthChecksTheExecutedStatement:
         result = replace(employees_db.execute(self.SQL), sql="SELCT name FROM employees")
         report = AnswerVerifier(employees_db).verify(result, depth="static")
         assert not report.passed
-        assert report.issues == ["the recorded SQL is not the statement that was executed"]
+        assert list(report.issues) == ["the recorded SQL is not the statement that was executed"]
 
     def test_result_without_a_statement_fails(self, employees_db):
         result = employees_db.execute("CREATE TABLE t (a INT)")
         report = AnswerVerifier(employees_db).verify(result, depth="static")
         assert not report.passed
-        assert report.issues == ["no SELECT statement was executed"]
+        assert list(report.issues) == ["no SELECT statement was executed"]

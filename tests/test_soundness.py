@@ -201,7 +201,7 @@ class TestVerifier:
         result = replace(result, lineage=(frozenset({("departments", 0), ("employees", 0)}),))
         report = AnswerVerifier(employees_db).verify(result, depth="provenance")
         assert not report.passed
-        assert report.issues == [
+        assert list(report.issues) == [
             "cited row departments[0] is not from the queried table employees",
             "aggregate recomputed from cited rows is 1, but the answer reports 2",
         ]
@@ -243,7 +243,7 @@ class TestVerifierSubqueries:
         result = replace(result, lineage=(frozenset({("employees", 3)}),) * len(result.rows))
         report = AnswerVerifier(employees_db).verify(result, depth="provenance")
         assert not report.passed
-        assert report.issues == [
+        assert list(report.issues) == [
             "cited row employees[3] does not satisfy the query's WHERE clause"
         ] * len(result.rows)
 
@@ -371,7 +371,7 @@ class TestRowVerification:
             "cited row departments[1] is not from the queried table employees",
         ]
         verdicts = verify_rows(employees_db, result)
-        assert verdicts == [
+        assert list(verdicts) == [
             RowVerdict(
                 0,
                 False,

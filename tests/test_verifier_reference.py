@@ -47,7 +47,7 @@ from tests.conftest import build_employees_db
 class ReferenceVerifier(AnswerVerifier):
     """``AnswerVerifier`` with per-atom re-execution and provenance depths."""
 
-    def _verify_reexecution(self, result: QueryResult) -> VerificationReport:
+    def _verify_reexecution(self, result: QueryResult):
         issues: list[str] = []
         try:
             replay = self.database.execute(result.sql)
@@ -55,9 +55,9 @@ class ReferenceVerifier(AnswerVerifier):
             return VerificationReport(
                 depth="reexecution",
                 passed=False,
-                checks_run=["re-execute recorded SQL"],
-                issues=[f"re-execution failed: {exc}"],
-            )
+                checks_run=("re-execute recorded SQL",),
+                issues=(f"re-execution failed: {exc}",),
+            ), None
         if list(replay.columns) != list(result.columns):
             issues.append("re-execution produced different columns")
         if sorted(map(repr, replay.rows)) != sorted(map(repr, result.rows)):
@@ -65,9 +65,9 @@ class ReferenceVerifier(AnswerVerifier):
         return VerificationReport(
             depth="reexecution",
             passed=not issues,
-            checks_run=["re-execute recorded SQL and compare results"],
-            issues=issues,
-        )
+            checks_run=("re-execute recorded SQL and compare results",),
+            issues=tuple(issues),
+        ), replay
 
     def _verify_provenance(self, result: QueryResult) -> VerificationReport:
         return reference_provenance(self.database, result)
@@ -88,8 +88,8 @@ def reference_provenance(
         return VerificationReport(
             depth="provenance",
             passed=False,
-            checks_run=checks,
-            issues=["answer has rows but no lineage was captured"],
+            checks_run=tuple(checks),
+            issues=("answer has rows but no lineage was captured",),
         )
     statement = result.statement
     simple = statement is not None and AnswerVerifier._is_simple_single_table(statement)
@@ -113,7 +113,7 @@ def reference_provenance(
                 _recompute_aggregate(database, result, statement, aggregate, foreign)
             )
     return VerificationReport(
-        depth="provenance", passed=not issues, checks_run=checks, issues=issues
+        depth="provenance", passed=not issues, checks_run=tuple(checks), issues=tuple(issues)
     )
 
 
@@ -193,7 +193,7 @@ def _recompute_aggregate(
 
 def reference_verify_rows(
     database: Database, result: QueryResult, foreign_rule: bool = False
-) -> list[RowVerdict] | None:
+) -> tuple[RowVerdict, ...] | None:
     statement = result.statement
     if statement is None or statement.from_table is None:
         return None
@@ -245,7 +245,7 @@ def reference_verify_rows(
                     f"cited rows give {recomputed!r}, answer says {reported!r}",
                 )
             )
-    return verdicts
+    return tuple(verdicts)
 
 
 def _cited_row_evaluator(
@@ -492,16 +492,17 @@ class TestAgainstReference:
 
         report = AnswerVerifier(db).verify(result)
         assert not report.passed
-        assert report.issues == [foreign] + untampered.issues
-        assert report.checks_run == [
+        assert report.issues == (foreign, *untampered.issues)
+        assert report.checks_run == (
             "sql parses and type-checks against the catalog",
             "re-execute recorded SQL and compare results",
             *untampered.checks_run,
-        ]
+        )
         expected_rows = untampered_rows
         if expected_rows is not None:
             assert all(verdict.verified for verdict in expected_rows)
-            expected_rows[index] = RowVerdict(index, False, f"cannot re-derive: {foreign}")
+            verdict = RowVerdict(index, False, f"cannot re-derive: {foreign}")
+            expected_rows = (*expected_rows[:index], verdict, *expected_rows[index + 1 :])
         assert verify_rows(db, result) == expected_rows
 
     @pytest.mark.parametrize("tamper", SAME_TABLE_TAMPERS)
@@ -629,20 +630,20 @@ class TestPinnedCases:
         sql, tamper = PINNED_CASES["first failing atom in sorted order"]
         result = tamper(employees_db, employees_db.execute(sql))
         issues = AnswerVerifier(employees_db)._verify_provenance(result).issues
-        assert issues == [
+        assert issues == (
             "cannot recompute aggregate on employees[1]: "
-            "SUM requires numeric input, got 'x'"
-        ]
+            "SUM requires numeric input, got 'x'",
+        )
 
 
     def test_float_sum_follows_row_id_order(self, employees_db):
         sql, tamper = PINNED_CASES["float SUM re-added in row-id order"]
         result = tamper(employees_db, employees_db.execute(sql))
         issues = AnswerVerifier(employees_db)._verify_provenance(result).issues
-        assert issues == [
+        assert issues == (
             "aggregate recomputed from cited rows is 0.6000000000000001, "
-            "but the answer reports 340.0"
-        ]
+            "but the answer reports 340.0",
+        )
 
 
 class TestReferenceHarness:
@@ -662,4 +663,4 @@ class TestReferenceHarness:
         result = replace(employees_db.execute("SELECT COUNT(*) FROM employees"), rows=tampered)
         for verifier in (AnswerVerifier(employees_db), ReferenceVerifier(employees_db)):
             report = verifier.verify(result, depth="reexecution")
-            assert report.issues == ["re-execution produced different rows"]
+            assert report.issues == ("re-execution produced different rows",)
