@@ -257,10 +257,12 @@ class SchemaKnowledgeGraph:
         )
         matched_on = "label"
         # Per-token typo tolerance: the best edit-similar (token of phrase,
-        # token of label) pair, discounted so exact matches still win.
+        # token of label) pair, discounted so exact matches still win.  Only
+        # 0.9 * similarity > best counts (1e-9 dwarfs either side's rounding).
         for phrase_token in phrase.long_tokens:
             for label_token in node.long_tokens:
-                similarity = osa_similarity_within(phrase_token, label_token, 0.7)
+                floor = max(0.7, best / 0.9 - 1e-9)
+                similarity = osa_similarity_within(phrase_token, label_token, floor)
                 if similarity is not None and 0.9 * similarity > best:
                     best = 0.9 * similarity
                     matched_on = "label"

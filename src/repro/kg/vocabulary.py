@@ -14,16 +14,21 @@ is kept and only a higher fuzzy score displaces it.  Every hit reports its
 match kind so the explanation layer can say *why* a term was grounded the
 way it was.
 
-The token and trigram layers read postings built once in
-:meth:`DomainVocabulary.add_term`: every surface (term name, then its
-synonyms, in term insertion order) is stored with its distinct token and
-trigram counts, and token -> surface and trigram -> surface postings list
-where each gram occurs.  A lookup grams the phrase once, counts the grams
-it shares with each surface through the postings, and scores only the
-surfaces that share one, as the Jaccard ratio
-``shared / (|phrase| + |surface| - shared)`` — the same integer ratio as
-:func:`token_overlap` and :func:`trigram_similarity`, so scores match
-them bit for bit.
+The token and trigram layers read postings built in
+:meth:`DomainVocabulary.add_term` (surfaces in scan order: each term's name,
+then its synonyms): a lookup grams the phrase once, counts shared grams per
+surface through the postings and scores only surfaces sharing one, as
+``shared / (|phrase| + |surface| - shared)`` — the integer ratio of
+:func:`token_overlap` and :func:`trigram_similarity`, bit for bit.
+
+``lookup(text, min_score)`` keeps that hit only at ``>= min_score`` and
+stops early where that is provably exact.  Above 0.5 a one-token phrase
+scores 1/n against an n-token surface, so dict probes settle the token
+layer: the fewest n holding the token (does the layer decide?) and the
+equal token set (the only pass).  A fuzzy hit needs t = max(min_score,
+fuzzy threshold); another trigram set scores at most |A|/(|A|+1), so below
+that only an equal set passes (a probe), and a ratio is at most shared/|A|,
+so fewer than t·|A| of the phrase's grams in any surface rule it out.
 
 Every edit-distance typo check runs through one banded OSA kernel,
 :func:`osa_similarity_within`, which gives up once a threshold is out of reach.
@@ -191,6 +196,11 @@ class DomainVocabulary:
         self._trigram_counts: list[int] = []
         self._token_postings: dict[str, list[int]] = {}
         self._trigram_postings: dict[str, list[int]] = {}
+        #: First position of each distinct token set and trigram set, and the
+        #: fewest distinct tokens of a surface holding each token.
+        self._token_sets: dict[frozenset[str], int] = {}
+        self._trigram_sets: dict[frozenset[str], int] = {}
+        self._fewest_tokens: dict[str, int] = {}
         self.fuzzy_threshold = fuzzy_threshold
 
     def __len__(self) -> int:
@@ -231,8 +241,12 @@ class DomainVocabulary:
         self._surfaces.append((term, surface))
         self._token_counts.append(len(tokens))
         self._trigram_counts.append(len(trigrams))
+        self._token_sets.setdefault(frozenset(tokens), position)
+        self._trigram_sets.setdefault(frozenset(trigrams), position)
         for token in tokens:
             self._token_postings.setdefault(token, []).append(position)
+            fewest = self._fewest_tokens.get(token, len(tokens))
+            self._fewest_tokens[token] = min(fewest, len(tokens))
         for trigram in trigrams:
             self._trigram_postings.setdefault(trigram, []).append(position)
 
@@ -245,37 +259,58 @@ class DomainVocabulary:
 
     # -- lookup layers -----------------------------------------------------------------
 
-    def lookup(self, text: str) -> GroundedTerm | None:
-        """Ground a single phrase to the best-matching term, if any."""
-        surface_key = text.lower().strip()
-        hit = self._surface_index.get(surface_key)
+    def lookup(self, text: str, min_score: float = 0.0) -> GroundedTerm | None:
+        """Ground a phrase to its best-matching term, if that scores >= min_score."""
+        key = text.lower().strip()
+        hit = self._surface_index.get(key)
         if hit is not None:
-            term_key, kind = hit
-            return GroundedTerm(
-                term=self._terms[term_key],
-                matched_text=text,
-                match_kind=kind,
-                score=1.0,
+            exact = GroundedTerm(self._terms[hit[0]], text, hit[1], score=1.0)
+            return exact if exact.score >= min_score else None
+        # Letters, digits and spaces alone split into the tokens they hold.
+        plain = text.replace(" ", "")
+        simple = plain.isascii() and plain.isalnum()
+        tokens = set(key.split() if simple else tokenize_text(text))
+        best_token = None
+        if len(tokens) == 1 and min_score > 0.5:
+            # One token scores 1/n against a surface of n tokens, so the
+            # fewest n (3 when absent) decides whether the token layer
+            # answers, and only n == 1 (an equal token set) can pass.
+            (token,) = tokens
+            fewest = self._fewest_tokens.get(token, 3)
+            if 1 / fewest >= 0.34:
+                best_token = (1 / fewest, self._token_sets.get(frozenset(tokens)))
+        elif not self._token_postings.keys().isdisjoint(tokens):
+            best_token = _best_surface(
+                tokens, self._token_postings, self._token_counts, 0.0
             )
-        best_token = _best_surface(
-            set(tokenize_text(text)), self._token_postings, self._token_counts, 0.0
-        )
         if best_token is not None and best_token[0] >= 0.34:
-            return self._grounded(best_token, "token")
-        best_fuzzy = _best_surface(
-            char_trigrams(text),
-            self._trigram_postings,
-            self._trigram_counts,
-            self.fuzzy_threshold,
+            best, kind = best_token, "token"
+        else:
+            best_fuzzy = self._best_fuzzy(text, max(min_score, self.fuzzy_threshold))
+            # A weak token hit stands unless a fuzzy hit scores strictly higher.
+            if best_fuzzy is not None and (
+                best_token is None or best_fuzzy[0] > best_token[0]
+            ):
+                best, kind = best_fuzzy, "fuzzy"
+            else:
+                best, kind = best_token, "token"
+        if best is None or best[0] < min_score:
+            return None
+        return self._grounded(best, kind)
+
+    def _best_fuzzy(self, text: str, threshold: float) -> tuple[float, int] | None:
+        """The best trigram hit scoring at least ``threshold``, if any."""
+        grams = char_trigrams(text)
+        if len(grams) / (len(grams) + 1) < threshold <= 1.0:
+            # Another trigram set scores at most |A| / (|A| + 1).
+            position = self._trigram_sets.get(frozenset(grams))
+            return None if position is None else (1.0, position)
+        # A surface's ratio is at most its shared grams / |A|.
+        if len(grams & self._trigram_postings.keys()) / len(grams) < threshold:
+            return None
+        return _best_surface(
+            grams, self._trigram_postings, self._trigram_counts, threshold
         )
-        # A weak token hit stands unless a fuzzy hit scores strictly higher.
-        if best_fuzzy is not None and (
-            best_token is None or best_fuzzy[0] > best_token[0]
-        ):
-            return self._grounded(best_fuzzy, "fuzzy")
-        if best_token is not None:
-            return self._grounded(best_token, "token")
-        return None
 
     def _grounded(self, best: tuple[float, int], match_kind: str) -> GroundedTerm:
         score, position = best
@@ -302,7 +337,8 @@ class DomainVocabulary:
         # Pass 1: exact term/synonym hits (all n-gram sizes, longest first),
         # so "working force" wins over a fuzzy "the working force" overlap.
         # Only a surface-index hit can be exact, so pass 1 reads the index
-        # before paying for a lookup.
+        # before paying for a lookup.  Pass 2 keeps a hit only at 0.999 for
+        # one word and 0.5 for more, which lookup applies itself.
         for exact_only in (True, False):
             for size in range(min(max_ngram, len(tokens)), 0, -1):
                 for start in range(0, len(tokens) - size + 1):
@@ -312,11 +348,11 @@ class DomainVocabulary:
                     if exact_only and phrase not in self._surface_index:
                         continue
                     if phrase not in hits:
-                        hits[phrase] = self.lookup(phrase)
+                        hits[phrase] = self.lookup(
+                            phrase, min_score=0.999 if size == 1 else 0.5
+                        )
                     hit = hits[phrase]
-                    if hit is None:
-                        continue
-                    if hit.score >= (0.999 if size == 1 else 0.5):
+                    if hit is not None:
                         grounded.append(hit)
                         for position in range(start, start + size):
                             consumed[position] = True

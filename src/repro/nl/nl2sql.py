@@ -359,11 +359,8 @@ class GroundedSemanticParser:
             # outrank whole-question overlap scores.
             # Each distinct n-gram is scored once, in first-occurrence order,
             # so the notes name the first mention.
-            question_grams = list(dict.fromkeys(_word_ngrams(tokens, 3)))
             # Singularised n-gram -> its first n-gram in the question.
-            gram_surfaces: dict[str, str] = {}
-            for gram in question_grams:
-                gram_surfaces.setdefault(_singularise(gram), gram)
+            gram_surfaces = _singular_ngrams(tokens, 3)
             # Singularised token -> its first token of four or more letters.
             typo_tokens: dict[str, str] = {}
             for token in tokens:
@@ -374,12 +371,13 @@ class GroundedSemanticParser:
                 if gram is not None and candidates.get(table, 0.0) < 0.9:
                     candidates[table] = 0.9
                     via[table] = f"table-name mention {gram!r}"
-                # Typo-tolerant mention ("vehilces" -> vehicles).
-                for singular, token in typo_tokens.items():
-                    if edit_similarity_at_least(singular, surface, 0.72):
-                        if candidates.get(table, 0.0) < 0.85:
+                # Typo-tolerant mention ("vehilces" -> vehicles); the first decides.
+                if candidates.get(table, 0.0) < 0.85:
+                    for singular, token in typo_tokens.items():
+                        if edit_similarity_at_least(singular, surface, 0.72):
                             candidates[table] = 0.85
                             via[table] = f"fuzzy table mention {token!r}"
+                            break
             # "of/from <table>" marks the source table decisively:
             # "list the depot and mileage OF VEHICLES ..." is about vehicles.
             for match in re.finditer(r"\b(?:of|from|among)\s+(?:the\s+)?([a-z_]+)", text):
@@ -426,8 +424,8 @@ class GroundedSemanticParser:
                                 via[holder] = f"measure column {hint!r} lives in it"
                             break
             # Unambiguous column mentions vote (weakly) for their table.
-            for gram in question_grams:
-                holders = self._tables_with_column(gram)
+            for singular, gram in gram_surfaces.items():
+                holders = self._surface_tables.get(singular, [])
                 if len(holders) == 1:
                     holder = holders[0]
                     if candidates.get(holder, 0.0) < 0.55:
@@ -1032,12 +1030,15 @@ def _strip_fillers(text: str) -> str:
     return " ".join(words)
 
 
-def _word_ngrams(tokens: list[str], max_size: int) -> list[str]:
-    """All word n-grams of ``tokens`` up to ``max_size`` words."""
-    grams: list[str] = []
+def _singular_ngrams(tokens: list[str], max_size: int) -> dict[str, str]:
+    """Singular form -> first word n-gram of ``tokens`` with it, shortest n-grams
+    first; :func:`_singularise` changes only an n-gram's last word."""
+    singular = [_singularise(token) for token in tokens]
+    grams: dict[str, str] = {}
     for size in range(1, max_size + 1):
-        for start in range(0, len(tokens) - size + 1):
-            grams.append(" ".join(tokens[start : start + size]))
+        for end in range(size - 1, len(tokens)):
+            prefix = " ".join(tokens[end - size + 1 : end] + [""])
+            grams.setdefault(prefix + singular[end], prefix + tokens[end])
     return grams
 
 

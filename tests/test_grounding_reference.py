@@ -27,7 +27,7 @@ from repro.datasets import (
     build_swiss_labour_registry,
 )
 from repro.kg import SchemaKnowledgeGraph
-from repro.kg.schema_kg import CDA_COLUMN, CDA_TABLE, SchemaMatch
+from repro.kg.schema_kg import CDA_COLUMN, CDA_TABLE, SchemaMatch, _Profile
 from repro.kg.vocabulary import (
     DomainVocabulary,
     VocabularyTerm,
@@ -37,6 +37,7 @@ from repro.kg.vocabulary import (
     token_overlap,
     trigram_similarity,
 )
+from repro.nl.nl2sql import GroundedSemanticParser, _singular_ngrams, _singularise
 from repro.vector.embedding import tokenize_text
 from tests.conftest import build_employees_db
 
@@ -277,6 +278,49 @@ class TestProfiledMatching:
         assert employees.find_columns("salray")[0].column == "salary"
 
 
+class TestTypoPairThreshold:
+    def test_pair_just_above_the_overlap_score_counts(self, graphs):
+        # Token overlap 2999/4000 sits just under 0.9 * sim("salray", "salary")
+        # = 0.75, so the typo pair decides the score and must not be pruned.
+        shared = frozenset(f"w{i}" for i in range(2999))
+        phrase = _Profile(shared | {"salray"}, frozenset(), ("salray",), None)
+        others = frozenset(f"x{i}" for i in range(999))
+        node = _Profile(shared | others | {"salary"}, frozenset(), ("salary",), None)
+        similarity = reference_osa_similarity("salray", "salary")
+        assert 2999 / 4000 < 0.9 * similarity
+        assert graphs[0]._score_against(phrase, node) == (0.9 * similarity, "label")
+
+
+class TestQuestionNgrams:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["canton", "cantons", "category", "categories", "bus", "buses",
+                 "class", "s", "ies", "the", "of"]
+            ),
+            max_size=8,
+        )
+    )
+    def test_singular_ngrams_match_singularising_each_ngram(self, tokens):
+        # Every distinct 1-3-gram, shortest first, singularised whole; the
+        # first n-gram with each singular form is the one kept.
+        reference: dict[str, str] = {}
+        for size in (1, 2, 3):
+            for start in range(len(tokens) - size + 1):
+                gram = " ".join(tokens[start : start + size])
+                reference.setdefault(_singularise(gram), gram)
+        assert list(_singular_ngrams(tokens, 3).items()) == list(reference.items())
+
+    def test_first_typo_mention_names_the_table(self):
+        parser = GroundedSemanticParser(_domain_kg(build_swiss_labour_registry))
+        for first, second in (("cantosn", "cantonn"), ("cantonn", "cantosn")):
+            outcome = parser.parse(f"show the region and population in {first} {second}")
+            assert f"table 'cantons' via fuzzy table mention {first!r}" in (
+                outcome.grounding_notes
+            )
+
+
 # -- repeated text -------------------------------------------------------------------
 
 
@@ -286,11 +330,13 @@ class TestGroundQuestionLookups:
         vocabulary.add_term(VocabularyTerm(name="employment", synonyms=["jobs"]))
         vocabulary.add_term(VocabularyTerm(name="labour market barometer"))
         calls: list[str] = []
+        thresholds: list[tuple[str, float]] = []
         lookup = DomainVocabulary.lookup
 
-        def counting_lookup(self, text):
+        def counting_lookup(self, text, min_score=0.0):
             calls.append(text)
-            return lookup(self, text)
+            thresholds.append((text, min_score))
+            return lookup(self, text, min_score)
 
         monkeypatch.setattr(DomainVocabulary, "lookup", counting_lookup)
         question = " ".join(["a"] * 50 + ["jobs", "jobs", "market", "barometer"] * 3)
@@ -303,5 +349,10 @@ class TestGroundQuestionLookups:
             for start in range(len(tokens) - size + 1)
         }
         assert set(calls) <= ngrams
+        # A unigram is looked up at 0.999, a longer n-gram at 0.5.
+        assert all(
+            min_score == (0.999 if len(text.split()) == 1 else 0.5)
+            for text, min_score in thresholds
+        )
         # Repeats still ground: all six "jobs" map to employment.
         assert [hit.term.name for hit in grounded].count("employment") == 6

@@ -209,6 +209,84 @@ class TestIndexedLookupParity:
         assert vocabulary.lookup("vacancy") is None
 
 
+def thresholded(hit: GroundedTerm | None, min_score: float) -> GroundedTerm | None:
+    return hit if hit is not None and hit.score >= min_score else None
+
+
+#: Phrases with repeated tokens, punctuation and non-ASCII text ("İ" and the
+#: Kelvin sign lower-case to ASCII letters).
+odd_phrases = st.one_of(
+    phrases(),
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=2).map(lambda w: " ".join(w * 2)),
+    st.text(alphabet="abert İ\u212a-!?é19", max_size=10),
+)
+
+
+class TestThresholdedLookupParity:
+    """``lookup(p, t)`` is the brute-force ``lookup(p)`` kept only at ``>= t``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(vocabularies(), st.lists(odd_phrases, min_size=1, max_size=8), st.floats(0, 1))
+    def test_matches_thresholded_brute_force(self, pair, texts, min_score):
+        indexed, reference = pair
+        for text in texts:
+            want = reference.lookup(text)
+            # No threshold, ground_question's two, and a random one.
+            for t in (0.0, 0.5, 0.999, min_score):
+                assert same(indexed.lookup(text, t), thresholded(want, t)), (text, t)
+
+    @staticmethod
+    def check(
+        names: list[str], text: str, min_score: float, fuzzy_threshold: float = 0.45
+    ) -> GroundedTerm | None:
+        indexed = DomainVocabulary(fuzzy_threshold)
+        reference = BruteForceVocabulary(fuzzy_threshold)
+        for name in names:
+            indexed.add_term(VocabularyTerm(name=name))
+            reference.add_term(VocabularyTerm(name=name))
+        got = indexed.lookup(text, min_score)
+        want = thresholded(reference.lookup(text), min_score)
+        assert got is want is None or (
+            got.term.name, got.matched_text, got.match_kind, got.score
+        ) == (want.term.name, want.matched_text, want.match_kind, want.score)
+        return got
+
+    def test_weak_token_hit_decides_over_equal_trigram_set(self):
+        # "aaaaa" scores 0.5 against "aaaaa b" by token, which decides the
+        # lookup even though "aaaa" has the very same trigram set.
+        names = ["aaaaa b", "aaaa"]
+        assert self.check(names, "aaaaa", 0.5).match_kind == "token"
+        assert self.check(names, "aaaaa", 0.999) is None
+
+    def test_equal_trigram_sets_of_distinct_strings(self):
+        hit = self.check(["aaaa"], "aaaaa", 0.999)
+        assert (hit.matched_text, hit.match_kind, hit.score) == ("aaaa", "fuzzy", 1.0)
+        # No fuzzy hit at all above a fuzzy threshold of 1.
+        assert self.check(["aaaa"], "aaaaa", 0.999, fuzzy_threshold=1.5) is None
+
+    def test_thresholds_at_the_bounds(self):
+        # "aa" has 3 trigrams, all in "aaa"'s 4: 3/4 only just passes.
+        assert self.check(["aaa"], "aa", 0.75).score == 0.75
+        # "aaaa bcd" shares 4 of its 8 trigrams with "aaaaa": 4/8 passes 0.5.
+        assert self.check(["aaaaa"], "aaaa bcd", 0.5).score == 0.5
+        assert self.check(["employment"], "employment", 1.5) is None
+
+    def test_repeated_tokens_punctuation_and_unicode(self):
+        assert self.check(["rate"], "rate rate", 0.999).match_kind == "token"
+        assert self.check(["rate"], "rate?!", 0.999).match_kind == "token"
+        assert self.check(["rate"], "\u212aate", 0.999) is None
+        assert self.check(["kate"], "\u212aate", 0.999).match_kind == "exact"
+        assert self.check(["kate"], "\u212aate!", 0.999).match_kind == "token"
+        assert self.check(["labour market"], "labour-market!", 0.5).score == 1.0
+        assert self.check(["a"], "a\u00e9", 0.999).match_kind == "token"
+
+    def test_ties_go_to_the_first_surface(self):
+        assert self.check(["rate!", "rate"], "rate?", 0.999).matched_text == "rate!"
+        assert self.check(["aaaa", "aaaaaa"], "aaaaa", 0.999).matched_text == "aaaa"
+        assert self.check(["rate one", "rate two"], "rate", 0.999) is None
+        assert self.check(["rate one", "rate two"], "rate", 0.5).matched_text == "rate one"
+
+
 class TestEditSimilarityPrefilter:
     @settings(max_examples=500, deadline=None)
     @given(
