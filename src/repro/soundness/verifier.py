@@ -29,7 +29,9 @@ verifier offers three depths — benchmark E4's ablation axis:
   verdicts of :func:`verify_rows`, built from that same ``_CitedRows``.
   This depth runs once per cache entry: when re-execution gets the
   answer object itself back from the cache, which has just checked every
-  table the query reads, the report kept on that result is reused.  A
+  table the query reads, the report kept on that result is reused.  The
+  row verdicts of a ``"reexecution"``-depth pass are kept and reused
+  under the same rule.  A
   tampered copy, a stale answer, another spelling of the SQL or a
   cache-less database always gets the full check.
 
@@ -127,6 +129,11 @@ class AnswerVerifier:
         reexecution, replay = self._verify_reexecution(result)
         report = report.merge(reexecution)
         if depth == "reexecution" or not report.passed:
+            if report.passed and replay is result:  # the rule of the memo below
+                if result.row_verdicts is None:
+                    verdicts = _row_verdicts(result, self.database.catalog)
+                    object.__setattr__(result, "row_verdicts", verdicts)
+                report = replace(report, row_verdicts=result.row_verdicts)
             return report
         if replay is not result:
             return report.merge(self._verify_provenance(result))

@@ -20,8 +20,8 @@ An entry holds the one :class:`~repro.sqldb.database.QueryResult` the
 miss computed, and a hit hands that object out.  Results are immutable,
 so no caller can change what later callers receive, and what is derived
 from the entry's result is shared by every turn that reuses it: the
-lineage index and the verifier's provenance report
-(``QueryResult.provenance_report``), which a hit proves still holds.
+lineage index and the verifier's memos (``QueryResult.provenance_report``
+and ``row_verdicts``), which a hit proves still hold.
 """
 
 from __future__ import annotations

@@ -19,9 +19,10 @@ tuples.  At compile time it
 * specializes comparison / arithmetic / three-valued-logic dispatch so
   the per-row work is just the closures' bodies.
 
-:func:`compile_batch` gives the *batch form* that scans, GROUP BY and the
-verifier run over a base table: ``fn(positions) -> list``, one value per
-position into the table's :class:`~repro.sqldb.table.ColumnMemo`.  Column
+:func:`compile_batch` gives the *batch form* that the executor's operators
+and the verifier run over a column memo (a table's
+:class:`~repro.sqldb.table.ColumnMemo`, a join's pair memo or a grouping's
+output): ``fn(positions) -> list``, one value per position.  Column
 references, constants and ``column <op> constant`` comparisons run as
 list kernels, the last only when the column's types cannot raise against
 the constant (numbers against a number, else the constant's own type).
@@ -122,11 +123,12 @@ def compile_batch(
     memo,
     subquery_runner=None,
     subquery_cache: dict[str, list[tuple]] | None = None,
+    aggregate_slots: dict[str, int] | None = None,
 ) -> BatchExpression:
     """The batch form of ``expression`` over ``memo``, a column memo laid
     out as ``layout``: the row closure's values (or first error) on the
     rows at the given positions."""
-    compiler = _Compiler(layout, None, subquery_runner, subquery_cache)
+    compiler = _Compiler(layout, aggregate_slots, subquery_runner, subquery_cache)
     return compiler.compile_batch(expression, memo)
 
 

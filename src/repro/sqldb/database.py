@@ -79,9 +79,11 @@ class QueryResult:
     how: tuple[Polynomial, ...] | None = None
     elapsed_seconds: float = 0.0
     scanned_rows: int = 0
-    #: Not a field: the verifier's provenance report for this cache entry,
-    #: read only when re-execution gets this very object back from the cache.
+    #: Not fields: the verifier's provenance report and its re-execution
+    #: depth's row verdicts for this cache entry, read only when
+    #: re-execution gets this very object back from the cache.
     provenance_report = None
+    row_verdicts = None
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -9,8 +9,10 @@ over the conjuncts, and ``make_aggregator`` stepped value by value: the
 batch forms must give the same values and raise the same first error.
 Also pinned: WHERE/HAVING/ON values that are not booleans raise (dialect
 difference 7 in ``tests/sqlite_oracle.py``), aggregate input errors are
-``ExecutionError``s, the memo follows inserts and deletes, and a
-single-table GROUP BY builds rows only for its output groups.
+``ExecutionError``s, the memo follows inserts and deletes, and rows are
+built only where they are needed: for a GROUP BY's output groups, and
+not for a join under COUNT(*), the rows an ORDER BY's LIMIT cuts or a
+plain projection.
 """
 
 from __future__ import annotations
@@ -403,12 +405,20 @@ class TestColumnMemo:
 
 
 class TestRowsBuilt:
-    def test_single_table_group_by_builds_rows_only_for_its_groups(self, monkeypatch):
-        db = Database()
+    @staticmethod
+    def _database(rows: int = 2000) -> Database:
+        db = Database(capture_how=True)
         db.execute("CREATE TABLE t (g INT, v FLOAT)")
+        db.execute("CREATE TABLE d (g INT, label TEXT)")
         table = db.catalog.table("t")
-        for index in range(2000):
+        for index in range(rows):
             table.insert((index % 7, index / 4))
+        for group in range(7):
+            db.catalog.table("d").insert((group, f"group {group}"))
+        return db
+
+    @staticmethod
+    def _count_rows(monkeypatch) -> list:
         built = []
 
         class CountingRow(executor_module.ExecRow):
@@ -417,6 +427,33 @@ class TestRowsBuilt:
                 super().__init__(*args)
 
         monkeypatch.setattr(executor_module, "ExecRow", CountingRow)
+        return built
+
+    def test_single_table_group_by_builds_rows_only_for_its_groups(self, monkeypatch):
+        db = self._database()
+        built = self._count_rows(monkeypatch)
         result = db.execute("SELECT g, SUM(v), COUNT(*) FROM t WHERE v > 10 GROUP BY g")
         assert len(result.rows) == 7
         assert len(built) == 7
+
+    def test_join_count_builds_one_row(self, monkeypatch):
+        db = self._database()
+        built = self._count_rows(monkeypatch)
+        result = db.execute("SELECT COUNT(*) FROM t INNER JOIN d ON t.g = d.g")
+        assert result.rows == ((2000,),)
+        assert len(result.lineage[0]) == 2007
+        assert len(built) == 1
+
+    def test_order_by_limit_builds_at_most_the_limit(self, monkeypatch):
+        db = self._database()
+        built = self._count_rows(monkeypatch)
+        result = db.execute("SELECT g, v FROM t ORDER BY v DESC LIMIT 3")
+        assert [row[1] for row in result.rows] == [499.75, 499.5, 499.25]
+        assert len(built) <= 3
+
+    def test_plain_projection_builds_none(self, monkeypatch):
+        db = self._database(rows=1000)
+        built = self._count_rows(monkeypatch)
+        result = db.execute("SELECT v, g FROM t")
+        assert len(result.rows) == 1000 and len(result.how) == 1000
+        assert built == []

@@ -42,7 +42,10 @@ from tests.sqlite_oracle import copy_to_sqlite
 
 class ReferenceExecutor(SelectExecutor):
     """``SelectExecutor`` with the eager project → distinct → sort → limit
-    tail."""
+    tail.  It gets its rows from ``_rows_to_project``, so it shares the
+    executor's scan, join, WHERE and GROUP BY: only the tail is
+    independent here (``tests/test_sqldb_join_reference.py`` checks the
+    rest against row-at-a-time operators)."""
 
     def _execute_single(self, statement: ast.SelectStatement) -> SelectResult:
         relation, aggregate_slots = self._rows_to_project(statement)

@@ -8,7 +8,8 @@ memo is read (a hit at unchanged tables) and when it is not (a write to
 any read table, a tampered copy, another spelling, a cache-less database,
 depths below provenance), that a memo'd verdict equals a fresh one on a
 cache-less database, and that the cache tells a dropped and re-created
-table from the one its entry was computed on.
+table from the one its entry was computed on.  The row verdicts a
+re-execution-depth pass carries are kept under the same rule.
 """
 
 from __future__ import annotations
@@ -106,6 +107,35 @@ class TestOneVerdictPerCacheEntry:
             report = verifier.verify(db.execute(result.sql), depth)
             assert report.passed and report.depth == depth
         assert result.provenance_report is None
+
+
+class TestRowVerdictsAtReexecutionDepth:
+    SQL = "SELECT department, COUNT(*) FROM employees WHERE salary > 75 GROUP BY department"
+
+    def test_a_served_answer_builds_its_row_verdicts_once(self, monkeypatch):
+        db = _cached_employees_db()
+        verifier = AnswerVerifier(db)
+        built = _count_calls(monkeypatch, verifier_module._CitedRows, "__init__")
+        reports = [verifier.verify(db.execute(self.SQL), "reexecution") for _ in range(3)]
+        assert all(report.passed for report in reports)
+        assert reports[0].row_verdicts and len({report.row_verdicts for report in reports}) == 1
+        assert len(built) == 1
+        # A write the answer does not see: re-execution computes a new
+        # result, whose verdicts are built again.
+        db.execute("INSERT INTO employees VALUES (6, 'fay', 'sales', 10.0, 'bern')")
+        report = verifier.verify(db.execute(self.SQL), "reexecution")
+        assert report.passed and report.row_verdicts == reports[0].row_verdicts
+        assert len(built) == 2
+
+    def test_a_tampered_copy_builds_them_every_time(self, monkeypatch):
+        db = _cached_employees_db()
+        verifier = AnswerVerifier(db)
+        built = _count_calls(monkeypatch, verifier_module._CitedRows, "__init__")
+        copy = replace(db.execute(self.SQL))
+        for _ in range(2):
+            assert verifier.verify(copy, "reexecution").passed
+        assert len(built) == 2
+        assert copy.row_verdicts is None
 
 
 def _cite(*row_ids: int):
