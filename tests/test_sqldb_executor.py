@@ -129,6 +129,25 @@ class TestAggregation:
                 "SELECT name, COUNT(*) FROM employees GROUP BY department"
             )
 
+    def test_unknown_expression_node_rejected_in_grouped_check(self):
+        # The strict GROUP BY check fails closed: a node kind it does not
+        # know (here one hiding a bare column in a list) is an error, not
+        # a pass that would let a representative value through.
+        from dataclasses import dataclass
+
+        from repro.sqldb import ast
+        from repro.sqldb.executor import _validate_grouped
+
+        @dataclass(frozen=True)
+        class Wrapped(ast.Expression):
+            parts: list
+
+            def to_sql(self) -> str:
+                return "WRAPPED(...)"
+
+        with pytest.raises(ExecutionError, match="cannot validate grouped expression"):
+            _validate_grouped(Wrapped([ast.ColumnRef(name="name")]), {"department"})
+
     def test_grouped_expression_allowed(self, employees_db):
         result = employees_db.execute(
             "SELECT UPPER(department), COUNT(*) FROM employees "
