@@ -1,155 +1,159 @@
-"""Recursive-descent parser for the supported SQL dialect.
+"""Parser for the supported SQL dialect.
 
 Grammar (informal)::
 
-    statement   := select | create_table | insert
+    statement   := (select | create_table | insert) [";"]
     select      := SELECT [DISTINCT] items [FROM table_ref join*]
                    [WHERE expr] [GROUP BY expr_list] [HAVING expr]
                    [ORDER BY order_list] [LIMIT n [OFFSET m]]
-    join        := (INNER|LEFT [OUTER]|CROSS) JOIN table_ref [ON expr]
-    expr        := or_expr          (precedence-climbing below)
+                   [UNION [ALL] select]
+    join        := (INNER | LEFT [OUTER]) JOIN table_ref ON expr
+                 | JOIN table_ref ON expr | CROSS JOIN table_ref
+    create_table:= CREATE TABLE name "(" column_def ("," column_def)* ")"
+    insert      := INSERT INTO name ["(" name ("," name)* ")"]
+                   VALUES "(" expr_list ")" ("," "(" expr_list ")")*
+    expr        := prefix infix*
 
-Operator precedence, loosest first: OR, AND, NOT, comparison
-(=, <>, <, <=, >, >=, IS NULL, IN, BETWEEN, LIKE), additive (+, -, ||),
-multiplicative (*, /, %), unary minus, atoms.
+Expressions are parsed by precedence climbing (Pratt, "Top down operator
+precedence", POPL 1973): one loop reads an operand, then takes each
+infix operator whose binding power is at least the loop's floor,
+parsing its right operand with a higher floor.  Binding powers, loosest
+first::
+
+    1  OR                                     left-associative
+    2  AND                                    left-associative
+    3  NOT (prefix)
+    4  = <> != < <= > >=  IS [NOT] NULL       non-associative; operands and
+       [NOT] IN (...)  [NOT] LIKE             BETWEEN bounds are parsed
+       [NOT] BETWEEN ... AND ...              at power 5
+    5  + - ||                                 left-associative
+    6  * / %                                  left-associative
+    7  - + (prefix)
+
+What follows an operand is capped too: only AND and OR after prefix
+NOT, nothing at power 4 after a comparison (``a = b = c`` leaves
+``= c`` as trailing input).  Prefix NOT needs a floor of at most 3, so
+``a = NOT b`` is an unexpected token.
 """
 
 from __future__ import annotations
 
-from repro.errors import ParseError
+from repro.errors import ParseError, TokenizeError
 from repro.sqldb import ast
-from repro.sqldb.tokenizer import Token, TokenType, tokenize
+from repro.sqldb.tokenizer import KEYWORDS, TokenType, lex
 
 #: Aggregate function names recognised by the parser.
 AGGREGATE_NAMES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX", "STDDEV", "VARIANCE"})
 
-_COMPARISON_OPERATORS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
+_OR, _AND, _NOT, _COMPARE, _ADD, _MULTIPLY, _UNARY = range(1, 8)
+
+#: Binding power of every infix operator, keyed on the token kind.  NOT is
+#: infix only before IN, BETWEEN or LIKE.
+_INFIX: dict[object, int] = {
+    "OR": _OR,
+    "AND": _AND,
+    **dict.fromkeys(
+        ("=", "<>", "!=", "<", "<=", ">", ">=", "IS", "IN", "BETWEEN", "LIKE", "NOT"),
+        _COMPARE,
+    ),
+    **dict.fromkeys(("+", "-", "||"), _ADD),
+    **dict.fromkeys(("*", "/", "%"), _MULTIPLY),
+}
+
+_CONSTANTS = {"NULL": None, "TRUE": True, "FALSE": False}
+
+_IDENTIFIER = TokenType.IDENTIFIER
 
 
 class _Parser:
-    """Stateful cursor over the token stream."""
+    """Cursor over the tokens of one text (see :func:`lex`)."""
 
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
+    def __init__(self, sql: str):
+        self._kinds, self._values, self._positions = lex(sql)
         self._index = 0
 
     # -- token stream helpers ------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> Token:
-        index = min(self._index + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
-
-    def _advance(self) -> Token:
-        token = self._tokens[self._index]
-        if token.type is not TokenType.EOF:
+    def _accept(self, kind: object) -> bool:
+        """Consume the next token if it is of ``kind``."""
+        if self._kinds[self._index] == kind:
             self._index += 1
-        return token
-
-    def _check_keyword(self, *keywords: str) -> bool:
-        return self._peek().matches_keyword(*keywords)
-
-    def _accept_keyword(self, *keywords: str) -> bool:
-        if self._check_keyword(*keywords):
-            self._advance()
             return True
         return False
 
-    def _expect_keyword(self, keyword: str) -> Token:
-        token = self._peek()
-        if not token.matches_keyword(keyword):
-            raise ParseError(
-                f"expected {keyword}, found {token.value!r}", position=token.position
-            )
-        return self._advance()
+    def _expect(self, kind: object, what: str | None = None) -> str:
+        """Consume the next token, which must be of ``kind``; return its value."""
+        if self._kinds[self._index] != kind:
+            if what is None:
+                what = kind if kind in KEYWORDS else repr(kind)
+            raise self._error(f"expected {what}, found {{found}}")
+        self._index += 1
+        return self._values[self._index - 1]
 
-    def _accept_punct(self, value: str) -> bool:
-        token = self._peek()
-        if token.type is TokenType.PUNCTUATION and token.value == value:
-            self._advance()
-            return True
-        return False
+    def _error(self, message: str) -> ParseError:
+        """A ParseError at the next token; ``{found}`` in ``message`` is its text."""
+        index = self._index
+        return ParseError(
+            message.format(found=repr(self._values[index])),
+            position=self._positions[index],
+        )
 
-    def _expect_punct(self, value: str) -> Token:
-        token = self._peek()
-        if token.type is not TokenType.PUNCTUATION or token.value != value:
-            raise ParseError(
-                f"expected {value!r}, found {token.value!r}", position=token.position
-            )
-        return self._advance()
+    def _end(self) -> None:
+        if self._kinds[self._index] is not TokenType.EOF:
+            raise self._error("unexpected trailing input: {found}")
 
-    def _accept_operator(self, *values: str) -> str | None:
-        token = self._peek()
-        if token.type is TokenType.OPERATOR and token.value in values:
-            self._advance()
-            return token.value
-        return None
-
-    def _expect_identifier(self, what: str) -> str:
-        token = self._peek()
-        if token.type is not TokenType.IDENTIFIER:
-            raise ParseError(
-                f"expected {what}, found {token.value!r}", position=token.position
-            )
-        self._advance()
-        return token.value
+    def _comma_list(self, parse_one) -> list:
+        items = [parse_one()]
+        while self._accept(","):
+            items.append(parse_one())
+        return items
 
     # -- statements ----------------------------------------------------------
 
     def parse_statement(self) -> ast.Statement:
-        if self._check_keyword("SELECT"):
+        kind = self._kinds[0]
+        if kind == "SELECT":
             statement = self.parse_select()
-        elif self._check_keyword("CREATE"):
+        elif kind == "CREATE":
             statement = self._parse_create_table()
-        elif self._check_keyword("INSERT"):
+        elif kind == "INSERT":
             statement = self._parse_insert()
         else:
-            token = self._peek()
-            raise ParseError(
-                f"expected SELECT, CREATE or INSERT, found {token.value!r}",
-                position=token.position,
-            )
-        self._accept_punct(";")
-        token = self._peek()
-        if token.type is not TokenType.EOF:
-            raise ParseError(
-                f"unexpected trailing input: {token.value!r}", position=token.position
-            )
+            raise self._error("expected SELECT, CREATE or INSERT, found {found}")
+        self._accept(";")
+        self._end()
         return statement
 
     def parse_select(self) -> ast.SelectStatement:
-        self._expect_keyword("SELECT")
-        distinct = self._accept_keyword("DISTINCT")
-        items = self._parse_select_items()
+        self._expect("SELECT")
+        distinct = self._accept("DISTINCT")
+        items = self._comma_list(self._parse_select_item)
         from_table: ast.TableRef | None = None
         joins: list[ast.Join] = []
-        if self._accept_keyword("FROM"):
+        if self._accept("FROM"):
             from_table = self._parse_table_ref()
-            while True:
-                join = self._parse_join()
-                if join is None:
-                    break
+            while (join := self._parse_join()) is not None:
                 joins.append(join)
-        where = self._parse_expression() if self._accept_keyword("WHERE") else None
+        where = self._expression() if self._accept("WHERE") else None
         group_by: tuple[ast.Expression, ...] = ()
-        if self._accept_keyword("GROUP"):
-            self._expect_keyword("BY")
-            group_by = tuple(self._parse_expression_list())
-        having = self._parse_expression() if self._accept_keyword("HAVING") else None
+        if self._accept("GROUP"):
+            self._expect("BY")
+            group_by = tuple(self._comma_list(self._expression))
+        having = self._expression() if self._accept("HAVING") else None
         order_by: tuple[ast.OrderItem, ...] = ()
-        if self._accept_keyword("ORDER"):
-            self._expect_keyword("BY")
-            order_by = tuple(self._parse_order_items())
+        if self._accept("ORDER"):
+            self._expect("BY")
+            order_by = tuple(self._comma_list(self._parse_order_item))
         limit = None
         offset = None
-        if self._accept_keyword("LIMIT"):
+        if self._accept("LIMIT"):
             limit = self._parse_nonnegative_int("LIMIT")
-            if self._accept_keyword("OFFSET"):
+            if self._accept("OFFSET"):
                 offset = self._parse_nonnegative_int("OFFSET")
         union: tuple[bool, ast.SelectStatement] | None = None
-        if self._accept_keyword("UNION"):
-            keep_duplicates = self._accept_keyword("ALL")
-            right = self.parse_select()
-            union = (keep_duplicates, right)
+        if self._accept("UNION"):
+            keep_duplicates = self._accept("ALL")
+            union = (keep_duplicates, self.parse_select())
         return ast.SelectStatement(
             items=tuple(items),
             from_table=from_table,
@@ -165,103 +169,80 @@ class _Parser:
         )
 
     def _parse_nonnegative_int(self, clause: str) -> int:
-        token = self._peek()
-        if token.type is not TokenType.INTEGER:
-            raise ParseError(
-                f"{clause} requires an integer, found {token.value!r}",
-                position=token.position,
-            )
-        self._advance()
-        return int(token.value)
+        if self._kinds[self._index] is not TokenType.INTEGER:
+            raise self._error(f"{clause} requires an integer, found {{found}}")
+        return self._parse_number()
 
-    def _parse_select_items(self) -> list[ast.SelectItem]:
-        items = [self._parse_select_item()]
-        while self._accept_punct(","):
-            items.append(self._parse_select_item())
-        return items
+    def _parse_number(self) -> int | float:
+        """Consume a number token; a malformed one is a lexical error."""
+        index = self._index
+        self._index += 1
+        value = self._values[index]
+        try:
+            if self._kinds[index] is TokenType.INTEGER:
+                return int(value)
+            return float(value)
+        except ValueError:
+            raise TokenizeError(
+                f"malformed number {value!r}", position=self._positions[index]
+            ) from None
+
+    def _parse_alias(self, what: str) -> str | None:
+        if self._accept("AS") or self._kinds[self._index] is _IDENTIFIER:
+            return self._expect(_IDENTIFIER, what)
+        return None
 
     def _parse_select_item(self) -> ast.SelectItem:
-        expression = self._parse_expression()
-        alias = None
-        if self._accept_keyword("AS"):
-            alias = self._expect_identifier("alias")
-        elif self._peek().type is TokenType.IDENTIFIER:
-            alias = self._advance().value
-        return ast.SelectItem(expression=expression, alias=alias)
+        expression = self._expression()
+        return ast.SelectItem(expression=expression, alias=self._parse_alias("alias"))
 
     def _parse_table_ref(self) -> ast.TableRef:
-        name = self._expect_identifier("table name")
-        alias = None
-        if self._accept_keyword("AS"):
-            alias = self._expect_identifier("table alias")
-        elif self._peek().type is TokenType.IDENTIFIER:
-            alias = self._advance().value
-        return ast.TableRef(name=name, alias=alias)
+        name = self._expect(_IDENTIFIER, "table name")
+        return ast.TableRef(name=name, alias=self._parse_alias("table alias"))
 
     def _parse_join(self) -> ast.Join | None:
-        if self._accept_keyword("CROSS"):
-            self._expect_keyword("JOIN")
-            table = self._parse_table_ref()
-            return ast.Join(kind="CROSS", table=table, condition=None)
-        kind = None
-        if self._accept_keyword("INNER"):
-            kind = "INNER"
-        elif self._accept_keyword("LEFT"):
-            self._accept_keyword("OUTER")
+        if self._accept("CROSS"):
+            self._expect("JOIN")
+            return ast.Join(kind="CROSS", table=self._parse_table_ref(), condition=None)
+        if self._accept("LEFT"):
+            self._accept("OUTER")
             kind = "LEFT"
-        elif self._check_keyword("JOIN"):
+        elif self._accept("INNER") or self._kinds[self._index] == "JOIN":
             kind = "INNER"
-        if kind is None:
+        else:
             return None
-        self._expect_keyword("JOIN")
+        self._expect("JOIN")
         table = self._parse_table_ref()
-        self._expect_keyword("ON")
-        condition = self._parse_expression()
-        return ast.Join(kind=kind, table=table, condition=condition)
-
-    def _parse_order_items(self) -> list[ast.OrderItem]:
-        items = [self._parse_order_item()]
-        while self._accept_punct(","):
-            items.append(self._parse_order_item())
-        return items
+        self._expect("ON")
+        return ast.Join(kind=kind, table=table, condition=self._expression())
 
     def _parse_order_item(self) -> ast.OrderItem:
-        expression = self._parse_expression()
-        descending = False
-        if self._accept_keyword("DESC"):
-            descending = True
-        else:
-            self._accept_keyword("ASC")
+        expression = self._expression()
+        descending = self._accept("DESC")
+        if not descending:
+            self._accept("ASC")
         return ast.OrderItem(expression=expression, descending=descending)
 
-    def _parse_expression_list(self) -> list[ast.Expression]:
-        expressions = [self._parse_expression()]
-        while self._accept_punct(","):
-            expressions.append(self._parse_expression())
-        return expressions
-
     def _parse_create_table(self) -> ast.CreateTableStatement:
-        self._expect_keyword("CREATE")
-        self._expect_keyword("TABLE")
-        name = self._expect_identifier("table name")
-        self._expect_punct("(")
-        columns = [self._parse_column_def()]
-        while self._accept_punct(","):
-            columns.append(self._parse_column_def())
-        self._expect_punct(")")
+        self._expect("CREATE")
+        self._expect("TABLE")
+        name = self._expect(_IDENTIFIER, "table name")
+        self._expect("(")
+        columns = self._comma_list(self._parse_column_def)
+        self._expect(")")
         return ast.CreateTableStatement(name=name, columns=tuple(columns))
 
     def _parse_column_def(self) -> ast.ColumnDef:
-        name = self._expect_identifier("column name")
-        type_name = self._expect_identifier("column type")
+        name = self._expect(_IDENTIFIER, "column name")
+        type_name = self._expect(_IDENTIFIER, "column type")
         not_null = False
         primary_key = False
         while True:
-            if self._accept_keyword("PRIMARY"):
-                self._expect_keyword("KEY")
+            if self._accept("PRIMARY"):
+                self._expect("KEY")
                 primary_key = True
-            elif self._accept_keyword("NOT"):
-                self._expect_keyword("NULL")
+            elif self._accept("NOT"):
+                self._expect("NULL")
                 not_null = True
             else:
                 break
@@ -270,238 +251,157 @@ class _Parser:
         )
 
     def _parse_insert(self) -> ast.InsertStatement:
-        self._expect_keyword("INSERT")
-        self._expect_keyword("INTO")
-        table = self._expect_identifier("table name")
+        self._expect("INSERT")
+        self._expect("INTO")
+        table = self._expect(_IDENTIFIER, "table name")
         columns: list[str] = []
-        if self._accept_punct("("):
-            columns.append(self._expect_identifier("column name"))
-            while self._accept_punct(","):
-                columns.append(self._expect_identifier("column name"))
-            self._expect_punct(")")
-        self._expect_keyword("VALUES")
-        rows = [self._parse_value_row()]
-        while self._accept_punct(","):
-            rows.append(self._parse_value_row())
+        if self._accept("("):
+            columns = self._comma_list(lambda: self._expect(_IDENTIFIER, "column name"))
+            self._expect(")")
+        self._expect("VALUES")
+        rows = self._comma_list(self._parse_parenthesised_list)
         return ast.InsertStatement(
             table=table, columns=tuple(columns), rows=tuple(rows)
         )
 
-    def _parse_value_row(self) -> tuple[ast.Expression, ...]:
-        self._expect_punct("(")
-        values = [self._parse_expression()]
-        while self._accept_punct(","):
-            values.append(self._parse_expression())
-        self._expect_punct(")")
+    def _parse_parenthesised_list(self) -> tuple[ast.Expression, ...]:
+        self._expect("(")
+        values = self._comma_list(self._expression)
+        self._expect(")")
         return tuple(values)
 
     # -- expressions (precedence climbing) -------------------------------------
 
-    def _parse_expression(self) -> ast.Expression:
-        return self._parse_or()
-
-    def _parse_or(self) -> ast.Expression:
-        left = self._parse_and()
-        while self._accept_keyword("OR"):
-            right = self._parse_and()
-            left = ast.BinaryOp(operator="OR", left=left, right=right)
-        return left
-
-    def _parse_and(self) -> ast.Expression:
-        left = self._parse_not()
-        while self._accept_keyword("AND"):
-            right = self._parse_not()
-            left = ast.BinaryOp(operator="AND", left=left, right=right)
-        return left
-
-    def _parse_not(self) -> ast.Expression:
-        if self._accept_keyword("NOT"):
-            operand = self._parse_not()
-            return ast.UnaryOp(operator="NOT", operand=operand)
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> ast.Expression:
-        left = self._parse_additive()
-        operator = self._accept_operator(*_COMPARISON_OPERATORS)
-        if operator is not None:
-            if operator == "!=":
-                operator = "<>"
-            right = self._parse_additive()
-            return ast.BinaryOp(operator=operator, left=left, right=right)
-        negated = False
-        if self._check_keyword("NOT") and self._peek(1).matches_keyword(
-            "IN", "BETWEEN", "LIKE"
-        ):
-            self._advance()
-            negated = True
-        if self._accept_keyword("IS"):
-            is_not = self._accept_keyword("NOT")
-            self._expect_keyword("NULL")
-            return ast.IsNull(operand=left, negated=is_not)
-        if self._accept_keyword("IN"):
-            self._expect_punct("(")
-            if self._check_keyword("SELECT"):
-                inner = self.parse_select()
-                self._expect_punct(")")
-                return ast.InSubquery(operand=left, statement=inner, negated=negated)
-            items = [self._parse_expression()]
-            while self._accept_punct(","):
-                items.append(self._parse_expression())
-            self._expect_punct(")")
-            return ast.InList(operand=left, items=tuple(items), negated=negated)
-        if self._accept_keyword("BETWEEN"):
-            low = self._parse_additive()
-            self._expect_keyword("AND")
-            high = self._parse_additive()
-            return ast.Between(operand=left, low=low, high=high, negated=negated)
-        if self._accept_keyword("LIKE"):
-            pattern = self._parse_additive()
-            return ast.Like(operand=left, pattern=pattern, negated=negated)
-        if negated:
-            token = self._peek()
-            raise ParseError(
-                "expected IN, BETWEEN or LIKE after NOT", position=token.position
-            )
-        return left
-
-    def _parse_additive(self) -> ast.Expression:
-        left = self._parse_multiplicative()
+    def _expression(self, floor: int = 0) -> ast.Expression:
+        """The longest expression whose infix operators bind at ``floor`` or more."""
+        kind = self._kinds[self._index]
+        ceiling = _MULTIPLY
+        if kind == "NOT" and floor <= _NOT:
+            self._index += 1
+            left: ast.Expression = ast.UnaryOp("NOT", self._expression(_NOT))
+            ceiling = _AND
+        elif kind == "-" or kind == "+":
+            self._index += 1
+            left = self._expression(_UNARY)
+            if kind == "-":
+                left = ast.UnaryOp(operator="-", operand=left)
+        else:
+            left = self._parse_atom()
         while True:
-            operator = self._accept_operator("+", "-", "||")
-            if operator is None:
+            kind = self._kinds[self._index]
+            power = _INFIX.get(kind)
+            if power is None or not floor <= power <= ceiling:
                 return left
-            right = self._parse_multiplicative()
-            left = ast.BinaryOp(operator=operator, left=left, right=right)
-
-    def _parse_multiplicative(self) -> ast.Expression:
-        left = self._parse_unary()
-        while True:
-            operator = self._accept_operator("*", "/", "%")
-            if operator is None:
-                return left
-            # Disambiguate: `*` immediately after a comma/open-paren is a
-            # Star atom, never reached here because _parse_unary consumed it.
-            right = self._parse_unary()
-            left = ast.BinaryOp(operator=operator, left=left, right=right)
-
-    def _parse_unary(self) -> ast.Expression:
-        operator = self._accept_operator("-", "+")
-        if operator == "-":
-            operand = self._parse_unary()
-            return ast.UnaryOp(operator="-", operand=operand)
-        if operator == "+":
-            return self._parse_unary()
-        return self._parse_atom()
+            negated = kind == "NOT"
+            if negated:
+                if self._kinds[self._index + 1] not in ("IN", "BETWEEN", "LIKE"):
+                    return left
+                self._index += 1
+                kind = self._kinds[self._index]
+            self._index += 1
+            if power != _COMPARE:
+                right = self._expression(power + 1)
+                left = ast.BinaryOp(operator=kind, left=left, right=right)
+                ceiling = power
+                continue
+            ceiling = _COMPARE - 1
+            if kind == "IS":
+                negated = self._accept("NOT")
+                self._expect("NULL")
+                left = ast.IsNull(operand=left, negated=negated)
+            elif kind == "IN":
+                self._expect("(")
+                if self._kinds[self._index] == "SELECT":
+                    left = ast.InSubquery(left, self.parse_select(), negated)
+                else:
+                    items = tuple(self._comma_list(self._expression))
+                    left = ast.InList(left, items, negated)
+                self._expect(")")
+            elif kind == "BETWEEN":
+                low = self._expression(_ADD)
+                self._expect("AND")
+                high = self._expression(_ADD)
+                left = ast.Between(operand=left, low=low, high=high, negated=negated)
+            elif kind == "LIKE":
+                pattern = self._expression(_ADD)
+                left = ast.Like(operand=left, pattern=pattern, negated=negated)
+            else:
+                operator = "<>" if kind == "!=" else kind
+                right = self._expression(_ADD)
+                left = ast.BinaryOp(operator=operator, left=left, right=right)
 
     def _parse_atom(self) -> ast.Expression:
-        token = self._peek()
-        if token.type is TokenType.INTEGER:
-            self._advance()
-            return ast.Literal(int(token.value))
-        if token.type is TokenType.FLOAT:
-            self._advance()
-            return ast.Literal(float(token.value))
-        if token.type is TokenType.STRING:
-            self._advance()
-            return ast.Literal(token.value)
-        if token.matches_keyword("NULL"):
-            self._advance()
-            return ast.Literal(None)
-        if token.matches_keyword("TRUE"):
-            self._advance()
-            return ast.Literal(True)
-        if token.matches_keyword("FALSE"):
-            self._advance()
-            return ast.Literal(False)
-        if token.matches_keyword("CASE"):
+        kind = self._kinds[self._index]
+        if kind is _IDENTIFIER:
+            self._index += 1
+            return self._parse_identifier_atom(self._values[self._index - 1])
+        if kind is TokenType.INTEGER or kind is TokenType.FLOAT:
+            return ast.Literal(self._parse_number())
+        if kind is TokenType.STRING:
+            self._index += 1
+            return ast.Literal(self._values[self._index - 1])
+        if kind in _CONSTANTS:
+            self._index += 1
+            return ast.Literal(_CONSTANTS[kind])
+        if kind == "CASE":
+            self._index += 1
             return self._parse_case()
-        if token.type is TokenType.OPERATOR and token.value == "*":
-            self._advance()
+        if kind == "*":
+            self._index += 1
             return ast.Star()
-        if token.type is TokenType.PUNCTUATION and token.value == "(":
-            self._advance()
-            if self._check_keyword("SELECT"):
-                inner = self.parse_select()
-                self._expect_punct(")")
-                return ast.ScalarSubquery(statement=inner)
-            expression = self._parse_expression()
-            self._expect_punct(")")
+        if kind == "(":
+            self._index += 1
+            if self._kinds[self._index] == "SELECT":
+                expression: ast.Expression = ast.ScalarSubquery(self.parse_select())
+            else:
+                expression = self._expression()
+            self._expect(")")
             return expression
-        if token.type is TokenType.IDENTIFIER:
-            return self._parse_identifier_atom()
-        raise ParseError(
-            f"unexpected token {token.value!r} in expression", position=token.position
-        )
+        raise self._error("unexpected token {found} in expression")
 
     def _parse_case(self) -> ast.Expression:
-        self._expect_keyword("CASE")
         branches: list[tuple[ast.Expression, ast.Expression]] = []
-        while self._accept_keyword("WHEN"):
-            condition = self._parse_expression()
-            self._expect_keyword("THEN")
-            value = self._parse_expression()
-            branches.append((condition, value))
+        while self._accept("WHEN"):
+            condition = self._expression()
+            self._expect("THEN")
+            branches.append((condition, self._expression()))
         if not branches:
-            token = self._peek()
-            raise ParseError("CASE requires at least one WHEN", position=token.position)
-        default = None
-        if self._accept_keyword("ELSE"):
-            default = self._parse_expression()
-        self._expect_keyword("END")
+            raise self._error("CASE requires at least one WHEN")
+        default = self._expression() if self._accept("ELSE") else None
+        self._expect("END")
         return ast.CaseWhen(branches=tuple(branches), default=default)
 
-    def _parse_identifier_atom(self) -> ast.Expression:
-        name = self._advance().value
-        # Function or aggregate call?
-        if self._peek().type is TokenType.PUNCTUATION and self._peek().value == "(":
-            return self._parse_call(name)
-        # Qualified reference `table.column` or `table.*`?
-        if self._peek().type is TokenType.PUNCTUATION and self._peek().value == ".":
-            self._advance()
-            next_token = self._peek()
-            if next_token.type is TokenType.OPERATOR and next_token.value == "*":
-                self._advance()
+    def _parse_identifier_atom(self, name: str) -> ast.Expression:
+        if self._accept("("):
+            return self._parse_call(name.upper())
+        if self._accept("."):
+            if self._accept("*"):
                 return ast.Star(table=name)
-            column = self._expect_identifier("column name")
+            column = self._expect(_IDENTIFIER, "column name")
             return ast.ColumnRef(name=column, table=name)
         return ast.ColumnRef(name=name)
 
     def _parse_call(self, name: str) -> ast.Expression:
-        self._expect_punct("(")
-        upper = name.upper()
-        if upper in AGGREGATE_NAMES:
-            distinct = self._accept_keyword("DISTINCT")
-            token = self._peek()
-            if token.type is TokenType.OPERATOR and token.value == "*":
-                self._advance()
-                argument: ast.Expression = ast.Star()
-            else:
-                argument = self._parse_expression()
-            self._expect_punct(")")
-            return ast.AggregateCall(name=upper, argument=argument, distinct=distinct)
-        args: list[ast.Expression] = []
-        if not (
-            self._peek().type is TokenType.PUNCTUATION and self._peek().value == ")"
-        ):
-            args.append(self._parse_expression())
-            while self._accept_punct(","):
-                args.append(self._parse_expression())
-        self._expect_punct(")")
-        return ast.FunctionCall(name=upper, args=tuple(args))
+        if name in AGGREGATE_NAMES:
+            distinct = self._accept("DISTINCT")
+            argument = ast.Star() if self._accept("*") else self._expression()
+            self._expect(")")
+            return ast.AggregateCall(name=name, argument=argument, distinct=distinct)
+        args = []
+        if self._kinds[self._index] != ")":
+            args = self._comma_list(self._expression)
+        self._expect(")")
+        return ast.FunctionCall(name=name, args=tuple(args))
 
 
 def parse_sql(sql: str) -> ast.Statement:
     """Parse ``sql`` into a single :class:`~repro.sqldb.ast.Statement`."""
-    return _Parser(tokenize(sql)).parse_statement()
+    return _Parser(sql).parse_statement()
 
 
 def parse_expression(text: str) -> ast.Expression:
     """Parse a standalone SQL expression (used by tests and tooling)."""
-    parser = _Parser(tokenize(text))
-    expression = parser._parse_expression()
-    token = parser._peek()
-    if token.type is not TokenType.EOF:
-        raise ParseError(
-            f"unexpected trailing input: {token.value!r}", position=token.position
-        )
+    parser = _Parser(text)
+    expression = parser._expression()
+    parser._end()
     return expression

@@ -1,15 +1,43 @@
-"""SQL lexer.
+r"""SQL lexer.
 
-Turns SQL text into a flat list of :class:`Token` objects.  The tokenizer
-is intentionally strict: any character it does not recognise raises
-:class:`~repro.errors.TokenizeError` with a position, because silent
-recovery at the lexical level would undermine the soundness story of
-everything downstream (a hallucinated token is still a hallucination).
+Turns SQL text into a flat list of :class:`Token` objects.  One compiled
+regular expression, :data:`_TOKEN`, is matched at each position; its
+named groups give the token types, tried in this order::
+
+    (skipped)    \s+ | --[^\n]*             whitespace, line comments
+    WORD         [A-Za-z_]\w*               KEYWORD if its upper case is one,
+                                            else IDENTIFIER
+    FLOAT        (\d+\.\d* | \.\d+) ([eE][+-]?\d*)? | \d+[eE][+-]?\d*
+    INTEGER      \d+
+    SYMBOL       <> != <= >= || = < > + - * / %
+                 ( ) , . ;                  PUNCTUATION; the rest OPERATOR
+    STRING       '[^']*(''[^']*)*'(?!')     '' escapes a quote
+    QUOTED       "[^"]*"                    an IDENTIFIER; keywords may be
+                                            quoted this way
+    BAD          any other character
+
+Non-ASCII text is matched through a same-length copy in which each
+character ``str.isdigit`` accepts reads ``0`` and each ``str.isalpha``
+accepts reads ``a``: ``\d`` alone misses ``²``, and ``[^\W\d]`` would
+let ``½`` start a word.  (``\w`` and ``\s`` already equal
+``str.isalnum`` plus ``_`` and ``str.isspace``.)  Values come from the
+original text.  A number is lexed by shape, so ``1e`` and ``²`` are
+number tokens; the parser rejects them where it reads their value.
+
+The tokenizer is intentionally strict: any character it does not
+recognise raises :class:`~repro.errors.TokenizeError` with a position,
+because silent recovery at the lexical level would undermine the
+soundness story of everything downstream (a hallucinated token is still
+a hallucination).
+
+:func:`lex` gives the parser the same tokens as parallel lists of kinds,
+values and positions, so no token object is built on the parse path.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from repro.errors import TokenizeError
@@ -65,6 +93,7 @@ KEYWORDS = frozenset(
 )
 
 
+
 class TokenType(enum.Enum):
     """Lexical categories produced by :func:`tokenize`."""
 
@@ -91,126 +120,93 @@ class Token:
         return self.type is TokenType.KEYWORD and self.value in keywords
 
 
-_OPERATORS = ("<>", "!=", "<=", ">=", "||", "=", "<", ">", "+", "-", "*", "/", "%")
-_PUNCTUATION = "(),.;"
+_TOKEN = re.compile(
+    r"""
+      \s+ | --[^\n]*
+    | (?P<WORD>[A-Za-z_]\w*)
+    | (?P<FLOAT>(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d*)?|\d+[eE][+-]?\d*)
+    | (?P<INTEGER>\d+)
+    | (?P<SYMBOL><>|!=|<=|>=|\|\||[-=<>+*/%(),.;])
+    | (?P<STRING>'[^']*(?:''[^']*)*'(?!'))
+    | (?P<QUOTED>"[^"]*")
+    | (?P<BAD>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
+
+_PUNCTUATION = frozenset("(),.;")
+
+_BAD_START = {
+    "'": "unterminated string literal",
+    '"': "unterminated quoted identifier",
+}
+
+
+def _fold(match: re.Match) -> str:
+    char = match[0]
+    return "0" if char.isdigit() else "a" if char.isalpha() else char
 
 
 def tokenize(sql: str) -> list[Token]:
     """Tokenize ``sql``, returning tokens terminated by a single EOF token."""
-    tokens: list[Token] = []
-    position = 0
-    length = len(sql)
-    while position < length:
-        char = sql[position]
-        if char.isspace():
-            position += 1
-            continue
-        if sql.startswith("--", position):
-            newline = sql.find("\n", position)
-            position = length if newline < 0 else newline + 1
-            continue
-        if char == "'":
-            token, position = _read_string(sql, position)
-            tokens.append(token)
-            continue
-        if char == '"':
-            token, position = _read_quoted_identifier(sql, position)
-            tokens.append(token)
-            continue
-        if char.isdigit() or (
-            char == "." and position + 1 < length and sql[position + 1].isdigit()
-        ):
-            token, position = _read_number(sql, position)
-            tokens.append(token)
-            continue
-        if char.isalpha() or char == "_":
-            token, position = _read_word(sql, position)
-            tokens.append(token)
-            continue
-        operator = _match_operator(sql, position)
-        if operator is not None:
-            tokens.append(Token(TokenType.OPERATOR, operator, position))
-            position += len(operator)
-            continue
-        if char in _PUNCTUATION:
-            tokens.append(Token(TokenType.PUNCTUATION, char, position))
-            position += 1
-            continue
-        raise TokenizeError(f"unexpected character {char!r}", position=position)
-    tokens.append(Token(TokenType.EOF, "", length))
-    return tokens
+    return [
+        Token(_type_of(kind), value, position)
+        for kind, value, position in zip(*lex(sql))
+    ]
 
 
-def _read_string(sql: str, start: int) -> tuple[Token, int]:
-    """Read a single-quoted string literal; ``''`` escapes a quote."""
-    position = start + 1
-    pieces: list[str] = []
-    length = len(sql)
-    while position < length:
-        char = sql[position]
-        if char == "'":
-            if position + 1 < length and sql[position + 1] == "'":
-                pieces.append("'")
-                position += 2
-                continue
-            return Token(TokenType.STRING, "".join(pieces), start), position + 1
-        pieces.append(char)
-        position += 1
-    raise TokenizeError("unterminated string literal", position=start)
+def _type_of(kind: str | TokenType) -> TokenType:
+    if isinstance(kind, TokenType):
+        return kind
+    if kind in KEYWORDS:
+        return TokenType.KEYWORD
+    return TokenType.PUNCTUATION if kind in _PUNCTUATION else TokenType.OPERATOR
 
 
-def _read_quoted_identifier(sql: str, start: int) -> tuple[Token, int]:
-    """Read a double-quoted identifier (keywords may be used this way)."""
-    end = sql.find('"', start + 1)
-    if end < 0:
-        raise TokenizeError("unterminated quoted identifier", position=start)
-    name = sql[start + 1 : end]
-    if not name:
-        raise TokenizeError("empty quoted identifier", position=start)
-    return Token(TokenType.IDENTIFIER, name, start), end + 1
+def lex(sql: str) -> tuple[list[str | TokenType], list[str], list[int]]:
+    """The tokens of ``sql`` as three parallel lists: kinds, values, positions.
 
-
-def _read_number(sql: str, start: int) -> tuple[Token, int]:
-    """Read an integer or float literal (optional exponent)."""
-    position = start
-    length = len(sql)
-    saw_dot = False
-    saw_exponent = False
-    while position < length:
-        char = sql[position]
-        if char.isdigit():
-            position += 1
-        elif char == "." and not saw_dot and not saw_exponent:
-            saw_dot = True
-            position += 1
-        elif char in "eE" and not saw_exponent and position > start:
-            saw_exponent = True
-            position += 1
-            if position < length and sql[position] in "+-":
-                position += 1
+    The kind of a keyword, operator or punctuation token is its value
+    (``"SELECT"``, ``"<="``, ``","``); any other token's kind is its
+    :class:`TokenType`.  The lists end with the EOF token.
+    """
+    text = sql if sql.isascii() else _NON_ASCII.sub(_fold, sql)
+    kinds: list[str | TokenType] = []
+    values: list[str] = []
+    positions: list[int] = []
+    for match in _TOKEN.finditer(text):
+        group = match.lastgroup
+        if group is None:
+            continue
+        start, end = match.span()
+        value = sql[start:end]
+        if group == "WORD":
+            upper = value.upper()
+            if upper in KEYWORDS:
+                kind = value = upper
+            else:
+                kind = TokenType.IDENTIFIER
+        elif group == "SYMBOL":
+            kind = value
+        elif group == "STRING":
+            kind = TokenType.STRING
+            value = value[1:-1].replace("''", "'")
+        elif group == "QUOTED":
+            if end - start == 2:
+                raise TokenizeError("empty quoted identifier", position=start)
+            kind = TokenType.IDENTIFIER
+            value = value[1:-1]
+        elif group == "BAD":
+            message = _BAD_START.get(value, f"unexpected character {value!r}")
+            raise TokenizeError(message, position=start)
         else:
-            break
-    text = sql[start:position]
-    if saw_dot or saw_exponent:
-        return Token(TokenType.FLOAT, text, start), position
-    return Token(TokenType.INTEGER, text, start), position
-
-
-def _read_word(sql: str, start: int) -> tuple[Token, int]:
-    """Read an identifier or keyword."""
-    position = start
-    length = len(sql)
-    while position < length and (sql[position].isalnum() or sql[position] == "_"):
-        position += 1
-    text = sql[start:position]
-    upper = text.upper()
-    if upper in KEYWORDS:
-        return Token(TokenType.KEYWORD, upper, start), position
-    return Token(TokenType.IDENTIFIER, text, start), position
-
-
-def _match_operator(sql: str, position: int) -> str | None:
-    for operator in _OPERATORS:
-        if sql.startswith(operator, position):
-            return operator
-    return None
+            kind = TokenType[group]
+        kinds.append(kind)
+        values.append(value)
+        positions.append(start)
+    kinds.append(TokenType.EOF)
+    values.append("")
+    positions.append(len(sql))
+    return kinds, values, positions

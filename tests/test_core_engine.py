@@ -192,6 +192,33 @@ class TestLLMFallback:
         answer = engine.ask("odd question", llm_gold_sql=self.GOLD)
         assert "consistency" in answer.confidence.parts
 
+    @pytest.mark.parametrize(
+        "gold",
+        [
+            "SELECT 1e FROM cantons",
+            "SELECT 2e+ FROM cantons",
+            "SELECT 1.5e- FROM cantons",
+            "SELECT CASE WHEN x THEN 1else 2 END FROM cantons",
+            "SELECT \u00b2 FROM cantons",
+            "SELECT 1\u00b2 FROM cantons",
+            "SELECT COUNT(*) FROM cantons LIMIT \u00b2",
+        ],
+    )
+    def test_malformed_number_in_generated_sql_is_answered(self, gold):
+        # A faithful generator hands the malformed literal to the parser:
+        # ask answers with the lexical error instead of raising ValueError.
+        domain = build_swiss_labour_registry(seed=8)
+        llm = SimulatedLLM(
+            domain.registry.database.catalog, error_rate=0.0, sample_fidelity=1.0
+        )
+        engine = CDAEngine(
+            domain.registry, domain.vocabulary,
+            config=ReliabilityConfig.llm_only(), llm=llm,
+        )
+        answer = engine.ask("zzqx blorf quux", llm_gold_sql=gold)
+        assert answer.kind is AnswerKind.ERROR
+        assert "malformed number" in answer.text
+
 
 class TestReliabilityConfig:
     def test_presets_differ(self):
