@@ -32,7 +32,7 @@ from repro.guidance.conversation_graph import TurnKind
 from repro.guidance.planner import ConversationPlanner
 from repro.guidance.suggestions import SuggestionEngine
 from repro.kg.schema_kg import SchemaKnowledgeGraph
-from repro.kg.vocabulary import DomainVocabulary
+from repro.kg.vocabulary import DomainVocabulary, QuestionTokens
 from repro.nl.constrained import ConstrainedDecoder, SQLValidator
 from repro.nl.generation import AnswerGenerator
 from repro.nl.grammar import FilterSpec
@@ -300,21 +300,25 @@ class CDAEngine:
             followup = self._try_followup(text, turn_id)
             if followup is not None:
                 return followup
+        # The turn's one tokenisation: intent, parser and grounding read it.
+        question = QuestionTokens(text)
         with span("engine.intent") as intent_span:
-            intent = classify_intent(text)
+            intent = classify_intent(question)
             intent_span.set_attribute("kind", intent.kind.value)
         if turn_id is None:
             turn_id = self.session.record_user_turn(text, TurnKind.USER_QUESTION)
         if intent.kind is IntentKind.DATASET_DISCOVERY:
             answer = self._handle_discovery(text, turn_id)
         elif intent.kind is IntentKind.METADATA:
-            answer = self._handle_metadata(text, turn_id)
+            answer = self._handle_metadata(question, turn_id)
         elif intent.kind is IntentKind.ANALYSIS:
-            answer = self._handle_analysis(text, turn_id)
+            answer = self._handle_analysis(question, turn_id)
         elif intent.kind is IntentKind.CHITCHAT:
             answer = self._chitchat(turn_id)
         else:
-            answer = self._handle_data_query(text, turn_id, llm_gold_sql)
+            answer = self._handle_data_query(
+                text, turn_id, llm_gold_sql, question=question
+            )
         return answer
 
     def discover(self, texts: list[str], k: int = 3) -> list[list]:
@@ -445,7 +449,8 @@ class CDAEngine:
         self.session.record_system_turn(answer.text, TurnKind.SYSTEM_ANSWER, turn_id)
         return answer
 
-    def _handle_metadata(self, text: str, turn_id: int) -> Answer:
+    def _handle_metadata(self, question: QuestionTokens, turn_id: int) -> Answer:
+        text = question.text
         # Named source? Answer from the registry directly.
         for info in self.registry.sources():
             surface = info.name.replace("_", " ").lower()
@@ -455,7 +460,7 @@ class CDAEngine:
             hits = self.doc_retriever.search(text, k=2)
             if not hits and self.vocabulary is not None:
                 expansions = []
-                for grounded in self.vocabulary.ground_question(text):
+                for grounded in question.grounding(self.vocabulary):
                     expansions.extend(self.vocabulary.expand(grounded.term.name))
                 if expansions:
                     hits = self.doc_retriever.search(
@@ -482,8 +487,9 @@ class CDAEngine:
         self.session.record_system_turn(answer.text, TurnKind.SYSTEM_ANSWER, turn_id)
         return answer
 
-    def _handle_analysis(self, text: str, turn_id: int) -> Answer:
-        table_name = self._analysis_target(text)
+    def _handle_analysis(self, question: QuestionTokens, turn_id: int) -> Answer:
+        text = question.text
+        table_name = self._analysis_target(question)
         if table_name is None:
             return self._abstain(
                 turn_id,
@@ -577,13 +583,13 @@ class CDAEngine:
         self.session.record_system_turn(answer.text, TurnKind.SYSTEM_ANSWER, turn_id)
         return answer
 
-    def _analysis_target(self, text: str) -> str | None:
-        lowered = text.lower()
+    def _analysis_target(self, question: QuestionTokens) -> str | None:
+        lowered = question.text.lower()
         for table in self.database.catalog.table_names:
             if table.replace("_", " ").lower() in lowered:
                 return table
         if self.vocabulary is not None:
-            for grounded in self.vocabulary.ground_question(lowered):
+            for grounded in question.grounding(self.vocabulary):
                 for binding in grounded.term.schema_bindings:
                     if binding.startswith("table:"):
                         return binding.split(":", 1)[1]
@@ -700,13 +706,18 @@ class CDAEngine:
         turn_id: int,
         llm_gold_sql: str | None,
         preferred_table: str | None = None,
+        question: QuestionTokens | None = None,
     ) -> Answer:
+        if question is None:
+            question = QuestionTokens(text)
         outcome: ParseOutcome | None = None
         ambiguity_candidates: list[str] = []
         parse_failure: str | None = None
         if self.config.use_grounded_parser:
             try:
-                outcome = self.parser.parse(text, preferred_table=preferred_table)
+                outcome = self.parser.parse(
+                    text, preferred_table=preferred_table, tokens=question
+                )
             except AmbiguousQuestionError as error:
                 ambiguity_candidates = [str(c) for c in error.candidates]
             except TranslationError as error:
@@ -726,7 +737,7 @@ class CDAEngine:
                         text, turn_id, ambiguity_candidates, subject="table"
                     )
             outcome = self._parse_with_preference(
-                text, ambiguity_candidates[0].split(".")[-1]
+                question, ambiguity_candidates[0].split(".")[-1]
             )
             if outcome is None:
                 parse_failure = "ambiguous question; forced reading failed"
@@ -741,19 +752,23 @@ class CDAEngine:
             )
         if outcome is not None:
             return self._answer_from_statement(text, turn_id, outcome)
-        return self._answer_from_llm(text, turn_id, llm_gold_sql, parse_failure)
+        return self._answer_from_llm(
+            question, turn_id, llm_gold_sql, parse_failure
+        )
 
     def _parse_with_preference(
-        self, text: str, table: str
+        self, question: QuestionTokens, table: str
     ) -> ParseOutcome | None:
         try:
-            return self.parser.parse(text, preferred_table=table)
+            return self.parser.parse(
+                question.text, preferred_table=table, tokens=question
+            )
         except (AmbiguousQuestionError, TranslationError):
             return None
 
-    def _named_source(self, text: str) -> str | None:
-        """A registered data source explicitly named in ``text``, if any."""
-        lowered = text.lower()
+    def _named_source(self, question: QuestionTokens) -> str | None:
+        """A registered data source explicitly named in the question, if any."""
+        lowered = question.text.lower()
         for info in self.registry.sources():
             surface = info.name.replace("_", " ").lower()
             if surface in lowered:
@@ -761,7 +776,7 @@ class CDAEngine:
                     self.session.focus_table = info.name
                 return info.name
         if self.vocabulary is not None:
-            for grounded in self.vocabulary.ground_question(lowered):
+            for grounded in question.grounding(self.vocabulary):
                 if grounded.score < 0.999:
                     continue
                 for binding in grounded.term.schema_bindings:
@@ -792,14 +807,15 @@ class CDAEngine:
 
     def _answer_from_llm(
         self,
-        text: str,
+        question: QuestionTokens,
         turn_id: int,
         llm_gold_sql: str | None,
         parse_failure: str | None,
     ) -> Answer:
+        text = question.text
         # "I am interested in the barometer": not a computable question,
         # but it names a data source — give its overview and focus it.
-        named = self._named_source(text)
+        named = self._named_source(question)
         if named is not None:
             return self._dataset_overview(named, turn_id)
         if not self.config.use_llm_fallback or self.llm is None or llm_gold_sql is None:

@@ -20,12 +20,14 @@ once at construction: the graph is a snapshot of the catalog.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.kg.ontology import Ontology, RDFS_COMMENT, RDFS_LABEL
 from repro.kg.triple_store import TripleStore
 from repro.kg.vocabulary import (
     char_trigrams,
+    exact_spans,
     jaccard,
     osa_similarity_within,
     trigram_similarity,
@@ -117,7 +119,11 @@ class SchemaKnowledgeGraph:
         self.ontology = Ontology(TripleStore())
         self.index_values = index_values
         self.max_distinct_values = max_distinct_values
-        self._value_index: dict[str, list[tuple[str, str]]] = {}
+        #: Lower-cased value -> ``(table, column, stored value)`` per distinct
+        #: spelling in the column, the stored value being the column's first.
+        self._value_index: dict[str, list[tuple[str, str, str]]] = {}
+        #: Each value key's text before its first space (see :func:`exact_spans`).
+        self._value_heads: set[str] = set()
         #: node -> match profile of its label and comment, built once.
         self._table_profiles: dict[str, _Profile] = {}
         self._column_profiles: dict[str, _Profile] = {}
@@ -182,16 +188,27 @@ class SchemaKnowledgeGraph:
             }
             if not values or len(values) > self.max_distinct_values:
                 continue
+            spellings: dict[str, list[str]] = {}
             for value in values:
-                key = value.lower()
-                self._value_index.setdefault(key, []).append(
-                    (table.name, column.name)
-                )
+                spellings.setdefault(value.lower(), []).append(value)
                 self.store.add(
                     f"value:{table.name}.{column.name}:{value}",
                     CDA_VALUE_OF,
                     column_node(table.name, column.name),
                 )
+            for key, variants in spellings.items():
+                # One entry per spelling; each names the column's first.
+                stored = variants[0]
+                if len(variants) > 1:
+                    stored = next(
+                        value
+                        for value in table.column(column.name)
+                        if isinstance(value, str) and value.lower() == key
+                    )
+                self._value_index.setdefault(key, []).extend(
+                    [(table.name, column.name, stored)] * len(variants)
+                )
+                self._value_heads.add(key.partition(" ")[0])
 
     # -- structural queries -----------------------------------------------------------
 
@@ -323,7 +340,7 @@ class SchemaKnowledgeGraph:
         """
         matches: list[ValueMatch] = []
         key = phrase.lower()
-        for table, column in self._value_index.get(key, []):
+        for table, column, _stored in self._value_index.get(key, []):
             matches.append(ValueMatch(table=table, column=column, value=phrase, score=1.0))
         if min_score < 0.999:
             for value_key, bindings in self._value_index.items():
@@ -331,7 +348,7 @@ class SchemaKnowledgeGraph:
                     continue
                 similarity = trigram_similarity(key, value_key)
                 if similarity >= min_score:
-                    for table, column in bindings:
+                    for table, column, _stored in bindings:
                         matches.append(
                             ValueMatch(
                                 table=table,
@@ -344,12 +361,19 @@ class SchemaKnowledgeGraph:
 
     def exact_value_columns(self, phrase: str) -> list[tuple[str, str, str]]:
         """(table, column, stored_value) for exact value hits, preserving case."""
-        results = []
-        key = phrase.lower()
-        for table_name, column_name in self._value_index.get(key, []):
-            table = self.catalog.table(table_name)
-            for value in table.column_values(column_name):
-                if isinstance(value, str) and value.lower() == key:
-                    results.append((table_name, column_name, value))
-                    break
-        return results
+        return list(self._value_index.get(phrase.lower(), ()))
+
+    def value_mentions(
+        self, tokens: Sequence[str], max_size: int = 3
+    ) -> Iterator[tuple[str, list[tuple[str, str, str]]]]:
+        """Each phrase of ``tokens`` that is a stored value, with its hits.
+
+        Word n-grams of up to ``max_size`` words, longest first, then
+        leftmost, never overlapping an earlier mention (:func:`exact_spans`);
+        the hits are :meth:`exact_value_columns`'.
+        """
+        consumed = [False] * len(tokens)
+        for _start, _size, phrase in exact_spans(
+            tokens, self._value_index, self._value_heads, max_size, consumed
+        ):
+            yield phrase, list(self._value_index[phrase])

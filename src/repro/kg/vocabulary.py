@@ -32,11 +32,16 @@ so fewer than t·|A| of the phrase's grams in any surface rule it out.
 
 Every edit-distance typo check runs through one banded OSA kernel,
 :func:`osa_similarity_within`, which gives up once a threshold is out of reach.
+
+A question is tokenised once (:class:`QuestionTokens`), and
+:meth:`DomainVocabulary.ground_question` skips every n-gram that an exact
+bound rules out before it pays for a lookup (see :func:`_trigram_bound`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Container, Iterator, Sequence
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from itertools import chain
@@ -111,6 +116,9 @@ def osa_similarity_within(a: str, b: str, threshold: float) -> float | None:
     Only cells within ``k`` of the diagonal are computed (Ukkonen's band),
     ``k`` being the most edits that same float expression lets through; row
     minima never decrease, so a row whose minimum exceeds ``k`` ends it.
+    Two filters settle most pairs before the programme: each edit changes
+    the length by at most one and the character set's symmetric difference
+    by at most two.
     """
     if a == b or not a or not b:
         similarity = 1.0 if a == b else 0.0
@@ -123,6 +131,11 @@ def osa_similarity_within(a: str, b: str, threshold: float) -> float | None:
     while k >= 0 and 1.0 - k / longest < threshold:
         k -= 1
     if abs(n - m) > k:
+        return None
+    # An edit changes the set of characters by at most one removal and one
+    # addition (a transposition by none), so d edits leave character sets
+    # whose symmetric difference has at most 2d members.
+    if len(set(a).symmetric_difference(b)) > 2 * k:
         return None
     beyond = k + 1
     before: list[int] = []
@@ -152,6 +165,119 @@ def osa_similarity_within(a: str, b: str, threshold: float) -> float | None:
 def token_overlap(a: str, b: str) -> float:
     """Jaccard similarity of word tokens."""
     return jaccard(set(tokenize_text(a)), set(tokenize_text(b)))
+
+
+def singularise(phrase: str) -> str:
+    """``phrase`` with its last word made singular ("categories" -> "category")."""
+    words = phrase.split()
+    if not words:
+        return phrase
+    last = words[-1]
+    if last.endswith("ies") and len(last) > 3:
+        last = last[:-3] + "y"
+    elif last.endswith("ses") and len(last) > 3:
+        last = last[:-2]
+    elif last.endswith("s") and not last.endswith("ss") and len(last) > 1:
+        last = last[:-1]
+    return " ".join(words[:-1] + [last])
+
+
+class QuestionTokens:
+    """One question's tokens and the facts grounding reads of them.
+
+    Every consumer of a turn reads this one object instead of tokenising
+    the question again: ``tokens`` are :func:`tokenize_text`'s, ``singular``
+    each token made singular, and :meth:`grounding` is the question's
+    :meth:`DomainVocabulary.ground_question`, computed once.  It lives as
+    long as the turn that built it.
+    """
+
+    __slots__ = ("text", "tokens", "_singular", "_grounding")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tuple(tokenize_text(text))
+        self._singular: tuple[str, ...] | None = None
+        self._grounding: tuple[DomainVocabulary, list[GroundedTerm]] | None = None
+
+    @property
+    def singular(self) -> tuple[str, ...]:
+        if self._singular is None:
+            # Only a word ending in "s" changes.
+            self._singular = tuple(
+                singularise(token) if token.endswith("s") else token
+                for token in self.tokens
+            )
+        return self._singular
+
+    def grounding(self, vocabulary: DomainVocabulary) -> list[GroundedTerm]:
+        """``vocabulary.ground_question(self)``, grounded once per vocabulary."""
+        if self._grounding is None or self._grounding[0] is not vocabulary:
+            self._grounding = (vocabulary, vocabulary.ground_question(self))
+        return self._grounding[1]
+
+
+def exact_spans(
+    tokens: Sequence[str],
+    keys: Container[str],
+    heads: AbstractSet[str],
+    max_size: int,
+    consumed: list[bool],
+) -> Iterator[tuple[int, int, str]]:
+    """``(start, size, phrase)`` of each word n-gram of ``tokens`` in ``keys``.
+
+    N-grams of up to ``max_size`` words are probed longest first, then
+    leftmost, skipping any that overlaps ``consumed``; each yielded span is
+    marked consumed before the scan goes on.  A phrase joined from tokens
+    equals a key only if its first token is the key's first word, so only
+    n-grams starting at one of ``heads`` (every key's text before its first
+    space) are joined and probed.
+    """
+    starts = [start for start, token in enumerate(tokens) if token in heads]
+    for size in range(min(max_size, len(tokens)), 0, -1):
+        for start in starts:
+            end = start + size
+            if end > len(tokens):
+                break
+            if any(consumed[start:end]):
+                continue
+            phrase = " ".join(tokens[start:end])
+            if phrase in keys:
+                consumed[start:end] = [True] * size
+                yield start, size, phrase
+
+
+def _trigram_bound(window: Sequence[tuple[int, set[str]]]) -> float:
+    """An upper bound on any surface's trigram score against a phrase.
+
+    ``window`` holds :meth:`DomainVocabulary._token_facts` of each token of
+    the phrase ``t1 ... tn``, none of them held by any surface: the phrase is
+    then no surface key and the token layer has no hit, so only the fuzzy
+    layer can answer, at ``threshold = max(min_score, fuzzy_threshold)``.
+    The padded phrase ``"  t1 ... tn "`` has the trigram set ``A``: the lead
+    gram ``"  " + t1[0]``, each token's grams ``T(ti)`` (the trigrams of
+    ``" " + ti + " "``, all inside the phrase) and at most ``n - 1`` grams
+    across word boundaries.  With ``K`` the grams of the trigram postings, a
+    surface shares at most ``|A & K| <= S = n + sum(|T(ti) & K|)`` grams with
+    the phrase, and ``|A - K| >= U = |union(T(ti) - K)|``.  Its ratio
+    ``shared / (|A| + |B| - shared)`` is at most ``|A & K| / |A|``, so at
+    most ``S / (S + U)``, as ``x / (x + U)`` grows with ``x``.  Float
+    division rounds monotonically, so a bound below ``threshold`` rules out
+    every score ``_best_surface`` could keep.  On ``_best_fuzzy``'s
+    equal-set branch (``|A| / (|A| + 1) < threshold``) a hit needs ``A``
+    within ``K``: ``U == 0``, and a bound of 1.0, which no ``threshold <= 1``
+    rules out.  A token of a thousand characters with one unknown gram is
+    therefore still looked up: ``_best_surface`` may score it 0.999.
+    """
+    if len(window) == 1:
+        known, missing = window[0]
+        return known / (known + len(missing))
+    known = 0
+    unknown: set[str] = set()
+    for count, missing in window:
+        known += count
+        unknown |= missing
+    return known / (known + len(unknown))
 
 
 def _best_surface(
@@ -188,6 +314,8 @@ class DomainVocabulary:
             raise KGError("fuzzy_threshold must be positive")
         self._terms: dict[str, VocabularyTerm] = {}
         self._surface_index: dict[str, tuple[str, str]] = {}
+        #: Each surface key's text before its first space (see :func:`exact_spans`).
+        self._surface_heads: set[str] = set()
         #: Every ``(term, name or synonym)`` in scan order (terms as added,
         #: each term's name before its synonyms), with the surface's distinct
         #: token and trigram counts beside it; postings hold positions here.
@@ -231,7 +359,9 @@ class DomainVocabulary:
                 )
         self._terms[key] = term
         for surface, kind in surfaces:
-            self._surface_index[surface.lower().strip()] = (key, kind)
+            surface_key = surface.lower().strip()
+            self._surface_index[surface_key] = (key, kind)
+            self._surface_heads.add(surface_key.partition(" ")[0])
             self._add_postings(term, surface)
 
     def _add_postings(self, term: VocabularyTerm, surface: str) -> None:
@@ -322,41 +452,80 @@ class DomainVocabulary:
             score=score,
         )
 
-    def ground_question(self, question: str, max_ngram: int = 3) -> list[GroundedTerm]:
+    def ground_question(
+        self, question: str | QuestionTokens, max_ngram: int = 3
+    ) -> list[GroundedTerm]:
         """Ground every maximal matching phrase in ``question``.
 
         Scans word n-grams (longest first) and greedily consumes matched
         spans, so "labour market barometer" grounds as one term rather
-        than three.
+        than three.  ``question`` is the text or its :class:`QuestionTokens`.
         """
-        tokens = tokenize_text(question)
+        tokens = (
+            question.tokens
+            if isinstance(question, QuestionTokens)
+            else tuple(tokenize_text(question))
+        )
         consumed = [False] * len(tokens)
         grounded: list[GroundedTerm] = []
-        # Repeated text is looked up once per call.
-        hits: dict[str, GroundedTerm | None] = {}
         # Pass 1: exact term/synonym hits (all n-gram sizes, longest first),
         # so "working force" wins over a fuzzy "the working force" overlap.
-        # Only a surface-index hit can be exact, so pass 1 reads the index
-        # before paying for a lookup.  Pass 2 keeps a hit only at 0.999 for
-        # one word and 0.5 for more, which lookup applies itself.
-        for exact_only in (True, False):
-            for size in range(min(max_ngram, len(tokens)), 0, -1):
-                for start in range(0, len(tokens) - size + 1):
-                    if any(consumed[start : start + size]):
-                        continue
-                    phrase = " ".join(tokens[start : start + size])
-                    if exact_only and phrase not in self._surface_index:
-                        continue
-                    if phrase not in hits:
-                        hits[phrase] = self.lookup(
-                            phrase, min_score=0.999 if size == 1 else 0.5
-                        )
-                    hit = hits[phrase]
-                    if hit is not None:
-                        grounded.append(hit)
-                        for position in range(start, start + size):
-                            consumed[position] = True
+        # Only a surface-index hit can be exact, and its lookup always
+        # passes: it scores 1.0.
+        hits: dict[tuple[str, ...], GroundedTerm | None] = {}
+        for start, size, phrase in exact_spans(
+            tokens, self._surface_index, self._surface_heads, max_ngram, consumed
+        ):
+            key = tokens[start : start + size]
+            if key not in hits:
+                hits[key] = self.lookup(phrase, min_score=0.999 if size == 1 else 0.5)
+            grounded.append(hits[key])
+        # Pass 2: the rest, kept at 0.999 for one word and 0.5 for more, which
+        # lookup applies itself.  Repeated text is looked up once per call, and
+        # not at all where the trigram bound rules a hit out.
+        facts = self._token_facts(tokens)
+        for size in range(min(max_ngram, len(tokens)), 0, -1):
+            min_score = 0.999 if size == 1 else 0.5
+            threshold = max(min_score, self.fuzzy_threshold)
+            for start in range(0, len(tokens) - size + 1):
+                end = start + size
+                window = facts[start:end]
+                if None not in window and _trigram_bound(window) < threshold:
+                    continue
+                if any(consumed[start:end]):
+                    continue
+                key = tokens[start:end]
+                if key not in hits:
+                    hits[key] = self.lookup(" ".join(key), min_score)
+                hit = hits[key]
+                if hit is not None:
+                    grounded.append(hit)
+                    consumed[start:end] = [True] * size
         return grounded
+
+    def _token_facts(
+        self, tokens: Sequence[str]
+    ) -> list[tuple[int, set[str]] | None]:
+        """Per token, ``None`` if a surface holds it, else its trigram facts.
+
+        The facts of a token ``t`` are ``(|T & K| + 1, T - K)``: ``T`` is the
+        trigrams of ``" " + t + " "``, ``K`` the grams of the trigram postings,
+        and the 1 stands for the gram before ``T`` in a phrase (see
+        :func:`_trigram_bound`).  Each distinct token is trigrammed once.
+        """
+        known = self._trigram_postings.keys()
+        by_token: dict[str, tuple[int, set[str]] | None] = {}
+        for token in tokens:
+            if token in by_token:
+                continue
+            if token in self._token_postings:
+                by_token[token] = None
+                continue
+            padded = f" {token} "
+            grams = {padded[i : i + 3] for i in range(len(padded) - 2)}
+            missing = grams - known
+            by_token[token] = (len(grams) - len(missing) + 1, missing)
+        return [by_token[token] for token in tokens]
 
     def expand(self, term_name: str) -> list[str]:
         """Canonical name plus all synonyms of a term (query expansion)."""

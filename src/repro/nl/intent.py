@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.vector.embedding import tokenize_text
+from repro.kg.vocabulary import QuestionTokens
 
 
 class IntentKind(enum.Enum):
@@ -60,6 +60,15 @@ _KEYWORDS: dict[IntentKind, dict[str, float]] = {
 }
 
 
+_KINDS = tuple(IntentKind)
+
+#: token -> ``(position in _KINDS, weight)`` of each kind it is a keyword of.
+_TOKEN_WEIGHTS: dict[str, list[tuple[int, float]]] = {}
+for _position, _kind in enumerate(_KINDS):
+    for _token, _weight in _KEYWORDS.get(_kind, {}).items():
+        _TOKEN_WEIGHTS.setdefault(_token, []).append((_position, _weight))
+
+
 @dataclass
 class IntentScore:
     """Classification outcome with per-intent scores (ties visible)."""
@@ -78,26 +87,32 @@ class IntentScore:
 
 
 def classify_intent(
-    utterance: str, expecting_clarification: bool = False
+    utterance: str | QuestionTokens, expecting_clarification: bool = False
 ) -> IntentScore:
     """Classify ``utterance``; ``expecting_clarification`` biases replies.
 
     When the system just asked a clarification question, short answers
     ("the barometer", "yes, employment") are clarification replies even
-    though they carry no intent keywords.
+    though they carry no intent keywords.  ``utterance`` is the text or its
+    :class:`QuestionTokens`.  Each kind's score adds its keywords' weights
+    in token order, and ties go to the kind declared first.
     """
-    tokens = tokenize_text(utterance)
-    scores = {kind: 0.0 for kind in IntentKind}
-    for kind, keywords in _KEYWORDS.items():
-        for token in tokens:
-            scores[kind] += keywords.get(token, 0.0)
+    if not isinstance(utterance, QuestionTokens):
+        utterance = QuestionTokens(utterance)
+    tokens = utterance.tokens
+    sums = [0.0] * len(_KINDS)
+    for token in tokens:
+        for position, weight in _TOKEN_WEIGHTS.get(token, ()):
+            sums[position] += weight
     if expecting_clarification and len(tokens) <= 8:
-        scores[IntentKind.CLARIFICATION_REPLY] = max(scores.values()) + 1.0
-    best_kind = max(scores, key=lambda kind: scores[kind])
-    if scores[best_kind] == 0.0:
+        sums[_KINDS.index(IntentKind.CLARIFICATION_REPLY)] = max(sums) + 1.0
+    best = max(range(len(_KINDS)), key=sums.__getitem__)
+    best_kind = _KINDS[best]
+    if sums[best] == 0.0:
         best_kind = (
             IntentKind.CLARIFICATION_REPLY
             if expecting_clarification
             else IntentKind.DATA_QUERY
         )
+    scores = dict(zip(_KINDS, sums))
     return IntentScore(kind=best_kind, score=scores[best_kind], scores=scores)

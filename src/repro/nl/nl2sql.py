@@ -24,18 +24,24 @@ than guessing (P5 turns that into a clarification question).
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 
 from repro.errors import AmbiguousQuestionError, TranslationError
 from repro.obs.metrics import counter, histogram
 from repro.obs.trace import span
 from repro.kg.schema_kg import SchemaKnowledgeGraph
-from repro.kg.vocabulary import DomainVocabulary, edit_similarity_at_least
+from repro.kg.vocabulary import (
+    DomainVocabulary,
+    QuestionTokens,
+    edit_similarity_at_least,
+)
+from repro.kg.vocabulary import singularise as _singularise
 from repro.nl.grammar import AggregateSpec, FilterSpec, OrderSpec, QueryIntent
 from repro.nl.sqlgen import compile_intent
 from repro.sqldb import ast
 from repro.sqldb.types import ColumnType
-from repro.vector.embedding import tokenize_text
 
 # P2 coverage tallies: attempts vs committed groundings (failures raise
 # before the success counter), plus the committed confidence distribution
@@ -105,6 +111,9 @@ _COMPARATOR_PATTERNS: list[tuple[re.Pattern, str]] = [
     for phrase, operator in _COMPARATORS
 ]
 
+#: Every numeric-filter pattern needs a digit (``\d``, as the patterns read it).
+_DIGIT = re.compile(r"\d")
+
 #: Column types SUM/AVG can aggregate and a numeric literal can compare to.
 _NUMERIC_TYPES = frozenset({ColumnType.INTEGER.value, ColumnType.FLOAT.value})
 
@@ -164,6 +173,8 @@ class GroundedSemanticParser:
         self._surface_tables: dict[str, list[str]] = {}
         #: ``(table, column)`` pairs of numeric type.
         self._numeric_columns: set[tuple[str, str]] = set()
+        #: First words of the table and column surfaces of two or more words.
+        self._mention_heads: set[str] = set()
         for table in schema_kg.tables():
             self._table_surfaces[table] = _singularise(table.replace("_", " ").lower())
             surfaces: dict[str, str] = {}
@@ -176,14 +187,25 @@ class GroundedSemanticParser:
                 if schema_kg.datatype_of(table, column) in _NUMERIC_TYPES:
                     self._numeric_columns.add((table, column))
             self._column_surfaces[table] = surfaces
+        for surface in [*self._table_surfaces.values(), *self._surface_tables]:
+            if " " in surface:
+                self._mention_heads.add(surface.split(" ", 1)[0])
 
     # -- public API -----------------------------------------------------------------
 
-    def parse(self, question: str, preferred_table: str | None = None) -> ParseOutcome:
+    def parse(
+        self,
+        question: str,
+        preferred_table: str | None = None,
+        tokens: QuestionTokens | None = None,
+    ) -> ParseOutcome:
         """Parse ``question``; raises TranslationError / AmbiguousQuestionError.
 
         ``preferred_table`` settles table ambiguity in favour of the named
         table — this is how a clarification reply is folded back in.
+        ``tokens``, the caller's :class:`QuestionTokens` of ``question``, is
+        read in place of the parser's own when the question has no fillers
+        to strip, so the caller and the parser share one grounding.
 
         Under an active turn trace the two halves report as separate
         stages: ``nl.nl2sql.ground`` (question → logical form, the P2
@@ -191,7 +213,7 @@ class GroundedSemanticParser:
         """
         _GROUND_ATTEMPTS.inc()
         with span("nl.nl2sql.ground") as ground_span:
-            intent, notes, scores = self._ground(question, preferred_table)
+            intent, notes, scores = self._ground(question, preferred_table, tokens)
             ground_span.set_attribute("table", intent.table)
             ground_span.set_attribute("groundings", len(notes))
         with span("nl.nl2sql.translate") as translate_span:
@@ -203,14 +225,20 @@ class GroundedSemanticParser:
         return ParseOutcome(intent, statement, confidence, notes)
 
     def _ground(
-        self, question: str, preferred_table: str | None
+        self,
+        question: str,
+        preferred_table: str | None,
+        given: QuestionTokens | None = None,
     ) -> tuple[QueryIntent, list[str], list[float]]:
         """Ground ``question`` into a :class:`QueryIntent` plus audit trail."""
         notes: list[str] = []
         scores: list[float] = []
         text = question.strip().rstrip("?").lower()
         text = _strip_fillers(text)
-        tokens = tokenize_text(text)
+        facts = QuestionTokens(text)
+        if given is not None and given.tokens == facts.tokens:
+            facts = given
+        tokens = facts.tokens
         if not tokens:
             raise TranslationError("empty question", question=question)
 
@@ -220,11 +248,13 @@ class GroundedSemanticParser:
         superlative_hint = self._superlative_measure_hint(text)
         if superlative_hint:
             measure_hint = superlative_hint
-        value_filters, value_spans = self._ground_value_filters(text, notes, scores)
+        value_filters, value_spans = self._ground_value_filters(
+            text, tokens, notes, scores
+        )
         table = self._resolve_table(
             question,
             text,
-            tokens,
+            facts,
             value_filters,
             notes,
             scores,
@@ -282,7 +312,7 @@ class GroundedSemanticParser:
             select_columns = self._detect_select_columns(
                 text, tokens, table, value_spans, notes, scores
             )
-            top_order = self._detect_top_order(text, table, notes, scores)
+            top_order = self._detect_top_order(text, tokens, table, notes, scores)
             if top_order is not None:
                 order_by, limit = top_order
                 if not select_columns and not group_by:
@@ -324,7 +354,7 @@ class GroundedSemanticParser:
         self,
         question: str,
         text: str,
-        tokens: list[str],
+        facts: QuestionTokens,
         value_filters: list[FilterSpec],
         notes: list[str],
         scores: list[float],
@@ -339,7 +369,7 @@ class GroundedSemanticParser:
                     candidates[table] = 1.5
                     via[table] = "user clarification"
         if self.vocabulary is not None and self.config.use_vocabulary:
-            for grounded in self.vocabulary.ground_question(text):
+            for grounded in facts.grounding(self.vocabulary):
                 for binding in grounded.term.schema_bindings:
                     if binding.startswith("table:"):
                         name = binding.split(":", 1)[1]
@@ -359,13 +389,16 @@ class GroundedSemanticParser:
             # outrank whole-question overlap scores.
             # Each distinct n-gram is scored once, in first-occurrence order,
             # so the notes name the first mention.
-            # Singularised n-gram -> its first n-gram in the question.
-            gram_surfaces = _singular_ngrams(tokens, 3)
+            # Singularised n-gram -> its first n-gram in the question; only
+            # the n-grams that can name a table or a column are formed.
+            gram_surfaces = _singular_ngrams(
+                facts.tokens, 3, facts.singular, self._mention_heads
+            )
             # Singularised token -> its first token of four or more letters.
             typo_tokens: dict[str, str] = {}
-            for token in tokens:
+            for token, singular in zip(facts.tokens, facts.singular):
                 if len(token) >= 4:
-                    typo_tokens.setdefault(_singularise(token), token)
+                    typo_tokens.setdefault(singular, token)
             for table, surface in self._table_surfaces.items():
                 gram = gram_surfaces.get(surface)
                 if gram is not None and candidates.get(table, 0.0) < 0.9:
@@ -552,9 +585,12 @@ class GroundedSemanticParser:
     # -- aggregates and measures --------------------------------------------------------------
 
     def _detect_aggregate(
-        self, tokens: list[str]
+        self, tokens: Sequence[str]
     ) -> tuple[str | None, tuple[int, int] | None]:
+        present = set(tokens)
         for cue, function in _AGGREGATE_CUES:
+            if cue[0] not in present:
+                continue
             for start in range(0, len(tokens) - len(cue) + 1):
                 if tuple(tokens[start : start + len(cue)]) == cue:
                     return function, (start, start + len(cue))
@@ -567,7 +603,7 @@ class GroundedSemanticParser:
                     return "COUNT", (start, start + offset + 1)
         return None, None
 
-    def _measure_phrase(self, tokens: list[str], span: tuple[int, int] | None) -> str:
+    def _measure_phrase(self, tokens: Sequence[str], span: tuple[int, int] | None) -> str:
         """The noun phrase following the aggregate cue, e.g. 'average <X> of'."""
         if span is None:
             return ""
@@ -634,43 +670,34 @@ class GroundedSemanticParser:
     # -- filters ----------------------------------------------------------------------------------
 
     def _ground_value_filters(
-        self, text: str, notes: list[str], scores: list[float]
+        self,
+        text: str,
+        tokens: Sequence[str],
+        notes: list[str],
+        scores: list[float],
     ) -> tuple[list[FilterSpec], list[str]]:
         if not self.config.use_value_index:
             return self._quoted_value_filters(text, notes, scores)
         filters: list[FilterSpec] = []
         spans: list[str] = []
-        tokens = tokenize_text(text)
-        consumed = [False] * len(tokens)
-        for size in (3, 2, 1):
-            for start in range(0, len(tokens) - size + 1):
-                if any(consumed[start : start + size]):
-                    continue
-                phrase = " ".join(tokens[start : start + size])
-                hits = self.schema_kg.exact_value_columns(phrase)
-                if not hits:
-                    continue
-                tables = {table for table, _column, _value in hits}
-                if len(hits) > 1 and len(tables) > 1:
-                    # The same literal exists in several tables: prefer one
-                    # whose table is mentioned, otherwise keep the first and
-                    # note the ambiguity (the table resolver may settle it).
-                    mentioned = [
-                        hit for hit in hits if hit[0].replace("_", " ") in text
-                    ]
-                    if mentioned:
-                        hits = mentioned
-                table, column, value = hits[0]
-                filters.append(
-                    FilterSpec(column=column, operator="=", value=value, table=table)
-                )
-                spans.append(phrase)
-                notes.append(
-                    f"literal {value!r} grounded to {table}.{column} via value index"
-                )
-                scores.append(1.0 if len(tables) == 1 else 0.7)
-                for position in range(start, start + size):
-                    consumed[position] = True
+        for phrase, hits in self.schema_kg.value_mentions(tokens):
+            tables = {table for table, _column, _value in hits}
+            if len(hits) > 1 and len(tables) > 1:
+                # The same literal exists in several tables: prefer one
+                # whose table is mentioned, otherwise keep the first and
+                # note the ambiguity (the table resolver may settle it).
+                mentioned = [hit for hit in hits if hit[0].replace("_", " ") in text]
+                if mentioned:
+                    hits = mentioned
+            table, column, value = hits[0]
+            filters.append(
+                FilterSpec(column=column, operator="=", value=value, table=table)
+            )
+            spans.append(phrase)
+            notes.append(
+                f"literal {value!r} grounded to {table}.{column} via value index"
+            )
+            scores.append(1.0 if len(tables) == 1 else 0.7)
         return filters, spans
 
     def _quoted_value_filters(
@@ -692,7 +719,14 @@ class GroundedSemanticParser:
         self, text: str, table: str, notes: list[str], scores: list[float]
     ) -> list[FilterSpec]:
         filters: list[FilterSpec] = []
-        for pattern, operator in _COMPARATOR_PATTERNS:
+        if _DIGIT.search(text) is None:
+            return filters
+        for (pattern, operator), (comparator, _operator) in zip(
+            _COMPARATOR_PATTERNS, _COMPARATORS
+        ):
+            # A match holds the comparator's words verbatim.
+            if comparator not in text:
+                continue
             for match in pattern.finditer(text):
                 phrase = match.group(1).strip()
                 raw_number = match.group(2)
@@ -797,15 +831,7 @@ class GroundedSemanticParser:
             for size in (1, 2):
                 if size > len(words):
                     continue
-                tail = _singularise(" ".join(words[-size:]).lower())
-                for other, surfaces in self._column_surfaces.items():
-                    if other.lower() == table.lower():
-                        continue
-                    if not self.schema_kg.join_path(table, other):
-                        continue
-                    for other_column, surface in surfaces.items():
-                        if surface == tail:
-                            holders.append((other_column, other))
+                holders = self._joined_holders(table, " ".join(words[-size:]))
                 if holders:
                     break
             if len(holders) == 1:
@@ -856,7 +882,7 @@ class GroundedSemanticParser:
     def _detect_select_columns(
         self,
         text: str,
-        tokens: list[str],
+        tokens: Sequence[str],
         table: str,
         value_spans: list[str],
         notes: list[str],
@@ -888,11 +914,16 @@ class GroundedSemanticParser:
         return columns
 
     def _detect_top_order(
-        self, text: str, table: str, notes: list[str], scores: list[float]
+        self,
+        text: str,
+        tokens: Sequence[str],
+        table: str,
+        notes: list[str],
+        scores: list[float],
     ) -> tuple[OrderSpec, int] | None:
-        if "top" not in tokenize_text(text):
+        if "top" not in tokens:
             return None
-        count = self._detect_limit(tokenize_text(text))
+        count = self._detect_limit(tokens)
         if count is None or count <= 0:
             return None
         match = re.search(r"\bby\s+([a-z_ ]+)$", text)
@@ -904,7 +935,7 @@ class GroundedSemanticParser:
             return None
         return OrderSpec(column=column, descending=True), count
 
-    def _detect_limit(self, tokens: list[str]) -> int | None:
+    def _detect_limit(self, tokens: Sequence[str]) -> int | None:
         for position, token in enumerate(tokens):
             if token != "top":
                 continue
@@ -937,16 +968,7 @@ class GroundedSemanticParser:
             return column, table
         if not self.config.use_join_resolution:
             return None
-        holders: list[tuple[str, str]] = []
-        target = _singularise(phrase.lower())
-        for other, surfaces in self._column_surfaces.items():
-            if other.lower() == table.lower():
-                continue
-            if not self.schema_kg.join_path(table, other):
-                continue
-            for other_column, surface in surfaces.items():
-                if surface == target:
-                    holders.append((other_column, other))
+        holders = self._joined_holders(table, phrase)
         if len(holders) == 1:
             column, holder = holders[0]
             notes.append(
@@ -955,6 +977,18 @@ class GroundedSemanticParser:
             scores.append(0.8)
             return column, holder
         return None
+
+    def _joined_holders(self, table: str, phrase: str) -> list[tuple[str, str]]:
+        """``(column, holder)`` of each column named ``phrase`` (singular or
+        plural) in a table other than ``table`` that an FK path joins to it."""
+        target = _singularise(phrase.lower())
+        return [
+            (column, other)
+            for other in self._surface_tables.get(target, [])
+            if other.lower() != table.lower() and self.schema_kg.join_path(table, other)
+            for column, surface in self._column_surfaces[other].items()
+            if surface == target
+        ]
 
     def _resolve_join(
         self,
@@ -1030,27 +1064,28 @@ def _strip_fillers(text: str) -> str:
     return " ".join(words)
 
 
-def _singular_ngrams(tokens: list[str], max_size: int) -> dict[str, str]:
+def _singular_ngrams(
+    tokens: Sequence[str],
+    max_size: int,
+    singular: Sequence[str] | None = None,
+    heads: AbstractSet[str] | None = None,
+) -> dict[str, str]:
     """Singular form -> first word n-gram of ``tokens`` with it, shortest n-grams
-    first; :func:`_singularise` changes only an n-gram's last word."""
-    singular = [_singularise(token) for token in tokens]
+    first; :func:`_singularise` changes only an n-gram's last word.
+
+    ``singular`` is each token made singular, when the caller has it.  With
+    ``heads``, an n-gram of two or more words is formed only if its first
+    word is one of them: the n-grams left out cannot equal a phrase of two
+    or more words whose first word is not a head.
+    """
+    if singular is None:
+        singular = [_singularise(token) for token in tokens]
     grams: dict[str, str] = {}
     for size in range(1, max_size + 1):
         for end in range(size - 1, len(tokens)):
-            prefix = " ".join(tokens[end - size + 1 : end] + [""])
+            start = end - size + 1
+            if size > 1 and heads is not None and tokens[start] not in heads:
+                continue
+            prefix = " ".join([*tokens[start:end], ""])
             grams.setdefault(prefix + singular[end], prefix + tokens[end])
     return grams
-
-
-def _singularise(phrase: str) -> str:
-    words = phrase.split()
-    if not words:
-        return phrase
-    last = words[-1]
-    if last.endswith("ies") and len(last) > 3:
-        last = last[:-3] + "y"
-    elif last.endswith("ses") and len(last) > 3:
-        last = last[:-2]
-    elif last.endswith("s") and not last.endswith("ss") and len(last) > 1:
-        last = last[:-1]
-    return " ".join(words[:-1] + [last])

@@ -34,6 +34,12 @@ What follows an operand is capped too: only AND and OR after prefix
 NOT, nothing at power 4 after a comparison (``a = b = c`` leaves
 ``= c`` as trailing input).  Prefix NOT needs a floor of at most 3, so
 ``a = NOT b`` is an unexpected token.
+
+Every walker over the tree (rendering, compiling, execution) recurses once
+per level, so an expression may nest at most :data:`MAX_EXPRESSION_DEPTH`
+levels: each operand parsed (parenthesised, prefixed, a right operand or
+an argument, subqueries included) and each infix operator chained onto
+the left adds one.  The token that crosses the limit is a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -46,6 +52,11 @@ from repro.sqldb.tokenizer import KEYWORDS, TokenType, lex
 AGGREGATE_NAMES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX", "STDDEV", "VARIANCE"})
 
 _OR, _AND, _NOT, _COMPARE, _ADD, _MULTIPLY, _UNARY = range(1, 8)
+
+#: Deepest nesting of one expression (see the module docstring).  Benchgen
+#: gold SQL and its simulated mutations nest at most 7 levels; at 100 the
+#: deepest tree still runs well inside Python's default recursion limit.
+MAX_EXPRESSION_DEPTH = 100
 
 #: Binding power of every infix operator, keyed on the token kind.  NOT is
 #: infix only before IN, BETWEEN or LIKE.
@@ -71,6 +82,7 @@ class _Parser:
     def __init__(self, sql: str):
         self._kinds, self._values, self._positions = lex(sql)
         self._index = 0
+        self._depth = 0
 
     # -- token stream helpers ------------------------------------------------
 
@@ -97,6 +109,12 @@ class _Parser:
             message.format(found=repr(self._values[index])),
             position=self._positions[index],
         )
+
+    def _nest(self) -> None:
+        """One level deeper; past :data:`MAX_EXPRESSION_DEPTH` at the next token."""
+        self._depth += 1
+        if self._depth > MAX_EXPRESSION_DEPTH:
+            raise self._error(f"expression nests deeper than {MAX_EXPRESSION_DEPTH}")
 
     def _end(self) -> None:
         if self._kinds[self._index] is not TokenType.EOF:
@@ -274,6 +292,8 @@ class _Parser:
 
     def _expression(self, floor: int = 0) -> ast.Expression:
         """The longest expression whose infix operators bind at ``floor`` or more."""
+        outer = self._depth
+        self._nest()
         kind = self._kinds[self._index]
         ceiling = _MULTIPLY
         if kind == "NOT" and floor <= _NOT:
@@ -291,13 +311,14 @@ class _Parser:
             kind = self._kinds[self._index]
             power = _INFIX.get(kind)
             if power is None or not floor <= power <= ceiling:
-                return left
+                break
             negated = kind == "NOT"
             if negated:
                 if self._kinds[self._index + 1] not in ("IN", "BETWEEN", "LIKE"):
-                    return left
+                    break
                 self._index += 1
                 kind = self._kinds[self._index]
+            self._nest()
             self._index += 1
             if power != _COMPARE:
                 right = self._expression(power + 1)
@@ -329,6 +350,8 @@ class _Parser:
                 operator = "<>" if kind == "!=" else kind
                 right = self._expression(_ADD)
                 left = ast.BinaryOp(operator=operator, left=left, right=right)
+        self._depth = outer
+        return left
 
     def _parse_atom(self) -> ast.Expression:
         kind = self._kinds[self._index]

@@ -219,6 +219,29 @@ class TestLLMFallback:
         assert answer.kind is AnswerKind.ERROR
         assert "malformed number" in answer.text
 
+    @pytest.mark.parametrize(
+        "gold",
+        [
+            "SELECT " + "(" * 600 + "1" + ")" * 600 + " FROM cantons",
+            "SELECT " + " + ".join(["1"] * 3000) + " FROM cantons",
+        ],
+    )
+    def test_deeply_nested_generated_sql_is_answered(self, gold):
+        # Both once raised RecursionError out of ask; the parser now stops
+        # at its nesting limit and ask answers with that error.
+        domain = build_swiss_labour_registry(seed=8)
+        llm = SimulatedLLM(
+            domain.registry.database.catalog, error_rate=0.0, sample_fidelity=1.0
+        )
+        engine = CDAEngine(
+            domain.registry, domain.vocabulary,
+            config=ReliabilityConfig.llm_only(), llm=llm,
+        )
+        answer = engine.ask("zzqx blorf quux", llm_gold_sql=gold)
+        assert isinstance(answer, Answer)
+        assert answer.kind is AnswerKind.ERROR
+        assert "nests deeper than 100" in answer.text
+
 
 class TestReliabilityConfig:
     def test_presets_differ(self):

@@ -131,6 +131,26 @@ HAND_WRITTEN = {
 }
 
 
+#: Nesting at and past the parser's depth limit of 100 levels, plus the
+#: 600-parenthesis and 3,000-term inputs that once overflowed the stack;
+#: recorded after every seeded input.
+DEEP = {
+    "expression": [
+        "(" * 99 + "1" + ")" * 99,
+        "(" * 100 + "1" + ")" * 100,
+        # 98 operators, each with its right operand, under the outer level.
+        "1" + " + 1" * 98,
+        "1" + " + 1" * 99,
+        "NOT " * 99 + "a",
+        "NOT " * 100 + "a",
+    ],
+    "statement": [
+        "SELECT " + "(" * 600 + "1" + ")" * 600 + " FROM cantons",
+        "SELECT " + " + ".join(["1"] * 3000) + " FROM cantons",
+    ],
+}
+
+
 def _test_file_inputs() -> dict[str, list[str]]:
     """SQL statements and expressions written in the other SQL test files."""
     inputs: dict[str, list[str]] = {"statement": [], "expression": []}
@@ -231,6 +251,9 @@ def build_corpus() -> list[tuple[str, str]]:
                 edited = _edit(text, rng)
                 if edited is not None:
                     corpus[(kind, edited)] = None
+    for kind, texts in DEEP.items():
+        for text in texts:
+            corpus[(kind, text)] = None
     return list(corpus)
 
 
