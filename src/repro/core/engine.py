@@ -17,8 +17,7 @@ from time import perf_counter
 from repro.core.answer import Answer, AnswerKind
 from repro.core.config import ReliabilityConfig
 from repro.core.session import Session
-from repro.obs.events import emit, get_event_log
-from repro.obs.metrics import counter, get_registry, histogram
+from repro.obs.metrics import TurnTally, counter, histogram
 from repro.obs.recorder import FlightRecorder, output_envelope
 from repro.obs.trace import span, start_trace
 from repro.datasets.registry import DataSourceRegistry
@@ -111,9 +110,6 @@ class CDAEngine:
         # fingerprint hook is a callable so the hash over every row is
         # only paid when a black box actually leaves the process.
         self.recorder: FlightRecorder | None = None
-        #: Counter snapshot taken at the end of the last captured turn
-        #: (reused as the next turn's "before" — see :meth:`ask`).
-        self._counters_snapshot: dict | None = None
         if self.config.record_turns:
             self.recorder = FlightRecorder(capacity=self.config.recorder_capacity)
             self.recorder.context.update(
@@ -141,39 +137,33 @@ class CDAEngine:
         if capture:
             # The session only changes inside ask(), so the previous
             # turn's post-digest IS this turn's pre-digest — recomputing
-            # it would double the capture cost for nothing.  The counter
-            # snapshot is reused the same way: last turn's "after" is
-            # this turn's "before" (anything incremented between asks is
-            # attributed to the next turn, identically on record and
-            # replay, so comparisons stay exact).
+            # it would double the capture cost for nothing.
             last = self.recorder.last()
-            if last is not None and self._counters_snapshot is not None:
+            if last is not None:
                 pre_digest = last.outputs["post_digest"]
-                counters_before = self._counters_snapshot
             else:
                 pre_digest = self.session.state_digest()
-                counters_before = get_registry().counter_values()
-            event_mark = get_event_log().mark()
-        started = perf_counter()
-        if not self.config.tracing:
-            answer = self._ask(text, llm_gold_sql)
-            root = None
-        else:
-            with start_trace("engine.ask", question=text) as root:
+        # Every increment, observation and event of the turn lands on its
+        # tally (as well as in the process registry).
+        with TurnTally() as tally:
+            started = perf_counter()
+            if not self.config.tracing:
                 answer = self._ask(text, llm_gold_sql)
-                root.set_attribute("answer.kind", answer.kind.value)
-                if answer.confidence is not None:
-                    root.set_attribute(
-                        "answer.confidence", round(answer.confidence.value, 4)
-                    )
-            answer.trace = root
-        seconds = perf_counter() - started
-        self._record_turn(answer, seconds, root)
+                root = None
+            else:
+                with start_trace("engine.ask", question=text) as root:
+                    answer = self._ask(text, llm_gold_sql)
+                    root.set_attribute("answer.kind", answer.kind.value)
+                    if answer.confidence is not None:
+                        root.set_attribute(
+                            "answer.confidence", round(answer.confidence.value, 4)
+                        )
+                answer.trace = root
+            seconds = perf_counter() - started
+            self._record_turn(answer, seconds, root)
+        tally.fold_into(self.session.metrics)
         if capture:
-            self._capture_turn(
-                text, llm_gold_sql, pre_digest, event_mark, counters_before,
-                answer, seconds,
-            )
+            self._capture_turn(text, llm_gold_sql, pre_digest, tally, answer, seconds)
         return answer
 
     def _record_turn(self, answer: Answer, seconds: float, root) -> None:
@@ -196,35 +186,19 @@ class CDAEngine:
         text: str,
         llm_gold_sql: str | None,
         pre_digest: str,
-        event_mark: int,
-        counters_before: dict,
+        tally: TurnTally,
         answer: Answer,
         seconds: float,
     ) -> None:
         """Fold one finished turn into the flight recorder: the full
-        input/output envelope plus the event slice and the per-turn
-        counter deltas, then check it for anomalies (dump-on-anomaly)."""
-        counters_after = get_registry().counter_values()
-        self._counters_snapshot = counters_after
-        metrics_delta = {
-            name: value - counters_before.get(name, 0)
-            for name, value in counters_after.items()
-            if value != counters_before.get(name, 0)
-        }
-        events = [
-            {
-                "name": event.name,
-                "severity": event.severity,
-                "attrs": dict(event.attrs),
-            }
-            for event in get_event_log().since(event_mark)
-        ]
+        input/output envelope with the turn's events and counter delta
+        off its tally, then check it for anomalies (dump-on-anomaly)."""
         outputs = output_envelope(
             answer,
             post_digest=self.session.state_digest(),
             latency_s=seconds,
-            events=events,
-            metrics_delta=metrics_delta,
+            events=tally.events,
+            metrics_delta=tally.counts,
         )
         recording = self.recorder.record(
             question=text,
@@ -232,17 +206,15 @@ class CDAEngine:
             gold_sql=llm_gold_sql,
             pre_digest=pre_digest,
         )
-        self._flag_anomalies(recording, answer, seconds, events)
+        self._flag_anomalies(recording, answer, seconds)
 
-    def _flag_anomalies(
-        self, recording, answer: Answer, seconds: float, events: list[dict]
-    ) -> None:
+    def _flag_anomalies(self, recording, answer: Answer, seconds: float) -> None:
         """Dump-on-anomaly: a turn that errors, abstains despite
-        above-threshold confidence (only the verifier forces that), logs
-        an error-severity event, or breaches the p95 latency SLO gets
-        flagged on its recording, announced on the event log, and — when
-        ``config.recorder_dump_dir`` is set — written out as a black-box
-        file while the evidence is still in the ring."""
+        above-threshold confidence (only the verifier forces that), or
+        breaches the p95 latency SLO gets its reasons on
+        ``recording.anomaly`` and — when ``config.recorder_dump_dir`` is
+        set — is written out as a black-box file while the evidence is
+        still in the ring."""
         reasons = []
         if answer.kind is AnswerKind.ERROR:
             reasons.append("error")
@@ -252,19 +224,11 @@ class CDAEngine:
             and answer.confidence.value >= self.policy.threshold
         ):
             reasons.append("unexpected_abstention")
-        if any(event["severity"] == "error" for event in events):
-            reasons.append("error_events")
         if seconds > self.config.slo.turn_p95_seconds:
             reasons.append("latency_slo_breach")
         if not reasons:
             return
         recording.anomaly = ",".join(reasons)
-        emit(
-            "recorder.anomaly",
-            severity="warning",
-            turn=recording.turn_index,
-            reasons=recording.anomaly,
-        )
         if self.config.recorder_dump_dir:
             import os
 
@@ -274,12 +238,11 @@ class CDAEngine:
                 f"blackbox-turn{recording.turn_index:04d}.jsonl",
             )
             self.recorder.dump(path)
-            emit("recorder.dump", severity="info", path=path)
 
     def scorecard(self, thresholds=None):
-        """This session's P1–P5 reliability verdicts (see
-        :mod:`repro.obs.scorecard`); thresholds default to
-        ``config.slo``."""
+        """This session's P1–P5 reliability verdicts, judged on the
+        session's own registry (see :mod:`repro.obs.scorecard`);
+        thresholds default to ``config.slo``."""
         return self.session.scorecard(
             thresholds if thresholds is not None else self.config.slo
         )

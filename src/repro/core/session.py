@@ -17,7 +17,7 @@ from repro.guidance.clarification import ClarificationQuestion
 from repro.guidance.conversation_graph import ConversationGraph, TurnKind
 from repro.guidance.profiling import UserProfiler
 from repro.obs.events import emit
-from repro.obs.metrics import counter
+from repro.obs.metrics import MetricsRegistry, counter
 from repro.provenance.tracker import ProvenanceTracker
 
 
@@ -51,6 +51,11 @@ class Session:
     answers_given: int = 0
     abstentions: int = 0
     clarifications_asked: int = 0
+    #: What this session's turns did: the engine folds each turn's tally
+    #: in here (the process registry holds every session's sum).
+    metrics: MetricsRegistry = field(
+        default_factory=MetricsRegistry, repr=False, compare=False
+    )
 
     def record_user_turn(self, text: str, kind: TurnKind) -> int:
         """Add a user turn to the graph; returns its id."""
@@ -169,12 +174,15 @@ class Session:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def scorecard(self, thresholds=None):
-        """This session's reliability scorecard: the global metrics
-        registry judged against the SLO thresholds, property by property
-        (see :mod:`repro.obs.scorecard`)."""
+        """This session's reliability scorecard: its own registry
+        (:attr:`metrics`, every turn's counters and observations and
+        nothing from other sessions) judged against the SLO thresholds,
+        property by property (see :mod:`repro.obs.scorecard`)."""
         from repro.obs.scorecard import build_scorecard
 
-        return build_scorecard(self.snapshot(), thresholds=thresholds)
+        return build_scorecard(
+            self.snapshot(), registry=self.metrics, thresholds=thresholds
+        )
 
     @property
     def expecting_clarification_reply(self) -> bool:

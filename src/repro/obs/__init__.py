@@ -12,10 +12,13 @@ sketch (:mod:`repro.obs.sketch`) so tail percentiles stay accurate at
 any scale.
 
 Each measurement has one per-turn record: a turn's stage timings live
-in its span tree, its latency in the flight recorder's ``latency_s``.
-Histograms aggregate both across turns; events hold only what neither
-records (abstentions, clarifications, cache invalidations, verifier
-failures, recorder anomalies).
+in its span tree, its latency in the flight recorder's ``latency_s``,
+its counter delta and events on the turn's
+:class:`~repro.obs.metrics.TurnTally`.  Events hold only what no span or
+counter records (abstentions, clarifications, cache invalidations,
+verifier failures).  After the turn the engine folds the tally into its
+session's registry, which the scorecard judges; the process registry
+(:func:`~repro.obs.metrics.get_registry`) is the sum over all engines.
 
 Dependency-free by design — stdlib only — so any layer can import it
 without cycles, and disabled instrumentation costs one no-op call.
@@ -26,18 +29,13 @@ from repro.obs.metrics import (
     Counter,
     Histogram,
     MetricsRegistry,
+    TurnTally,
     counter,
     get_registry,
     histogram,
 )
 from repro.obs.sketch import QuantileSketch
-from repro.obs.events import (
-    Event,
-    EventLog,
-    SEVERITIES,
-    emit,
-    get_event_log,
-)
+from repro.obs.events import SEVERITIES, emit
 from repro.obs.exporters import (
     chrome_trace_json,
     render_text,
@@ -80,15 +78,13 @@ __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
+    "TurnTally",
     "get_registry",
     "counter",
     "histogram",
     "QuantileSketch",
-    "Event",
-    "EventLog",
     "SEVERITIES",
     "emit",
-    "get_event_log",
     "to_dict",
     "render_text",
     "stage_timings",

@@ -8,20 +8,28 @@ the ``layer.component.metric`` naming scheme (``sqldb.cache.hits``,
 ``vector.index.distance_computations``, ``core.session.questions``)
 while the original attributes remain as thin views for compatibility.
 
-Design constraints mirror :mod:`repro.obs.trace`:
+Two scopes see every observation:
 
-* **dependency-free** — stdlib only, importable from every layer;
-* **global but resettable** — one process-wide default registry
-  (:func:`get_registry`); :meth:`MetricsRegistry.reset` zeroes every
-  metric *in place*, so handles cached at import time (the hot-path
-  pattern) survive test-isolation resets;
-* **no numpy in the hot path** — :class:`Histogram` observation is a
-  binary search over a short tuple of bucket bounds, with no allocation.
+* **the process registry** (:func:`get_registry`) — the sum over every
+  engine and every bare library call; Prometheus exports it, and
+  :meth:`MetricsRegistry.reset` zeroes it *in place*, so handles cached
+  at import time (the hot-path pattern) survive test-isolation resets;
+* **the turn in progress** — ``CDAEngine.ask`` binds a :class:`TurnTally`
+  in a contextvar (the way :mod:`repro.obs.trace` binds the active
+  span); ``inc``, ``observe`` and :func:`repro.obs.events.emit` also
+  write into it, so a turn's counter delta and events are read straight
+  off the tally, and the engine folds it into its session's own
+  registry afterwards.  Work outside a turn reaches the process
+  registry only.
+
+Stdlib only, like the rest of :mod:`repro.obs`; :class:`Histogram`
+observation is a binary search over a short tuple of bucket bounds.
 """
 
 from __future__ import annotations
 
 import bisect
+from contextvars import ContextVar
 
 from repro.obs.sketch import QuantileSketch
 
@@ -29,10 +37,57 @@ __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
+    "TurnTally",
     "get_registry",
     "counter",
     "histogram",
 ]
+
+
+class TurnTally:
+    """Everything one turn did: counter increments (name → amount, no
+    zero entries), histogram observations in order, and events.
+
+    Used as a context manager it is the calling context's active tally
+    until the block exits.
+    """
+
+    __slots__ = ("counts", "observations", "events", "_token")
+
+    def __init__(self):
+        self.counts: dict[str, int] = {}
+        self.observations: list[tuple[Histogram, float]] = []
+        self.events: list[dict] = []
+        self._token = None
+
+    def __enter__(self) -> "TurnTally":
+        self._token = _TALLY.set(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        _TALLY.reset(self._token)
+        self._token = None
+        return False
+
+    def fold_into(self, registry: "MetricsRegistry") -> None:
+        """Add the turn's increments and observations to ``registry``
+        (histograms keep the originals' buckets and sketch accuracy).
+        Call it after the tally's block has exited."""
+        for name, amount in self.counts.items():
+            registry.counter(name).inc(amount)
+        for metric, value in self.observations:
+            sketch = metric.sketch
+            registry.histogram(
+                metric.name,
+                metric.buckets,
+                sketch=sketch.relative_accuracy if sketch is not None else False,
+            ).observe(value)
+
+
+#: The tally of the turn the calling context is inside (None = no turn).
+_TALLY: ContextVar[TurnTally | None] = ContextVar(
+    "repro_obs_turn_tally", default=None
+)
 
 
 class Counter:
@@ -47,8 +102,13 @@ class Counter:
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
-        """Add ``amount`` (default 1) to the tally."""
+        """Add ``amount`` (default 1) to the tally (and to the active
+        turn's, unless it is zero)."""
         self.value += amount
+        if amount:
+            tally = _TALLY.get()
+            if tally is not None:
+                tally.counts[self.name] = tally.counts.get(self.name, 0) + amount
 
     def reset(self) -> None:
         """Zero the tally in place (handles stay valid)."""
@@ -121,6 +181,9 @@ class Histogram:
             self.max = value
         if self.sketch is not None:
             self.sketch.observe(value)
+        tally = _TALLY.get()
+        if tally is not None:
+            tally.observations.append((self, value))
 
     @property
     def mean(self) -> float:
@@ -232,13 +295,8 @@ class MetricsRegistry:
         return self._metrics.get(name)
 
     def counter_values(self, prefix: str = "") -> dict[str, int]:
-        """Name → value for every registered counter.
-
-        Counters (unlike latency histograms) advance deterministically
-        with the work performed, so a before/after pair of these dicts is
-        the per-turn *work delta* the flight recorder captures and the
-        replay harness compares.
-        """
+        """Name → value for every registered counter (optionally only
+        names starting with ``prefix``)."""
         return {
             name: metric.value
             for name, metric in self._metrics.items()
@@ -261,12 +319,14 @@ class MetricsRegistry:
         for metric in self._metrics.values():
             metric.reset()
 
-#: The process-wide default registry every layer reports into.
+
+#: The process-wide registry every layer reports into.
 _GLOBAL = MetricsRegistry()
 
 
 def get_registry() -> MetricsRegistry:
-    """The global registry (reset it between tests, never replace it)."""
+    """The process registry: the sum over all engines and library calls
+    (reset it between tests, never replace it)."""
     return _GLOBAL
 
 

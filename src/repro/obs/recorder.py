@@ -7,9 +7,11 @@ keeps the full input envelope (question, oracle SQL for the simulated
 LLM, serialized :class:`~repro.core.config.ReliabilityConfig`, the
 session-state digest before the turn, the dataset fingerprint in the
 header) and the full output envelope (answer fields, SQL, confidence,
-abstention, rows, turn latency, span tree, event slice, per-turn
-counter deltas, the post-turn state digest) in a bounded ring — old turns fall off the
-back, so the recorder is always on and never grows.
+abstention, rows, turn latency, span tree, the post-turn state digest,
+and the turn's events and counter delta — read off the turn's own
+:class:`~repro.obs.metrics.TurnTally`, so they count only what that
+``ask`` did) in a bounded ring — old turns fall off the back, so the
+recorder is always on and never grows.
 
 The buffer serialises as a versioned JSONL "black-box" file (one header
 line, one line per turn) via :meth:`FlightRecorder.dump` /
@@ -17,7 +19,7 @@ line, one line per turn) via :meth:`FlightRecorder.dump` /
 :mod:`repro.obs.replay` re-executes a black box on a fresh engine and
 diffs each replayed output envelope against the recorded one with
 :func:`diff_envelopes` — only the :data:`COMPARED_FIELDS` participate;
-the turn latency, the span tree and the event slice are captured for
+the turn latency, the span tree and the events are captured for
 diagnosis but never flagged, so a healthy replay reports **zero
 divergences**.
 
@@ -49,8 +51,8 @@ __all__ = [
 BLACKBOX_VERSION = 1
 
 #: Output-envelope fields the replay harness compares, in report order.
-#: Everything else in the envelope (latency, span durations, the event
-#: slice) is nondeterministic by nature and captured for diagnosis only.
+#: Everything else in the envelope (latency, span durations, the events)
+#: is captured for diagnosis only.
 COMPARED_FIELDS = (
     "kind",
     "abstained",
@@ -190,7 +192,7 @@ class TurnRecording:
     inputs: dict
     outputs: dict
     #: Comma-joined anomaly reasons ("error", "unexpected_abstention",
-    #: "latency_slo_breach", "error_events"), or None for a clean turn.
+    #: "latency_slo_breach"), or None for a clean turn.
     anomaly: str | None = None
 
     @property

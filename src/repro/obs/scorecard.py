@@ -2,9 +2,10 @@
 
 The paper's five reliability properties are requirements, and PR 3's
 spans and counters are raw measurements; this module is the judge that
-connects them.  :func:`build_scorecard` reads the metrics registry and
-a session snapshot, compares each property's observable signals against
-the SLO thresholds in :class:`SLOThresholds` (carried by
+connects them.  :func:`build_scorecard` reads a metrics registry (the
+session's own, from ``Session.scorecard``) and a session snapshot,
+compares each property's observable signals against the SLO thresholds
+in :class:`SLOThresholds` (carried by
 :class:`~repro.core.config.ReliabilityConfig` as ``config.slo``), and
 returns a :class:`Scorecard` of pass/warn/fail verdicts:
 
@@ -218,7 +219,8 @@ def _check(
     warn_margin: float = 0.2,
     detail: str = "",
 ) -> CheckResult:
-    """Grade one signal; ``value=None`` means no data → skip."""
+    """Grade one signal; ``value=None`` means no data → skip, and only a
+    skip carries ``detail`` (the reason there is no data)."""
     direction = ">=" if higher_is_better else "<="
     if value is None:
         return CheckResult(name, "skip", None, threshold, direction, detail)
@@ -236,7 +238,7 @@ def _check(
             status = "warn"
         else:
             status = "fail"
-    return CheckResult(name, status, value, threshold, direction, detail)
+    return CheckResult(name, status, value, threshold, direction)
 
 
 def _ratio(numerator: float, denominator: float) -> float | None:
@@ -257,7 +259,8 @@ def build_scorecard(
 
     ``session`` is a :meth:`repro.core.session.Session.snapshot` dict
     (question/answer/abstention/clarification tallies); ``registry``
-    defaults to the global one.
+    defaults to the process registry (``Session.scorecard`` passes the
+    session's own).
     """
     session = session or {}
     registry = registry if registry is not None else get_registry()

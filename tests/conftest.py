@@ -15,22 +15,20 @@ from repro.datasets import (
     build_swiss_labour_registry,
 )
 from repro.kg import SchemaKnowledgeGraph
-from repro.obs import get_event_log, get_registry
+from repro.obs import get_registry
 from repro.sqldb import Database
 
 
 @pytest.fixture(autouse=True)
 def reset_metrics():
-    """Zero the global metrics registry and event log around every test.
+    """Zero the process metrics registry around every test.
 
     Reset is in place, so handles cached inside long-lived objects
     (session-scoped domains, module-level counters) stay wired up.
     """
     get_registry().reset()
-    get_event_log().reset()
     yield
     get_registry().reset()
-    get_event_log().reset()
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Telemetry pipeline: event log, scorecard, and standard exporters.
+"""Telemetry pipeline: turn events, scorecard, and standard exporters.
 
 Covers the PR's acceptance criteria: ``Session.scorecard()`` returns
 P1–P5 verdicts on a real multi-turn session, the Prometheus exposition
@@ -16,12 +16,12 @@ import pytest
 
 from repro.core import CDAEngine
 from repro.obs import (
-    EventLog,
     SLOThresholds,
+    TurnTally,
     build_scorecard,
     chrome_trace_json,
     counter,
-    get_event_log,
+    emit,
     get_registry,
     histogram,
     sanitize_metric_name,
@@ -39,53 +39,46 @@ def engine(swiss_domain) -> CDAEngine:
     return CDAEngine(swiss_domain.registry, swiss_domain.vocabulary)
 
 
-# -- event log ----------------------------------------------------------------
+# -- turn events --------------------------------------------------------------
 
 
 class TestEventLog:
-    def test_emit_orders_and_filters(self):
-        log = EventLog(capacity=16)
-        log.emit("a.start")
-        log.emit("a.retry", severity="warning", attempt=2)
-        log.emit("b.done", severity="debug")
-        names = [event.name for event in log]
-        assert names == ["a.start", "a.retry", "b.done"]
-        assert [e.name for e in log.events(prefix="a.")] == ["a.start", "a.retry"]
-        assert [e.name for e in log.events(min_severity="warning")] == ["a.retry"]
-        assert log.events(min_severity="warning")[0].attrs == {"attempt": 2}
+    def test_turn_events_reach_the_envelope_in_order(self, engine, monkeypatch):
+        # A question that opens a clarification emits one event in ask.
+        engine.ask("what data do you have about employment")
+        events = engine.recorder.last().outputs["events"]
+        assert [event["name"] for event in events] == ["guidance.clarification"]
+        assert events[0]["severity"] == "info"
+        # Events emitted anywhere inside the turn land in emission order,
+        # with their attributes, on that turn's envelope only.
+        original = engine._ask
 
-    def test_timestamps_are_monotone_and_relative(self):
-        log = EventLog()
-        first = log.emit("one")
-        second = log.emit("two")
-        assert 0 <= first.t_ns <= second.t_ns
-        assert [event.t_ns for event in log] == [first.t_ns, second.t_ns]
+        def noisy_ask(text, gold):
+            emit("test.first", severity="warning", attempt=2)
+            answer = original(text, gold)
+            emit("test.second", severity="debug")
+            return answer
 
-    def test_ring_buffer_drops_oldest(self):
-        log = EventLog(capacity=3)
-        for index in range(5):
-            log.emit(f"event.{index}")
-        assert len(log) == 3
-        assert log.emitted == 5
-        assert log.dropped == 2
-        assert [event.name for event in log] == [
-            "event.2", "event.3", "event.4",
+        monkeypatch.setattr(engine, "_ask", noisy_ask)
+        engine.ask("employment")
+        assert engine.recorder.last().outputs["events"] == [
+            {"name": "test.first", "severity": "warning", "attrs": {"attempt": 2}},
+            {"name": "test.second", "severity": "debug", "attrs": {}},
         ]
 
-    def test_invalid_severity_and_capacity_rejected(self):
+    def test_events_outside_a_turn_drop_and_bad_severity_raises(self):
+        emit("outside.turn")  # no tally bound: dropped, no error
+        with TurnTally() as tally:
+            emit("inside.turn", severity="error", code=7)
+        emit("after.turn")
+        assert tally.events == [
+            {"name": "inside.turn", "severity": "error", "attrs": {"code": 7}},
+        ]
         with pytest.raises(ValueError):
-            EventLog().emit("x", severity="loud")
-        with pytest.raises(ValueError):
-            EventLog(capacity=0)
-
-    def test_reset_keeps_origin(self):
-        log = EventLog()
-        before = log.emit("before")
-        log.reset()
-        assert len(log) == 0 and log.emitted == 0 and log.dropped == 0
-        after = log.emit("after")
-        assert after.t_ns >= before.t_ns
-        assert [event.name for event in log] == ["after"]
+            emit("x", severity="loud")
+        with pytest.raises(ValueError), TurnTally() as tally:
+            emit("x", severity="loud")
+        assert tally.events == []
 
     def test_engine_turn_timings_are_recorded_once(self, engine):
         answer = engine.ask("how many employees are there")
@@ -113,12 +106,17 @@ class TestEventLog:
         db = Database(cache_size=8)
         db.execute("CREATE TABLE t (id INT PRIMARY KEY)")
         db.execute("INSERT INTO t VALUES (1)")
-        db.execute("SELECT id FROM t")
-        db.execute("INSERT INTO t VALUES (2)")
-        db.execute("SELECT id FROM t")
-        invalidations = get_event_log().events(prefix="sqldb.cache.invalidation")
+        with TurnTally() as tally:
+            db.execute("SELECT id FROM t")
+            db.execute("INSERT INTO t VALUES (2)")
+            db.execute("SELECT id FROM t")
+        invalidations = [
+            event for event in tally.events
+            if event["name"] == "sqldb.cache.invalidation"
+        ]
         assert len(invalidations) == 1
-        assert "SELECT" in invalidations[0].attrs["sql"].upper()
+        assert "SELECT" in invalidations[0]["attrs"]["sql"].upper()
+        assert tally.counts["sqldb.cache.invalidations"] == 1
 
 
 # -- scorecard ----------------------------------------------------------------
@@ -208,6 +206,17 @@ class TestScorecard:
             assert prop["title"]
             for check in prop["checks"]:
                 assert check["status"] in {"pass", "warn", "fail", "skip"}
+                # Only a skipped check says why it has no data.
+                assert bool(check["detail"]) == (check["status"] == "skip")
+        checks = {
+            check["name"]: check
+            for prop in payload["properties"] for check in prop["checks"]
+        }
+        assert checks["verification pass rate"]["value"] == 1.0
+        assert checks["verification pass rate"]["detail"] == ""
+        assert checks["clarification resolution"]["detail"] == (
+            "no clarifications asked"
+        )
 
     def test_render_text_lists_every_property(self):
         _seed_metrics()
@@ -238,6 +247,35 @@ class TestScorecardOnRealSession:
         assert card.status in {"pass", "warn"}
         assert card.session["questions_asked"] == 3
         assert card.session["clarifications_asked"] == 1
+
+    def test_a_session_scorecard_ignores_other_sessions(self):
+        from repro.datasets import build_swiss_labour_registry
+
+        def fresh_engine():
+            bundle = build_swiss_labour_registry(seed=0)
+            return CDAEngine(bundle.registry, bundle.vocabulary)
+
+        first, second = fresh_engine(), fresh_engine()
+        for question in (
+            "how many employees are there",
+            "what data do you have about employment",
+            "employment",
+        ):
+            first.ask(question)
+            before = first.scorecard().to_dict()
+            second.ask("how many cantons are there")
+            second.ask("what data do you have about employment")
+            second.ask("employment")
+            # Work outside any turn reaches the process registry only.
+            second.discover(["employment by canton"])
+            assert first.scorecard().to_dict() == before
+        p5 = {check.name: check for check in first.scorecard().verdict("P5").checks}
+        # Two answers offered 1 + 4 suggestions; the other session's
+        # answers and suggestions do not count here.
+        assert p5["suggestions per answer"].value == 2.5
+        process = get_registry().get("core.session.questions").value
+        assert first.session.metrics.get("core.session.questions").value == 2
+        assert process == 2 + 2 * 3
 
     def test_engine_scorecard_uses_the_configured_slo(self, engine):
         engine.ask("how many employees are there")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -65,11 +66,16 @@ def record_script(questions=SCRIPT) -> BlackBox:
     return BlackBox.loads(engine.recorder.to_jsonl())
 
 
+#: A black box recorded by the CLI in the version-1 format (see
+#: ``test_parent_format_blackbox_replays_exactly``).
+BLACKBOX_V1 = Path(__file__).parent / "data" / "blackbox_v1_swiss.jsonl"
+
+
 @pytest.fixture(scope="module")
 def recorded_script() -> BlackBox:
-    """One recorded conversation, shared read-only by this module
-    (turn deltas are self-relative, so the global-registry resets
-    between tests do not bleed into it)."""
+    """One recorded conversation, shared read-only by this module (each
+    turn's delta is read off its own tally, so the process-registry
+    resets between tests do not bleed into it)."""
     return record_script()
 
 
@@ -108,6 +114,31 @@ class TestFaithfulReplay:
                 for child in outputs["trace"]["children"]
             }
             assert stages["engine.execution"] > 0
+
+    def test_interleaved_engines_replay_exactly(self):
+        # A second engine asking between this one's turns changes the
+        # process registry, but not this engine's turn deltas.
+        engine, other = fresh_engine(), fresh_engine()
+        for question in SCRIPT[:4]:
+            engine.ask(question)
+            other.ask("how many cantons are there")
+            other.ask("average employees by canton")
+        report = replay_session(engine.recorder)
+        assert report.divergence_count == 0, report.render_text()
+        assert len(report.turns) == 4
+
+    def test_parent_format_blackbox_replays_exactly(self):
+        # Twelve turns recorded through the CLI (the first lines of the
+        # CI record/replay script) before turn deltas moved onto the
+        # turn tally: format version 1 and single-engine deltas still
+        # replay field for field.
+        blackbox = BlackBox.load(BLACKBOX_V1)
+        assert blackbox.header["version"] == 1
+        assert len(blackbox) == 12
+        report = replay_session(blackbox)
+        assert report.header_issues == []
+        assert report.divergence_count == 0, report.render_text()
+        assert len(report.turns) == 12
 
     def test_replay_accepts_a_live_recorder(self):
         engine = fresh_engine()
