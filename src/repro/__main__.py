@@ -19,8 +19,10 @@ Flight recorder: ``--record PATH`` (alias ``--dump-blackbox PATH``)
 writes the session's black-box JSONL at exit — every turn's input and
 output envelope, replayable on any machine with the same code.
 ``--replay FILE`` re-executes a black box on a fresh engine and prints
-the field-attributed divergence report (exit code 1 on any divergence,
-so CI can gate on "recordings reproduce exactly").
+the field-attributed divergence report; it exits 0 when every turn
+reproduced, 1 on any divergence (so CI can gate on "recordings
+reproduce exactly") and 2, with one ``error: …`` line on stderr, when
+the file cannot be replayed (missing, malformed, unsupported version).
 """
 
 from __future__ import annotations
@@ -168,7 +170,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--replay", metavar="FILE", default=None,
         help="replay a recorded black box on a fresh engine and print the "
-        "divergence report (exit code 1 on any divergence)",
+        "divergence report (exit code 0: reproduced, 1: diverged, "
+        "2: the file could not be replayed)",
     )
     parser.add_argument(
         "--llm-error-rate", type=float, default=None, metavar="EPS",
@@ -176,9 +179,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.replay is not None:
-        from repro.obs import replay_session
+        from repro.obs import BlackBox, build_engine_for_header, replay_session
 
-        report = replay_session(args.replay)
+        try:
+            blackbox = BlackBox.load(args.replay)
+            engine = build_engine_for_header(blackbox.header)
+        except (OSError, ValueError) as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        report = replay_session(blackbox, engine=engine)
         print(report.render_text())
         return 1 if report.diverged else 0
     engine = build_engine(args.domain, args.llm_error_rate)

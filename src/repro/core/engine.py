@@ -18,7 +18,7 @@ from repro.core.answer import Answer, AnswerKind
 from repro.core.config import ReliabilityConfig
 from repro.core.session import Session
 from repro.obs.metrics import TurnTally, counter, histogram
-from repro.obs.recorder import FlightRecorder, output_envelope
+from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import span, start_trace
 from repro.datasets.registry import DataSourceRegistry
 from repro.errors import (
@@ -63,6 +63,8 @@ _CONFIDENCE = histogram(
     "core.engine.confidence",
     buckets=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
 )
+#: Stage name → its ``core.stage.<name>.latency`` handle, made on first use.
+_STAGE_LATENCY: dict = {}
 _DATA_ANSWERS = counter("core.engine.data_answers")
 _EXPLAINED_ANSWERS = counter("core.engine.explained_answers")
 _SUGGESTIONS_OFFERED = counter("guidance.suggestions.offered")
@@ -140,7 +142,7 @@ class CDAEngine:
             # it would double the capture cost for nothing.
             last = self.recorder.last()
             if last is not None:
-                pre_digest = last.outputs["post_digest"]
+                pre_digest = last.post_digest
             else:
                 pre_digest = self.session.state_digest()
         # Every increment, observation and event of the turn lands on its
@@ -177,9 +179,11 @@ class CDAEngine:
             _CONFIDENCE.observe(answer.confidence.value)
         if root is not None:
             for stage in root.children:
-                histogram(f"core.stage.{stage.name}.latency").observe(
-                    stage.duration_seconds
-                )
+                handle = _STAGE_LATENCY.get(stage.name)
+                if handle is None:
+                    name = f"core.stage.{stage.name}.latency"
+                    handle = _STAGE_LATENCY[stage.name] = histogram(name)
+                handle.observe(stage.duration_seconds)
 
     def _capture_turn(
         self,
@@ -190,19 +194,16 @@ class CDAEngine:
         answer: Answer,
         seconds: float,
     ) -> None:
-        """Fold one finished turn into the flight recorder: the full
-        input/output envelope with the turn's events and counter delta
-        off its tally, then check it for anomalies (dump-on-anomaly)."""
-        outputs = output_envelope(
-            answer,
+        """Fold one finished turn into the flight recorder, by reference
+        (with the turn's events and counter delta off its tally), then
+        check it for anomalies (dump-on-anomaly)."""
+        recording = self.recorder.record(
+            question=text,
+            answer=answer,
             post_digest=self.session.state_digest(),
             latency_s=seconds,
             events=tally.events,
             metrics_delta=tally.counts,
-        )
-        recording = self.recorder.record(
-            question=text,
-            outputs=outputs,
             gold_sql=llm_gold_sql,
             pre_digest=pre_digest,
         )

@@ -10,7 +10,6 @@ user-expertise profile, and the cross-component provenance tracker.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 from repro.guidance.clarification import ClarificationQuestion
@@ -161,17 +160,24 @@ class Session:
 
         The flight recorder stores this before and after every turn; a
         replay asserts conversation-context equality by comparing
-        digests instead of diffing whole graphs.  The graph contributes
-        its O(1) running mutation chain
+        digests instead of diffing whole graphs.  It hashes the ``repr``
+        of one fixed-order tuple — the graph's O(1) running mutation chain
         (:meth:`~repro.guidance.conversation_graph.ConversationGraph.digest`)
-        rather than a full re-serialisation, so digesting stays flat-cost
-        no matter how long the session — the capture path pays this on
-        every turn.
+        and every field of :meth:`_context_tail` — with no dict and no
+        JSON, so the capture path pays a flat cost on every turn.
         """
-        state = self._context_tail()
-        state["graph"] = self.graph.digest()
-        canonical = json.dumps(state, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        pending = self.pending_clarification
+        if pending is not None:
+            question = pending.question
+            pending = (pending.original_question, question.text, question.options, pending.subject)
+        state = (
+            self.graph.digest(), pending, self.focus_table,
+            self.last_intent,  # a plain dataclass: its repr renders it whole
+            sorted(self.used_group_columns),
+            self.questions_asked, self.answers_given, self.abstentions, self.clarifications_asked,
+            self.profiler.state,
+        )
+        return hashlib.sha256(repr(state).encode("utf-8")).hexdigest()
 
     def scorecard(self, thresholds=None):
         """This session's reliability scorecard: its own registry

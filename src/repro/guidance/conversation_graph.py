@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field
 
 from repro.errors import GuidanceError
@@ -71,7 +70,7 @@ class ConversationGraph:
         self._succ: dict[int, dict[int, str]] = {}
         self._pred: dict[int, dict[int, None]] = {}
         self._counter = itertools.count()
-        self._digest = hashlib.sha256(b"conversation-graph-v1").hexdigest()
+        self._hash = hashlib.sha256(b"conversation-graph-v2")
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -100,19 +99,10 @@ class ConversationGraph:
         self._nodes[turn.turn_id] = turn
         self._succ[turn.turn_id] = {}
         self._pred[turn.turn_id] = {}
-        self._fold(
-            {
-                "turn": {
-                    "turn_id": turn.turn_id,
-                    "actor": turn.actor,
-                    "kind": turn.kind.value,
-                    "text": turn.text,
-                    "confidence": turn.confidence,
-                    "speculative": turn.speculative,
-                    "metadata": dict(turn.metadata),
-                }
-            }
-        )
+        self._hash.update(repr((
+            turn.turn_id, actor, kind.value, text, confidence, speculative,
+            sorted(turn.metadata.items()),
+        )).encode("utf-8"))
         if replies_to is not None:
             self.link(replies_to, turn.turn_id, role=role)
         return turn
@@ -125,30 +115,24 @@ class ConversationGraph:
             raise GuidanceError("both turns must exist before linking")
         self._succ[from_id][to_id] = role
         self._pred[to_id][from_id] = None
-        self._fold({"edge": {"from": from_id, "to": to_id, "role": role}})
+        self._hash.update(repr((from_id, to_id, role)).encode("utf-8"))
 
     # -- running digest ---------------------------------------------------------
-
-    def _fold(self, payload: dict) -> None:
-        """Fold one mutation into the running digest chain."""
-        canonical = json.dumps(
-            payload, sort_keys=True, separators=(",", ":"), default=repr
-        )
-        self._digest = hashlib.sha256(
-            (self._digest + canonical).encode("utf-8")
-        ).hexdigest()
 
     def digest(self) -> str:
         """A SHA-256 chain over every mutation since creation.
 
-        Graphs built by the same sequence of ``add_turn``/``link`` calls
-        share a digest; any divergence in that sequence changes it.  The
-        chain is updated incrementally at mutation time, so reading it is
-        O(1) no matter how long the conversation — which is what lets
-        the flight recorder digest the session after every turn without
+        Each mutation ``update``s one running ``hashlib.sha256`` with the
+        UTF-8 ``repr`` of a fixed-order tuple: a turn's id, actor, kind
+        value, text, confidence, speculative flag and sorted metadata
+        items, or an edge's from, to and role.  Graphs built by the same
+        sequence of ``add_turn``/``link`` calls share a digest; any
+        divergence in that sequence changes it.  Reading it is O(1) no
+        matter how long the conversation — which is what lets the flight
+        recorder digest the session after every turn without
         re-serialising a growing graph (see ``Session.state_digest``).
         """
-        return self._digest
+        return self._hash.hexdigest()
 
     def turn(self, turn_id: int) -> TurnNode:
         """Fetch a turn by id."""

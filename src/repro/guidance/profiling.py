@@ -73,6 +73,11 @@ class UserProfiler:
         )
         return self.profile(signals)
 
+    @property
+    def state(self) -> tuple[float, int]:
+        """``(score, questions seen)``: everything :meth:`profile` derives."""
+        return self._score, self._count
+
     def profile(self, signals: dict | None = None) -> UserProfile:
         """The current profile without observing anything new."""
         if self._score >= 0.6:

@@ -70,18 +70,20 @@ class TurnTally:
         return False
 
     def fold_into(self, registry: "MetricsRegistry") -> None:
-        """Add the turn's increments and observations to ``registry``
-        (histograms keep the originals' buckets and sketch accuracy).
-        Call it after the tally's block has exited."""
+        """Add the turn's increments and observations to ``registry`` (one
+        dict probe per metric once it exists; new histograms keep the
+        originals' buckets and sketch accuracy).  Call it after the
+        tally's block has exited."""
+        known = registry._metrics.get
         for name, amount in self.counts.items():
-            registry.counter(name).inc(amount)
+            (known(name) or registry.counter(name)).inc(amount)
         for metric, value in self.observations:
-            sketch = metric.sketch
-            registry.histogram(
-                metric.name,
-                metric.buckets,
-                sketch=sketch.relative_accuracy if sketch is not None else False,
-            ).observe(value)
+            target = known(metric.name)
+            if target is None:
+                sketch = metric.sketch
+                accuracy = sketch.relative_accuracy if sketch is not None else False
+                target = registry.histogram(metric.name, metric.buckets, accuracy)
+            target.observe(value)
 
 
 #: The tally of the turn the calling context is inside (None = no turn).
@@ -255,20 +257,19 @@ class MetricsRegistry:
     def __init__(self):
         self._metrics: dict[str, Counter | Histogram] = {}
 
-    def _get_or_create(self, name: str, factory, kind: str):
+    def _get_or_create(self, name: str, cls, *args):
         metric = self._metrics.get(name)
         if metric is None:
-            metric = factory()
-            self._metrics[name] = metric
-        elif metric.kind != kind:
+            metric = self._metrics[name] = cls(name, *args)
+        elif metric.kind != cls.kind:
             raise TypeError(
-                f"metric {name!r} is a {metric.kind}, requested as {kind}"
+                f"metric {name!r} is a {metric.kind}, requested as {cls.kind}"
             )
         return metric
 
     def counter(self, name: str) -> Counter:
         """The counter named ``name`` (created on first use)."""
-        return self._get_or_create(name, lambda: Counter(name), "counter")
+        return self._get_or_create(name, Counter)
 
     def histogram(
         self,
@@ -286,9 +287,7 @@ class MetricsRegistry:
         """
         if sketch is None:
             sketch = name.endswith(".latency")
-        return self._get_or_create(
-            name, lambda: Histogram(name, buckets, sketch=sketch), "histogram"
-        )
+        return self._get_or_create(name, Histogram, buckets, sketch)
 
     def get(self, name: str):
         """The metric named ``name``, or None."""

@@ -3,15 +3,17 @@
 Spans say where a turn's time went, counters say how much work it did,
 events say what happened — but none of them can *reproduce* the turn.
 The flight recorder closes that loop: for every ``CDAEngine.ask`` it
-keeps the full input envelope (question, oracle SQL for the simulated
-LLM, serialized :class:`~repro.core.config.ReliabilityConfig`, the
-session-state digest before the turn, the dataset fingerprint in the
-header) and the full output envelope (answer fields, SQL, confidence,
-abstention, rows, turn latency, span tree, the post-turn state digest,
-and the turn's events and counter delta — read off the turn's own
-:class:`~repro.obs.metrics.TurnTally`, so they count only what that
-``ask`` did) in a bounded ring — old turns fall off the back, so the
-recorder is always on and never grows.
+keeps the input envelope (question, oracle SQL for the simulated LLM,
+the session-state digest before the turn; the serialized
+:class:`~repro.core.config.ReliabilityConfig` and the dataset
+fingerprint sit in the header) and the output envelope (answer fields,
+SQL, confidence, abstention, rows, turn latency, span tree, the
+post-turn state digest, and the turn's events and counter delta — read
+off the turn's own :class:`~repro.obs.metrics.TurnTally`, so they count
+only what that ``ask`` did) in a bounded ring — old turns fall off the
+back, so the recorder is always on and never grows.  The output
+envelope is lazy: the turn is captured by reference (:func:`capture`)
+and the envelope built on the first read of ``outputs``.
 
 The buffer serialises as a versioned JSONL "black-box" file (one header
 line, one line per turn) via :meth:`FlightRecorder.dump` /
@@ -34,6 +36,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.obs.exporters import _jsonable, to_dict as span_to_dict
 
@@ -43,12 +46,14 @@ __all__ = [
     "TurnRecording",
     "FlightRecorder",
     "BlackBox",
+    "capture",
     "output_envelope",
     "diff_envelopes",
 ]
 
-#: Black-box file format version (bumped on envelope layout changes).
-BLACKBOX_VERSION = 1
+#: Black-box file format version (bumped on envelope layout changes;
+#: version 1 digests hashed JSON, version 2 digests hash ``repr`` tuples).
+BLACKBOX_VERSION = 2
 
 #: Output-envelope fields the replay harness compares, in report order.
 #: Everything else in the envelope (latency, span durations, the events)
@@ -77,72 +82,76 @@ COMPARED_FIELDS = (
 MAX_RECORDED_ROWS = 200
 
 
-def output_envelope(
-    answer,
-    post_digest: str | None = None,
-    latency_s: float | None = None,
-    events: list[dict] | None = None,
-    metrics_delta: dict | None = None,
-    max_rows: int = MAX_RECORDED_ROWS,
-) -> dict:
-    """One answer as an output envelope (JSON-safe once materialised).
+def capture(answer, latency_s=None, events=None, metrics_delta=None) -> tuple:
+    """What :func:`output_envelope` reads of one finished turn, frozen at
+    C-level cost: ``answer``'s immutable fields by reference, shallow
+    copies of its lists and dict (rows cut to :data:`MAX_RECORDED_ROWS`),
+    its intent's ``repr`` (the intent's lists may change later), the
+    turn's latency and its tally's events and counts.  ``answer`` is
+    duck-typed (the :class:`~repro.core.answer.Answer` surface)."""
+    rows, columns, intent = answer.rows, answer.columns, answer.intent
+    return (
+        answer.kind, answer.text, answer.sql, answer.confidence,
+        rows if rows is None else rows[:MAX_RECORDED_ROWS],
+        rows if rows is None else len(rows),
+        columns if columns is None else list(columns),
+        answer.sources[:], answer.suggestions[:], answer.clarification,
+        answer.verification, answer.explanation is not None,
+        intent if intent is None else repr(intent),
+        answer.metadata.copy(), answer.trace, latency_s, events, metrics_delta,
+    )
 
-    ``answer`` is duck-typed (any object with the
-    :class:`~repro.core.answer.Answer` surface).  Every deterministic
-    output field lands in :data:`COMPARED_FIELDS` form; floats are
-    rounded to 12 decimals so the JSON round-trip compares exactly.
-    The diagnosis-only ``trace`` field holds the live span tree until
-    the envelope is serialised (see :func:`_materialise`).
+
+def output_envelope(captured: tuple, post_digest: str | None = None) -> dict:
+    """One turn's output envelope (JSON-safe once materialised), built
+    from its :func:`capture`.
+
+    Every deterministic output field lands in :data:`COMPARED_FIELDS`
+    form; floats are rounded to 12 decimals so the JSON round-trip
+    compares exactly.  The diagnosis-only ``trace`` field holds the live
+    span tree until the envelope is serialised (see :func:`_materialise`).
     """
-    confidence = None
-    if answer.confidence is not None:
+    (kind, text, sql, confidence, rows, row_count, columns, sources, suggestions,
+     clarification, verification, explained, intent, metadata, trace, latency_s,
+     events, metrics_delta) = captured
+    if confidence is not None:
         confidence = {
-            "value": round(answer.confidence.value, 12),
+            "value": round(confidence.value, 12),
             "parts": {
                 name: round(value, 12)
-                for name, value in sorted(answer.confidence.parts.items())
+                for name, value in sorted(confidence.parts.items())
             },
         }
-    rows = None
-    rows_truncated = False
-    row_count = None
-    if answer.rows is not None:
-        row_count = len(answer.rows)
-        kept = answer.rows[:max_rows]
-        rows_truncated = len(kept) < row_count
-        rows = [_jsonable(list(row)) for row in kept]
-    clarification = None
-    if answer.clarification is not None:
+    if clarification is not None:
         clarification = {
-            "text": answer.clarification.text,
-            "options": list(answer.clarification.options),
-            "subject": answer.clarification.subject,
+            "text": clarification.text,
+            "options": list(clarification.options),
+            "subject": clarification.subject,
         }
-    verification = None
-    if answer.verification is not None:
+    if verification is not None:
         verification = {
-            "depth": answer.verification.depth,
-            "passed": answer.verification.passed,
-            "checks_run": list(answer.verification.checks_run),
-            "issues": list(answer.verification.issues),
+            "depth": verification.depth,
+            "passed": verification.passed,
+            "checks_run": list(verification.checks_run),
+            "issues": list(verification.issues),
         }
-    envelope = {
-        "kind": answer.kind.value,
-        "abstained": answer.kind.value == "abstention",
-        "text": answer.text,
-        "sql": answer.sql,
+    return {
+        "kind": kind.value,
+        "abstained": kind.value == "abstention",
+        "text": text,
+        "sql": sql,
         "confidence": confidence,
-        "rows": rows,
+        "rows": None if rows is None else [_jsonable(list(row)) for row in rows],
         "row_count": row_count,
-        "rows_truncated": rows_truncated,
-        "columns": list(answer.columns) if answer.columns is not None else None,
-        "sources": list(answer.sources),
-        "suggestions": [suggestion.text for suggestion in answer.suggestions],
+        "rows_truncated": rows is not None and len(rows) < row_count,
+        "columns": columns,
+        "sources": sources,
+        "suggestions": [suggestion.text for suggestion in suggestions],
         "clarification": clarification,
         "verification": verification,
-        "explanation_attached": answer.explanation is not None,
-        "intent": repr(answer.intent) if answer.intent is not None else None,
-        "metadata": _jsonable(dict(answer.metadata)),
+        "explanation_attached": explained,
+        "intent": intent,
+        "metadata": _jsonable(metadata),
         "metrics_delta": dict(sorted((metrics_delta or {}).items())),
         "post_digest": post_digest,
         # -- diagnosis-only (never compared) -------------------------------
@@ -152,10 +161,9 @@ def output_envelope(
         # The finished span tree is kept as the live object and only
         # serialised when the envelope leaves the process (to_dict) —
         # per-turn capture must not pay for a full tree walk.
-        "trace": answer.trace,
+        "trace": trace,
         "events": list(events or []),
     }
-    return envelope
 
 
 def _materialise(outputs: dict) -> dict:
@@ -186,14 +194,22 @@ def diff_envelopes(
 
 @dataclass
 class TurnRecording:
-    """One captured turn: the input envelope and the output envelope."""
+    """One captured turn: the input envelope and the output envelope
+    (built from the turn's :func:`capture` on first read, or loaded)."""
 
     turn_index: int
     inputs: dict
-    outputs: dict
+    #: The session-state digest after the turn (the next one's before).
+    post_digest: str | None = None
     #: Comma-joined anomaly reasons ("error", "unexpected_abstention",
     #: "latency_slo_breach"), or None for a clean turn.
     anomaly: str | None = None
+    captured: tuple | None = field(default=None, repr=False)
+
+    @cached_property
+    def outputs(self) -> dict:
+        """The output envelope (built on first read, then cached)."""
+        return output_envelope(self.captured, self.post_digest)
 
     @property
     def question(self) -> str:
@@ -213,12 +229,14 @@ class TurnRecording:
     @classmethod
     def from_dict(cls, payload: dict) -> "TurnRecording":
         """Inverse of :meth:`to_dict`."""
-        return cls(
+        recording = cls(
             turn_index=payload["turn_index"],
             inputs=payload["inputs"],
-            outputs=payload["outputs"],
+            post_digest=payload["outputs"].get("post_digest"),
             anomaly=payload.get("anomaly"),
         )
+        recording.outputs = payload["outputs"]
+        return recording
 
 
 class FlightRecorder:
@@ -243,13 +261,13 @@ class FlightRecorder:
     # -- capture ----------------------------------------------------------------
 
     def record(
-        self,
-        question: str,
-        outputs: dict,
-        gold_sql: str | None = None,
+        self, question: str, answer, post_digest: str | None = None,
+        latency_s: float | None = None, events: list[dict] | None = None,
+        metrics_delta: dict | None = None, gold_sql: str | None = None,
         pre_digest: str | None = None,
     ) -> TurnRecording:
-        """Append one turn (oldest falls off past ``capacity``)."""
+        """Append one turn, captured by reference (oldest falls off past
+        ``capacity``); its output envelope is built on first read."""
         recording = TurnRecording(
             turn_index=self.recorded,
             inputs={
@@ -257,7 +275,8 @@ class FlightRecorder:
                 "gold_sql": gold_sql,
                 "pre_digest": pre_digest,
             },
-            outputs=outputs,
+            post_digest=post_digest,
+            captured=capture(answer, latency_s, events, metrics_delta),
         )
         self._recordings.append(recording)
         self.recorded += 1
@@ -338,6 +357,11 @@ class BlackBox:
                 if header is not None:
                     raise ValueError("black box has more than one header line")
                 version = payload.get("version")
+                if version == 1:
+                    raise ValueError(
+                        "black box version 1 is not supported: its digests hash "
+                        "JSON, version 2 hashes repr tuples; re-record the box"
+                    )
                 if version != BLACKBOX_VERSION:
                     raise ValueError(
                         f"black box version {version!r} is not supported "

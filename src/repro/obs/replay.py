@@ -18,7 +18,8 @@ The product is a :class:`DivergenceReport`:
   keeps its own span tree and ``latency_s`` for diagnosis.
 
 ``replay_session()`` is the API; ``python -m repro --replay FILE`` is
-the CLI (exit code 1 on any divergence, so CI can gate on it).  Module
+the CLI (exit code 1 on any divergence, 2 on a file it cannot replay,
+so CI can gate on it).  Module
 imports stay stdlib-only — the engine is imported lazily inside
 :func:`build_engine_for_header`, keeping :mod:`repro.obs` cycle-free.
 """

@@ -320,6 +320,47 @@ class TestConversationGraphOracle:
             signal.signal(signal.SIGALRM, previous)
         assert [node.turn_id for node in thread] == [0, 1]
 
+    def test_every_turn_field_and_edge_role_moves_the_digest(self):
+        # Two graphs that differ in one field of one turn, or in one
+        # edge, never share a digest.
+        from dataclasses import fields
+
+        from repro.guidance.conversation_graph import EDGE_ROLES, TurnNode
+
+        base = dict(actor="user", kind=TurnKind.USER_QUESTION, text="q")
+        variants = {
+            "turn_id": [dict(skip=1)],
+            "actor": [dict(actor="system")],
+            "kind": [
+                dict(kind=kind) for kind in TurnKind if kind is not TurnKind.USER_QUESTION
+            ],
+            "text": [dict(text="q2")],
+            "confidence": [dict(confidence=0.5), dict(confidence=0.25)],
+            "speculative": [dict(speculative=True)],
+            "metadata": [
+                dict(metadata={"a": 1}), dict(metadata={"a": 2}), dict(metadata={"b": 1})
+            ],
+        }
+        assert set(variants) == {field.name for field in fields(TurnNode)}
+
+        def digest(skip=0, edge=None, **changes):
+            graph = ConversationGraph()
+            graph.add_turn("user", TurnKind.USER_QUESTION, "first")
+            for _ in range(skip):
+                next(graph._counter)
+            graph.add_turn(**{**base, **changes})
+            if edge is not None:
+                graph.link(*edge)
+            return graph.digest()
+
+        turn_variants = [change for options in variants.values() for change in options]
+        turn_digests = {digest()} | {digest(**changes) for changes in turn_variants}
+        assert len(turn_digests) == 1 + len(turn_variants)
+        edges = [(0, 1, role) for role in sorted(EDGE_ROLES)] + [(1, 0, "follows")]
+        edge_digests = {digest(edge=edge) for edge in edges}
+        assert len(edge_digests) == len(edges)
+        assert not edge_digests & turn_digests
+
     def test_rebuilt_engine_session_matches_the_live_digest(self):
         domain = build_swiss_labour_registry(seed=5)
         engine = CDAEngine(domain.registry, domain.vocabulary)

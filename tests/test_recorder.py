@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from repro.core import CDAEngine, ReliabilityConfig
 from repro.core.session import Session
-from repro.guidance.clarification import ClarificationMode
+from repro.guidance.clarification import ClarificationMode, ClarificationQuestion
 from repro.guidance.conversation_graph import TurnKind
+from repro.nl.grammar import FilterSpec, QueryIntent
 from repro.nl.nl2sql import GroundingConfig
 from repro.obs import (
     BLACKBOX_VERSION,
@@ -176,6 +177,65 @@ class TestStateDigest:
         extra_turn.record_user_turn("and for bern?", TurnKind.USER_QUESTION)
         assert base.state_digest() != extra_turn.state_digest()
 
+    def test_every_context_field_moves_the_digest(self):
+        # One change per key of the context tail (several for the keys
+        # that hold more than one value); each changes that key alone.
+        def pending(original="q", text="which?", options=("a", "b"), subject="table"):
+            def mutate(session):
+                session.open_clarification(
+                    original, ClarificationQuestion(text, list(options)), subject
+                )
+            return mutate
+
+        def intent(**fields):
+            def mutate(session):
+                session.last_intent = QueryIntent(
+                    **{"table": "t", "select_columns": ["a"], **fields}
+                )
+            return mutate
+
+        def bump(name):
+            def mutate(session):
+                setattr(session, name, getattr(session, name) + 1)
+            return mutate
+
+        changes = {
+            "pending_clarification": [
+                pending(),
+                pending(original="q2"),
+                pending(text="which one?"),
+                pending(options=("a", "c")),
+                pending(subject="column"),
+            ],
+            "focus_table": [lambda session: setattr(session, "focus_table", "jobs")],
+            "last_intent": [
+                intent(),
+                intent(select_columns=["b"]),
+                intent(filters=[FilterSpec("a", "=", 1)]),
+                intent(group_by=["a"]),
+            ],
+            "used_group_columns": [
+                lambda session: session.used_group_columns.add("region")
+            ],
+            "questions_asked": [bump("questions_asked")],
+            "answers_given": [bump("answers_given")],
+            "abstentions": [bump("abstentions")],
+            "clarifications_asked": [bump("clarifications_asked")],
+            "profile": [lambda session: session.profiler.observe("select the median")],
+        }
+        base = self._scripted_session()
+        assert set(changes) == set(base._context_tail())
+        digests = {base.state_digest()}
+        for key, mutations in changes.items():
+            for mutate in mutations:
+                changed = self._scripted_session()
+                mutate(changed)
+                tail, changed_tail = base._context_tail(), changed._context_tail()
+                assert tail.pop(key) != changed_tail.pop(key)
+                assert tail == changed_tail
+                digests.add(changed.state_digest())
+        assert len(digests) == 1 + sum(map(len, changes.values()))
+
     def test_state_dict_is_canonical_json(self):
         state = self._scripted_session().state_dict()
         assert json.loads(json.dumps(state)) == state
@@ -214,6 +274,34 @@ class TestEngineCapture:
             event["name"] in ("engine.turn", "engine.stage")
             for event in outputs["events"]
         )
+
+    def test_outputs_keep_capture_time_values(self, engine):
+        # The envelope is built on first read, from values captured when
+        # the turn ended: mutating the answer afterwards changes nothing.
+        answer = engine.ask(QUESTIONS[0])
+        assert answer.intent is not None and answer.rows
+        expected = {
+            "text": answer.text,
+            "rows": [list(row) for row in answer.rows],
+            "row_count": len(answer.rows),
+            "columns": list(answer.columns),
+            "sources": list(answer.sources),
+            "suggestions": [suggestion.text for suggestion in answer.suggestions],
+            "metadata": dict(answer.metadata),
+            "intent": repr(answer.intent),
+        }
+        answer.rows.append(("extra",))
+        answer.text = "changed"
+        answer.columns.append("extra")
+        answer.sources.append("extra")
+        answer.suggestions.clear()
+        answer.metadata["extra"] = 1
+        answer.intent.filters.append(FilterSpec("canton", "=", "bern"))
+        answer.intent.aggregates.clear()
+        assert repr(answer.intent) != expected["intent"]
+        dumped = json.loads(engine.recorder.to_jsonl().splitlines()[-1])
+        for outputs in (dumped["outputs"], engine.recorder.last().outputs):
+            assert {name: outputs[name] for name in expected} == expected
 
     def test_zero_increments_leave_no_key(self):
         from repro.datasets import build_swiss_labour_registry

@@ -26,7 +26,9 @@ from hypothesis import strategies as st
 from repro.core import CDAEngine, ReliabilityConfig
 from repro.datasets import build_swiss_labour_registry
 from repro.obs import (
+    BLACKBOX_VERSION,
     BlackBox,
+    TurnRecording,
     diff_envelopes,
     replay_session,
 )
@@ -66,9 +68,11 @@ def record_script(questions=SCRIPT) -> BlackBox:
     return BlackBox.loads(engine.recorder.to_jsonl())
 
 
-#: A black box recorded by the CLI in the version-1 format (see
-#: ``test_parent_format_blackbox_replays_exactly``).
+#: Twelve turns recorded by the CLI (the first lines of the CI
+#: record/replay script) in the version-1 format, whose digests hashed
+#: JSON, and the same questions recorded in the current format.
 BLACKBOX_V1 = Path(__file__).parent / "data" / "blackbox_v1_swiss.jsonl"
+BLACKBOX_V2 = Path(__file__).parent / "data" / "blackbox_v2_swiss.jsonl"
 
 
 @pytest.fixture(scope="module")
@@ -127,14 +131,35 @@ class TestFaithfulReplay:
         assert report.divergence_count == 0, report.render_text()
         assert len(report.turns) == 4
 
-    def test_parent_format_blackbox_replays_exactly(self):
-        # Twelve turns recorded through the CLI (the first lines of the
-        # CI record/replay script) before turn deltas moved onto the
-        # turn tally: format version 1 and single-engine deltas still
-        # replay field for field.
-        blackbox = BlackBox.load(BLACKBOX_V1)
-        assert blackbox.header["version"] == 1
-        assert len(blackbox) == 12
+    def test_version_1_blackbox_is_refused(self):
+        # Version 2 hashes repr tuples where version 1 hashed JSON, so a
+        # version-1 box's digests can never match: loading says so.
+        with pytest.raises(ValueError, match="version 1 is not supported"):
+            BlackBox.load(BLACKBOX_V1)
+
+    def test_version_1_answers_match_a_fresh_replay(self):
+        # Read as plain JSON, the version-1 turns still replay field for
+        # field: every compared field except the two digests (whose
+        # format changed) equals a fresh replay's, turn for turn.
+        header, *turns = map(json.loads, BLACKBOX_V1.read_text().splitlines())
+        assert header["version"] == 1
+        blackbox = BlackBox(
+            header=header, turns=[TurnRecording.from_dict(turn) for turn in turns]
+        )
+        report = replay_session(blackbox)
+        assert report.header_issues == []
+        assert len(report.turns) == 12
+        for turn in report.turns:
+            flagged = sorted(divergence.field for divergence in turn.divergences)
+            assert flagged == ["post_digest", "pre_digest"], turn.question
+
+    def test_version_2_blackbox_replays_exactly(self):
+        blackbox = BlackBox.load(BLACKBOX_V2)
+        assert blackbox.header["version"] == BLACKBOX_VERSION == 2
+        assert [turn.question for turn in blackbox.turns] == [
+            json.loads(line)["inputs"]["question"]
+            for line in BLACKBOX_V1.read_text().splitlines()[1:]
+        ]
         report = replay_session(blackbox)
         assert report.header_issues == []
         assert report.divergence_count == 0, report.render_text()
@@ -329,6 +354,37 @@ class TestReplayCLI:
         out = capsys.readouterr().out
         assert exit_code == 1
         assert "field 'sql'" in out
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ('{"record": "header", "version": 999}', "version 999 is not supported"),
+            (BLACKBOX_V1.read_text(), "version 1 is not supported"),
+        ],
+    )
+    def test_unsupported_version_exits_2(self, tmp_path, capsys, header, message):
+        # A file that cannot be replayed is not a divergence (exit 1): one
+        # error line on stderr, nothing on stdout, exit 2.
+        from repro.__main__ import main
+
+        path = tmp_path / "box.jsonl"
+        path.write_text(header)
+        assert main(["--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        assert main(["--replay", str(tmp_path / "absent.jsonl")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "absent.jsonl" in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class _FakeStdin:
