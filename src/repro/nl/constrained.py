@@ -179,9 +179,12 @@ class ConstrainedDecoder:
         self.validator = validator
 
     def filter(self, candidates: list[LLMOutput]) -> list[LLMOutput]:
-        """Every valid candidate of a fixed list, in order."""
-        check = self.validator.check_output
-        return [candidate for candidate in candidates if check(candidate).valid]
+        """Every valid candidate, in order; each distinct text is checked once."""
+        valid: dict[str, bool] = {}
+        for candidate in candidates:
+            if candidate.sql not in valid:
+                valid[candidate.sql] = self.validator.check_output(candidate).valid
+        return [candidate for candidate in candidates if valid[candidate.sql]]
 
     def decode(self, candidates: list[LLMOutput]) -> DecodeResult:
         """First valid candidate from a fixed list (raises if none)."""

@@ -70,13 +70,23 @@ class LLMOutput:
         return statement
 
 
+def _parse_select(sql: str) -> ast.SelectStatement | None:
+    """The SELECT statement ``sql`` denotes, or None (mutate it as text)."""
+    try:
+        statement = parse_sql(sql)
+    except Exception:  # noqa: BLE001 - unparseable gold
+        return None
+    return statement if isinstance(statement, ast.SelectStatement) else None
+
+
 def _stable_u64(*parts: str) -> int:
     digest = hashlib.blake2b("\x1f".join(parts).encode("utf-8"), digest_size=8)
     return int.from_bytes(digest.digest(), "little")
 
 
 def _rng_for(*parts: str) -> np.random.Generator:
-    return np.random.default_rng(_stable_u64(*parts))
+    """``np.random.default_rng(seed)``'s generator, built without its dispatch."""
+    return np.random.Generator(np.random.PCG64(_stable_u64(*parts)))
 
 
 class SimulatedLLM:
@@ -121,6 +131,7 @@ class SimulatedLLM:
         """
         outputs: list[LLMOutput] = []
         question_knows = self.knows(question)
+        gold = None  # (statement or None,): parsed by the first mutation only
         for sample_index in range(n_samples):
             self.calls += 1
             rng = _rng_for(
@@ -135,7 +146,8 @@ class SimulatedLLM:
                 faithful = True
                 mutation = None
             else:
-                sql, mutation = self._mutate(gold_sql, rng)
+                gold = gold or (_parse_select(gold_sql),)
+                sql, mutation = self._mutate(gold_sql, gold[0], rng)
                 faithful = False
             confidence = self._self_confidence(question_knows, rng)
             outputs.append(
@@ -151,22 +163,22 @@ class SimulatedLLM:
     def _self_confidence(self, knows: bool, rng: np.random.Generator) -> float:
         """Overconfident self-report: barely depends on actual knowledge."""
         if knows:
-            return float(np.clip(rng.beta(9.0, 1.8), 0.0, 1.0))
-        return float(np.clip(rng.beta(8.0, 2.2), 0.0, 1.0))
+            return float(rng.beta(9.0, 1.8))
+        return float(rng.beta(8.0, 2.2))
 
     # -- mutation operators ------------------------------------------------------------
 
-    def _mutate(self, gold_sql: str, rng: np.random.Generator) -> tuple[str, str]:
-        """Produce a plausible-but-wrong variant of ``gold_sql``."""
+    def _mutate(
+        self, gold_sql: str, statement: ast.SelectStatement | None, rng: np.random.Generator
+    ) -> tuple[str, str]:
+        """Produce a plausible-but-wrong variant of ``gold_sql``.
+
+        ``statement`` is its parse (None if it is no SELECT), shared by every
+        mutated sample of a call: AST nodes are frozen, operators build anew."""
         order = list(MUTATIONS)
         rng.shuffle(order)
-        try:
-            statement = parse_sql(gold_sql)
-        except Exception:  # noqa: BLE001 - unparseable gold, corrupt as text
-            statement = None
-        select = isinstance(statement, ast.SelectStatement)
         for mutation in order:
-            if mutation == "syntax_error" or not select:
+            if mutation == "syntax_error" or statement is None:
                 mutated = self._syntax_error(gold_sql, rng)
             else:
                 changed = getattr(self, f"_{mutation}")(statement, rng)
@@ -282,7 +294,7 @@ class SimulatedLLM:
         table = self.catalog.table(table_name)
         candidates: list[str] = []
         for column in table.schema:
-            for cell in table.column_values(column.name):
+            for cell in table.column(column.name):
                 if isinstance(cell, str) and cell != value:
                     candidates.append(cell)
         if not candidates:

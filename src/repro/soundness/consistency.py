@@ -60,24 +60,26 @@ class ConsistencyUQ:
     def assess(self, candidates: list[LLMOutput]) -> ConsistencyResult:
         """Cluster ``candidates`` by execution result and vote.
 
-        Each candidate's (once-parsed) statement is executed.
-        Invalid/unexecutable candidates count toward the denominator
-        (disagreement with everything) but can never be chosen.
+        Each distinct text is executed once, on its first sample; votes
+        count samples.  Invalid/unexecutable candidates count toward the
+        denominator (disagreement with everything) but can never be chosen.
         """
         if not candidates:
             raise SoundnessError("need at least one candidate to assess")
+        samples_of: dict[str, list[LLMOutput]] = {}
+        for candidate in candidates:
+            samples_of.setdefault(candidate.sql, []).append(candidate)
         clusters: dict[tuple, list[tuple[LLMOutput, list[tuple], list[str]]]] = {}
         n_valid = 0
-        for candidate in candidates:
+        for sql, samples in samples_of.items():
             try:
-                result = self.database.execute_select(candidate.statement, sql=candidate.sql)
+                result = self.database.execute_select(samples[0].statement, sql=sql)
             except Exception:  # noqa: BLE001 - any failure = its own non-cluster
                 continue
-            n_valid += 1
+            n_valid += len(samples)
             key = _result_key(result.columns, result.rows)
-            clusters.setdefault(key, []).append(
-                (candidate, list(result.rows), list(result.columns))
-            )
+            rows, columns = list(result.rows), list(result.columns)
+            clusters.setdefault(key, []).extend((sample, rows, columns) for sample in samples)
         if not clusters:
             return ConsistencyResult(
                 chosen=None,

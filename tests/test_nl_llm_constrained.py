@@ -14,7 +14,8 @@ from repro.nl import (
     SimulatedLLM,
     SQLValidator,
 )
-from repro.nl.llmsim import LLMOutput
+from repro.nl import llmsim
+from repro.nl.llmsim import LLMOutput, _rng_for, _stable_u64
 
 GOLD = "SELECT COUNT(*) AS count_all FROM employees WHERE city = 'zurich'"
 
@@ -79,6 +80,43 @@ class TestSimulatedLLM:
         before = llm.calls
         llm.generate_sql("q", GOLD, n_samples=3)
         assert llm.calls == before + 3
+
+    def test_rng_draws_equal_default_rng(self):
+        for i in range(200):
+            parts = ("sim-llm-1", "0", "sample", f"question {i}", str(i % 5))
+            ours = _rng_for(*parts)
+            reference = np.random.default_rng(_stable_u64(*parts))
+            assert ours.random() == reference.random()
+            assert ours.integers(0, 17) == reference.integers(0, 17)
+            order, expected = list(range(7)), list(range(7))
+            ours.shuffle(order)
+            reference.shuffle(expected)
+            assert order == expected
+            assert ours.beta(9.0, 1.8) == reference.beta(9.0, 1.8)
+
+    @pytest.mark.parametrize(
+        ("gold", "parses"),
+        [(GOLD, [GOLD]), ("SELCT broken", ["SELCT broken"])],
+    )
+    def test_gold_is_parsed_at_most_once_per_call(
+        self, employees_db, monkeypatch, gold, parses
+    ):
+        calls: list[str] = []
+        original = llmsim.parse_sql
+
+        def counted(sql):
+            calls.append(sql)
+            return original(sql)
+
+        monkeypatch.setattr(llmsim, "parse_sql", counted)
+        wrong = SimulatedLLM(employees_db.catalog, error_rate=1.0, seed=2)
+        outputs = wrong.generate_sql("q", gold, n_samples=10)
+        assert all(output.mutation is not None for output in outputs)
+        assert calls == parses
+        calls.clear()
+        faithful = SimulatedLLM(employees_db.catalog, error_rate=0.0, sample_fidelity=1.0)
+        faithful.generate_sql("q", gold, n_samples=10)
+        assert calls == []
 
 
 class TestSQLValidator:

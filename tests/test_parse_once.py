@@ -3,7 +3,7 @@
 A turn carries the parsed ``SelectStatement`` from translation through
 execution and verification.  The grounded parser and follow-ups build
 the statement directly, so their turns parse nothing; an LLM generation
-is parsed once per sample, and the verifier parses the answer's text
+is parsed once per distinct text, and the verifier parses the answer's text
 again only when it is not the statement's canonical rendering.
 
 Every ``parse_sql`` call is counted, whichever module imported the name.
@@ -101,7 +101,7 @@ class TestLLMTurns:
         assert answer.rows == [(8,)]
         assert answer.sql == GOLD
         assert answer.verification.passed, answer.verification.issues
-        assert sorted(turn_parses) == sorted(samples)
+        assert sorted(turn_parses) == sorted(dict.fromkeys(samples))
 
     def test_non_canonical_choice_costs_one_verifier_parse(self, parses):
         text = "select count(*) as count_all from cantons"
@@ -111,7 +111,8 @@ class TestLLMTurns:
         # The generation as written stays the answer's SQL.
         assert answer.sql == text
         assert answer.verification.passed, answer.verification.issues
-        assert turn_parses == [text] * 6
+        # One parse for the five identical samples, one for the verifier.
+        assert turn_parses == [text] * 2
 
     def test_unparseable_single_sample_errors_after_one_parse(self, parses):
         engine = _engine(
