@@ -156,6 +156,8 @@ class BM25Index:
 
     def search(self, query: str, k: int = 10) -> list[ScoredDocument]:
         """Top-k documents for ``query`` by BM25 score."""
+        if k <= 0:
+            raise ValueError("k must be positive")
         _QUERIES.inc()
         if self._n_documents == 0:
             return []

@@ -81,6 +81,8 @@ class DatasetSearchEngine:
         :meth:`search` is a one-row batch, so both paths rank
         identically.
         """
+        if k <= 0:
+            raise ValueError("k must be positive")
         if not queries:
             return []
         _DISCOVERY_QUERIES.inc(len(queries))

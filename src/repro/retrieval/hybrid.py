@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.obs.metrics import counter
 from repro.obs.trace import span
 from repro.retrieval.bm25 import BM25Index
@@ -88,14 +86,6 @@ class HybridRetriever:
 
     # -- single-ranker access (benchmark conditions) --------------------------------
 
-    def search_lexical(self, query: str, k: int = 10) -> list[RetrievalHit]:
-        """BM25-only ranking."""
-        self._require_built()
-        return [
-            RetrievalHit(doc_id=hit.doc_id, score=hit.score, lexical_rank=rank)
-            for rank, hit in enumerate(self.bm25.search(query, k), start=1)
-        ]
-
     def search_lexical_batch(
         self, queries: list[str], k: int = 10
     ) -> list[list[RetrievalHit]]:
@@ -148,6 +138,8 @@ class HybridRetriever:
         array build.  Per-query fusion is unchanged, so each row equals
         the single-query :meth:`search` result.
         """
+        if k <= 0:
+            raise ValueError("k must be positive")
         self._require_built()
         pool = max(k * 3, 10)
         with span(

@@ -1,6 +1,7 @@
 """Common index interface and search-result container.
 
-Every index implements ``build(dataset)`` then ``search(query, k)``.
+Every index implements ``build(dataset)`` then ``search(query, k)``, a
+one-row ``search_batch(queries, k)``.
 Results carry the *work counters* (distance computations, candidates
 visited) that make quality/efficiency trade-offs measurable independently
 of the host machine — the paper's efficiency property is about bounded
@@ -79,40 +80,26 @@ class VectorIndex:
         """Subclass hook: construct index structures."""
 
     def search(self, query: np.ndarray, k: int) -> SearchResult:
-        """Return (approximately) the ``k`` nearest neighbours of ``query``."""
+        """Return (approximately) the ``k`` nearest neighbours of ``query``.
+
+        A one-row :meth:`search_batch`: there is one search path per index.
+        """
         dataset = self.dataset
         query = np.asarray(query, dtype=np.float64)
         if query.ndim != 1 or query.shape[0] != dataset.dim:
             raise DimensionMismatchError(
                 f"query shape {query.shape} does not match dataset dim {dataset.dim}"
             )
-        if k <= 0:
-            raise ValueError("k must be positive")
-        k = min(k, len(dataset))
-        with span("vector.index.search", index=self.name, k=k) as search_span:
-            result = self._search(query, k)
-            search_span.set_attribute(
-                "distance_computations", result.distance_computations
-            )
-            search_span.set_attribute(
-                "candidates_visited", result.candidates_visited
-            )
-        _SEARCHES.inc()
-        _DISTANCE_COMPUTATIONS.inc(result.distance_computations)
-        _CANDIDATES_VISITED.inc(result.candidates_visited)
-        return result
-
-    def _search(self, query: np.ndarray, k: int) -> SearchResult:
-        raise NotImplementedError
+        return self.search_batch(query[None, :], k)[0]
 
     def search_batch(self, queries: np.ndarray, k: int) -> list[SearchResult]:
         """Answer many queries at once; ``queries`` rows are query vectors.
 
-        Returns one :class:`SearchResult` per row, each *identical* (ids,
-        distances, tie-breaks, and work counters) to what :meth:`search`
-        returns for that row alone.  Vectorised subclasses override
-        :meth:`_search_batch` to share kernel launches across the batch;
-        the default falls back to a sequential loop.
+        Returns one :class:`SearchResult` per row.  Subclasses implement
+        either :meth:`_search_batch` (a kernel shared across the batch:
+        brute force, IVF, LSH) or the per-query :meth:`_search` (graph and
+        progressive traversals), which the default :meth:`_search_batch`
+        loops over.
         """
         dataset = self.dataset
         queries = np.asarray(queries, dtype=np.float64)
@@ -148,59 +135,27 @@ class VectorIndex:
     def _search_batch(self, queries: np.ndarray, k: int) -> list[SearchResult]:
         return [self._search(query, k) for query in queries]
 
+    def _search(self, query: np.ndarray, k: int) -> SearchResult:
+        raise NotImplementedError
+
     # -- shared helpers --------------------------------------------------------
 
-    def _result_from_positions(
-        self,
-        positions: np.ndarray,
-        distances: np.ndarray,
-        k: int,
-        distance_computations: int,
-        candidates_visited: int | None = None,
-        **metadata,
-    ) -> SearchResult:
-        """Rank candidate positions by distance and package the top-k."""
-        order = np.argsort(distances, kind="stable")[:k]
-        top_positions = positions[order]
-        top_distances = distances[order]
-        ids = [self.dataset.ids[int(position)] for position in top_positions]
-        return SearchResult(
-            ids=ids,
-            distances=[float(distance) for distance in top_distances],
-            distance_computations=distance_computations,
-            candidates_visited=(
-                candidates_visited
-                if candidates_visited is not None
-                else len(positions)
-            ),
-            metadata=metadata,
-        )
-
     def _result_from_candidates(
-        self,
-        positions: np.ndarray,
-        distances: np.ndarray,
-        k: int,
-        distance_computations: int,
-        candidates_visited: int | None = None,
-        **metadata,
+        self, positions: np.ndarray, distances: np.ndarray, k: int
     ) -> SearchResult:
-        """Batch-path variant of :meth:`_result_from_positions`: selects the
-        top-k with ``argpartition`` instead of a full sort, with identical
-        ranking and tie-breaks (ties broken by candidate position)."""
+        """Rank scored candidate positions and package the top-k.
+
+        Selects with :func:`stable_top_k`: the ranking of a full stable
+        argsort (ties broken by candidate position) without sorting every
+        candidate.  Each candidate was scored once, so the work charged is
+        the candidate count.
+        """
         order = stable_top_k(distances, k)
-        top_positions = positions[order]
-        top_distances = distances[order]
         return SearchResult(
-            ids=[self.dataset.ids[int(position)] for position in top_positions],
-            distances=[float(distance) for distance in top_distances],
-            distance_computations=distance_computations,
-            candidates_visited=(
-                candidates_visited
-                if candidates_visited is not None
-                else len(positions)
-            ),
-            metadata=metadata,
+            ids=[self.dataset.ids[int(position)] for position in positions[order]],
+            distances=[float(distance) for distance in distances[order]],
+            distance_computations=len(positions),
+            candidates_visited=len(positions),
         )
 
 

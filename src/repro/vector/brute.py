@@ -12,11 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.vector.base import SearchResult, VectorIndex
-from repro.vector.distance import (
-    Metric,
-    pairwise_distances,
-    pairwise_distances_batch,
-)
+from repro.vector.distance import Metric, pairwise_distances_batch
 
 
 class BruteForceIndex(VectorIndex):
@@ -28,38 +24,20 @@ class BruteForceIndex(VectorIndex):
         super().__init__(metric)
         self.max_distance = max_distance
 
-    def _search(self, query: np.ndarray, k: int) -> SearchResult:
-        data = self.dataset.vectors
-        distances = pairwise_distances(query, data, self.metric)
-        result = self._result_from_positions(
-            positions=np.arange(len(data)),
-            distances=distances,
-            k=k,
-            distance_computations=len(data),
-        )
-        return self._finish(result)
-
     def _search_batch(self, queries: np.ndarray, k: int) -> list[SearchResult]:
         """All queries against all data in one kernel launch.
 
         One broadcast distance computation produces the full
         ``(batch, n)`` matrix; per row, the top-k is taken with
-        ``argpartition`` — identical ranking to the single path's full
-        stable argsort, at a fraction of the selection cost.
+        ``argpartition`` plus a tie repair (:func:`stable_top_k`).
         """
         data = self.dataset.vectors
         distance_matrix = pairwise_distances_batch(queries, data, self.metric)
         positions = np.arange(len(data))
-        results = []
-        for row in distance_matrix:
-            result = self._result_from_candidates(
-                positions=positions,
-                distances=row,
-                k=k,
-                distance_computations=len(data),
-            )
-            results.append(self._finish(result))
-        return results
+        return [
+            self._finish(self._result_from_candidates(positions, row, k))
+            for row in distance_matrix
+        ]
 
     def _finish(self, result: SearchResult) -> SearchResult:
         result.guarantee_delta = 0.0  # exact: zero probability of error

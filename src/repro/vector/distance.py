@@ -6,13 +6,13 @@ single convention.
 
 The batched kernels (:func:`pairwise_distances_batch`,
 :func:`rowwise_distances`) are the primitives of the batched retrieval hot
-path.  The single-query :func:`pairwise_distances` delegates to the batched
-kernel with a one-row query matrix, so the two paths are *bit-identical by
-construction*: every reduction is an ``einsum`` over the trailing axis
-(never a BLAS gemv/gemm, whose accumulation order depends on operand
-shapes), which makes each output element independent of how many other
-queries share the call.  The parity suite in ``tests/test_batch_parity.py``
-asserts this equivalence property-style.
+path.  The single-query :func:`pairwise_distances` is a one-row
+:func:`pairwise_distances_batch`.  Every reduction is an ``einsum`` over
+the trailing axis (never a BLAS gemv/gemm, whose accumulation order
+depends on operand shapes), so each output element is independent of how
+many other queries share the call: a query's distances do not depend on
+its batch.  ``tests/test_batch_parity.py`` checks the indexes built on
+these kernels against a per-query reference scan.
 """
 
 from __future__ import annotations
@@ -65,10 +65,9 @@ def _check_batch_dims(queries: np.ndarray, data: np.ndarray) -> None:
 def squared_norms(vectors: np.ndarray) -> np.ndarray:
     """Per-row squared L2 norms via the same einsum the kernels use.
 
-    Precomputing these once per batch and gathering is bit-identical to
-    recomputing them on gathered rows (the einsum reduces each row
-    independently), which is what lets IVF/LSH share one norm pass
-    across every query in a batch.
+    Precomputing these once and gathering is bit-identical to recomputing
+    them on gathered rows (the einsum reduces each row independently),
+    which is what lets IVF share one norm pass across every query.
     """
     return np.einsum("nd,nd->n", vectors, vectors)
 
@@ -94,44 +93,31 @@ def pairwise_distances_batch(
         np.maximum(squared, 0.0, out=squared)
         return np.sqrt(squared)
     if metric is Metric.COSINE:
-        return cosine_distances_batch(queries, data)
+        # 1 - cosine similarity; zero vectors get distance 1.
+        query_norms = np.sqrt(np.einsum("qd,qd->q", queries, queries))
+        data_norms = np.linalg.norm(data, axis=1)
+        dots = np.einsum("nd,qd->qn", data, queries)
+        denominator = query_norms[:, None] * data_norms[None, :]
+        similarities = np.zeros_like(dots)
+        nonzero = denominator > 0
+        similarities[nonzero] = dots[nonzero] / denominator[nonzero]
+        return 1.0 - similarities
     if metric is Metric.INNER_PRODUCT:
         return -np.einsum("nd,qd->qn", data, queries)
     raise ValueError(f"unknown metric {metric}")
 
 
-def cosine_distances_batch(queries: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Cosine distance matrix; zero vectors get distance 1."""
-    _check_batch_dims(queries, data)
-    query_norms = np.sqrt(np.einsum("qd,qd->q", queries, queries))
-    data_norms = np.linalg.norm(data, axis=1)
-    dots = np.einsum("nd,qd->qn", data, queries)
-    denominator = query_norms[:, None] * data_norms[None, :]
-    similarities = np.zeros_like(dots)
-    nonzero = denominator > 0
-    similarities[nonzero] = dots[nonzero] / denominator[nonzero]
-    return 1.0 - similarities
-
-
 def rowwise_distances(
-    queries: np.ndarray,
-    data: np.ndarray,
-    metric: Metric = Metric.L2,
-    data_sq_norms: np.ndarray | None = None,
+    queries: np.ndarray, data: np.ndarray, metric: Metric = Metric.L2
 ) -> np.ndarray:
     """Per-row candidate scoring: ``queries`` is ``(q, d)``, ``data`` is
     ``(q, l, d)`` — row ``q`` of the result holds the distances from query
     ``q`` to its *own* ``l`` candidate vectors.
 
-    This is the kernel behind padded batch scoring in IVF/LSH: each query
-    has a different (ragged, padded) candidate set, gathered into one 3-d
+    This is the kernel behind LSH's padded batch scoring: each query has
+    a different (ragged, padded) candidate set, gathered into one 3-d
     tensor so a single einsum scores the whole batch.  Element ``(q, i)``
     equals ``pairwise_distances(queries[q], data[q])[i]`` bit-for-bit.
-
-    ``data_sq_norms`` (L2 only) lets callers pass ``(q, l)`` squared
-    norms gathered from a :func:`squared_norms` precomputation instead of
-    reducing the candidate tensor again — the gathered values are the
-    exact floats the in-kernel einsum would produce.
     """
     if queries.ndim != 2 or data.ndim != 3 or data.shape[0] != queries.shape[0]:
         raise DimensionMismatchError(
@@ -143,8 +129,7 @@ def rowwise_distances(
         )
     if metric is Metric.L2:
         query_sq = np.einsum("qd,qd->q", queries, queries)
-        if data_sq_norms is None:
-            data_sq_norms = np.einsum("qld,qld->ql", data, data)
+        data_sq_norms = np.einsum("qld,qld->ql", data, data)
         dots = np.einsum("qld,qd->ql", data, queries)
         squared = query_sq[:, None] + data_sq_norms - 2.0 * dots
         np.maximum(squared, 0.0, out=squared)
@@ -171,27 +156,12 @@ def pairwise_distances(
     return pairwise_distances_batch(query[None, :], data, metric)[0]
 
 
-def cosine_distances(query: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Cosine distance (1 - cosine similarity); zero vectors get distance 1."""
-    _check_dims(query, data)
-    return cosine_distances_batch(query[None, :], data)[0]
-
-
-def single_distance(
-    a: np.ndarray, b: np.ndarray, metric: Metric = Metric.L2
-) -> float:
-    """Distance between two 1-d vectors."""
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape {a.shape} != shape {b.shape}")
-    return float(pairwise_distances(a, b[None, :], metric)[0])
-
-
 def stable_top_k(distances: np.ndarray, k: int) -> np.ndarray:
     """Positions of the ``k`` smallest distances, ties broken by position.
 
-    Exactly equivalent to ``np.argsort(distances, kind="stable")[:k]`` —
-    the single-query ranking convention — but via ``argpartition`` plus a
-    tie-repair step, so only the top-k neighbourhood is ever sorted.
+    Exactly equivalent to ``np.argsort(distances, kind="stable")[:k]``,
+    but via ``argpartition`` plus a tie-repair step, so only the top-k
+    neighbourhood is ever sorted.
     """
     n = len(distances)
     if k >= n:

@@ -6,14 +6,11 @@ descent through upper layers, beam search (``ef``) at the base layer.
 Fast with high recall, but — as the paper stresses — with *no* quality
 guarantee: benchmark E1 contrasts it with the progressive index.
 
-Two execution modes share one traversal order: the default *vectorised*
-mode scores every unvisited neighbour of a frontier node with a single
-:func:`pairwise_distances` call; the *scalar* mode (``vectorized=False``)
-is the original per-edge ``single_distance`` loop, kept as the parity and
-benchmark baseline.  Both modes make identical heap operations in the
-same order and charge ``_distance_counter`` once per vector scored, so
-results and work counters are identical — asserted by the parity suite
-and measured by benchmark E14.
+Each frontier expansion scores every unvisited neighbour with one
+:func:`pairwise_distances` call, then replays the heap updates edge by
+edge in adjacency order, charging ``_distance_counter`` once per vector
+scored.  ``tests/test_batch_parity.py`` pins graphs, answers and work
+counters to a golden fixture and checks recall against brute force.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import numpy as np
 from repro.errors import VectorError
 from repro.vector.base import SearchResult, VectorIndex
 from repro.vector.dataset import VectorDataset
-from repro.vector.distance import Metric, pairwise_distances, single_distance
+from repro.vector.distance import Metric, pairwise_distances
 
 
 class HNSWIndex(VectorIndex):
@@ -41,7 +38,6 @@ class HNSWIndex(VectorIndex):
         ef_search: int = 32,
         metric: Metric = Metric.L2,
         seed: int = 0,
-        vectorized: bool = True,
     ):
         super().__init__(metric)
         if m < 2:
@@ -52,10 +48,6 @@ class HNSWIndex(VectorIndex):
         self.ef_construction = ef_construction
         self.ef_search = ef_search
         self._seed = seed
-        #: When True, frontier expansions are scored with one batched
-        #: kernel call; when False, the original per-edge loop runs.
-        #: Both produce identical graphs, results and work counters.
-        self.vectorized = vectorized
         self._level_multiplier = 1.0 / math.log(m)
         # _graph[level][node] -> list of neighbour nodes
         self._graph: list[dict[int, list[int]]] = []
@@ -63,10 +55,6 @@ class HNSWIndex(VectorIndex):
         self._distance_counter = 0
 
     # -- distance with work counting -----------------------------------------------
-
-    def _distance(self, query: np.ndarray, node: int) -> float:
-        self._distance_counter += 1
-        return single_distance(query, self.dataset.vectors[node], self.metric)
 
     def _distance_many(self, query: np.ndarray, nodes: list[int]) -> np.ndarray:
         """Distances from ``query`` to several nodes in one kernel call.
@@ -149,26 +137,15 @@ class HNSWIndex(VectorIndex):
         for distance, node in candidates:
             if len(kept) >= m:
                 break
-            if self.vectorized and kept:
+            if kept:
                 to_kept = pairwise_distances(
                     self.dataset.vectors[node],
                     self.dataset.vectors[np.asarray(kept, dtype=np.int64)],
                     self.metric,
                 )
-                dominated = bool(np.any(to_kept < distance))
-            else:
-                dominated = False
-                for other in kept:
-                    to_other = single_distance(
-                        self.dataset.vectors[node],
-                        self.dataset.vectors[other],
-                        self.metric,
-                    )
-                    if to_other < distance:
-                        dominated = True
-                        break
-            if not dominated:
-                kept.append(node)
+                if np.any(to_kept < distance):
+                    continue
+            kept.append(node)
         # Backfill with the closest dominated candidates if under-full.
         if len(kept) < m:
             for _distance, node in candidates:
@@ -182,52 +159,24 @@ class HNSWIndex(VectorIndex):
         """Re-select the links of ``node`` with the diversity heuristic."""
         origin = self.dataset.vectors[node]
         links = self._graph[layer][node]
-        if self.vectorized:
-            link_distances = pairwise_distances(
-                origin,
-                self.dataset.vectors[np.asarray(links, dtype=np.int64)],
-                self.metric,
-            )
-            scored = sorted(zip(link_distances.tolist(), links))
-        else:
-            scored = sorted(
-                (
-                    single_distance(origin, self.dataset.vectors[other], self.metric),
-                    other,
-                )
-                for other in links
-            )
+        link_distances = pairwise_distances(
+            origin,
+            self.dataset.vectors[np.asarray(links, dtype=np.int64)],
+            self.metric,
+        )
+        scored = sorted(zip(link_distances.tolist(), links))
         self._graph[layer][node] = self._select_neighbours(origin, scored, max_degree)
 
     # -- search ------------------------------------------------------------------------
 
     def _greedy_step(self, query: np.ndarray, start: int, layer: int) -> int:
-        if self.vectorized:
-            return self._greedy_step_vectorized(query, start, layer)
-        current = start
-        current_distance = self._distance(query, current)
-        improved = True
-        while improved:
-            improved = False
-            for neighbour in self._graph[layer].get(current, []):
-                distance = self._distance(query, neighbour)
-                if distance < current_distance:
-                    current = neighbour
-                    current_distance = distance
-                    improved = True
-        return current
-
-    def _greedy_step_vectorized(
-        self, query: np.ndarray, start: int, layer: int
-    ) -> int:
         """Greedy descent scoring each frontier's neighbours in one call.
 
-        Equivalent to the scalar loop: the sequential strict-``<`` update
-        lands on the first occurrence of the minimum, exactly what
-        ``np.argmin`` returns.
+        Moves to the first neighbour at the minimum distance (``np.argmin``)
+        when it is strictly closer than the current node.
         """
         current = start
-        current_distance = self._distance(query, current)
+        current_distance = float(self._distance_many(query, [current])[0])
         while True:
             neighbours = self._graph[layer].get(current, [])
             if not neighbours:
@@ -243,45 +192,11 @@ class HNSWIndex(VectorIndex):
     def _search_layer(
         self, query: np.ndarray, entry_points: list[int], layer: int, ef: int
     ) -> list[tuple[float, int]]:
-        """Beam search in one layer; returns (distance, node) sorted ascending."""
-        if self.vectorized:
-            return self._search_layer_vectorized(query, entry_points, layer, ef)
-        visited: set[int] = set(entry_points)
-        candidates: list[tuple[float, int]] = []
-        best: list[tuple[float, int]] = []  # max-heap via negated distance
-        for point in entry_points:
-            distance = self._distance(query, point)
-            heapq.heappush(candidates, (distance, point))
-            heapq.heappush(best, (-distance, point))
-        while candidates:
-            distance, node = heapq.heappop(candidates)
-            worst = -best[0][0]
-            if distance > worst and len(best) >= ef:
-                break
-            for neighbour in self._graph[layer].get(node, []):
-                if neighbour in visited:
-                    continue
-                visited.add(neighbour)
-                neighbour_distance = self._distance(query, neighbour)
-                worst = -best[0][0]
-                if len(best) < ef or neighbour_distance < worst:
-                    heapq.heappush(candidates, (neighbour_distance, neighbour))
-                    heapq.heappush(best, (-neighbour_distance, neighbour))
-                    if len(best) > ef:
-                        heapq.heappop(best)
-        ordered = sorted((-negated, node) for negated, node in best)
-        return ordered
+        """Beam search in one layer; returns (distance, node) sorted ascending.
 
-    def _search_layer_vectorized(
-        self, query: np.ndarray, entry_points: list[int], layer: int, ef: int
-    ) -> list[tuple[float, int]]:
-        """Beam search scoring each frontier expansion with one kernel call.
-
-        The scalar loop scores every unvisited neighbour (whether or not
-        it is pushed), in adjacency order; scoring them all up front and
-        replaying the heap updates with precomputed distances performs the
-        identical operation sequence, so rankings, tie-breaks and the
-        distance-computation count are unchanged.
+        Every unvisited neighbour of the popped node is scored (whether or
+        not it is pushed) with one kernel call; the heap updates then run
+        with the precomputed distances in adjacency order.
         """
         visited: set[int] = set(entry_points)
         candidates: list[tuple[float, int]] = []

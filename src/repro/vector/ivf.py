@@ -13,12 +13,7 @@ import numpy as np
 from repro.errors import VectorError
 from repro.vector.base import SearchResult, VectorIndex
 from repro.vector.dataset import VectorDataset
-from repro.vector.distance import (
-    Metric,
-    pairwise_distances,
-    pairwise_distances_batch,
-    squared_norms,
-)
+from repro.vector.distance import Metric, pairwise_distances_batch, squared_norms
 from repro.vector.kmeans import kmeans
 
 
@@ -62,8 +57,8 @@ class IVFIndex(VectorIndex):
         ]
         # Batch-scan precomputation: contiguous per-list vector blocks (so
         # the grouped einsum never re-gathers a posting list), list sizes,
-        # column aranges, and per-point norms.  Copies of the same floats,
-        # so nothing downstream can differ from the sequential path.
+        # column aranges, and per-point norms.  Copies of the same floats
+        # that :func:`pairwise_distances_batch` would reduce.
         self._list_vectors = [dataset.vectors[members] for members in self._lists]
         self._list_sizes = np.array(
             [len(members) for members in self._lists], dtype=np.int64
@@ -82,9 +77,8 @@ class IVFIndex(VectorIndex):
 
     def probe_order(self, query: np.ndarray) -> tuple[np.ndarray, int]:
         """Posting lists sorted by centroid distance, plus the work done."""
-        assert self._centroids is not None
-        centroid_distances = pairwise_distances(query, self._centroids, self.metric)
-        return np.argsort(centroid_distances, kind="stable"), len(self._centroids)
+        orders, centroid_work = self.probe_order_batch(query[None, :])
+        return orders[0], centroid_work
 
     def probe_order_batch(self, queries: np.ndarray) -> tuple[list[np.ndarray], int]:
         """Per-query probe orders from one batched centroid-distance kernel."""
@@ -100,37 +94,9 @@ class IVFIndex(VectorIndex):
     ) -> SearchResult:
         """Search probing exactly ``n_probe`` posting lists."""
         order, centroid_work = self.probe_order(query)
-        return self._scan_lists(query, k, order[:n_probe], centroid_work)
-
-    def _scan_lists(
-        self,
-        query: np.ndarray,
-        k: int,
-        list_ids: np.ndarray,
-        base_work: int,
-    ) -> SearchResult:
-        candidate_arrays = [self._lists[int(list_id)] for list_id in list_ids]
-        candidate_arrays = [arr for arr in candidate_arrays if len(arr)]
-        if not candidate_arrays:
-            return SearchResult(
-                ids=[],
-                distances=[],
-                distance_computations=base_work,
-                candidates_visited=0,
-                metadata={"probes": len(list_ids)},
-            )
-        positions = np.concatenate(candidate_arrays)
-        distances = pairwise_distances(
-            query, self.dataset.vectors[positions], self.metric
-        )
-        result = self._result_from_positions(
-            positions=positions,
-            distances=distances,
-            k=k,
-            distance_computations=base_work + len(positions),
-            probes=len(list_ids),
-        )
-        return result
+        return self._scan_lists_batch(
+            query[None, :], k, [order[:n_probe]], centroid_work
+        )[0]
 
     def _scan_lists_batch(
         self,
@@ -147,11 +113,11 @@ class IVFIndex(VectorIndex):
         ``(batch, max_len)`` matrix laid out in each query's probe order.
         Every einsum output element reduces only over the vector
         dimension, so grouping by list instead of by query cannot change
-        a single bit of any distance; candidate order within a query
-        (probe order, then list order) matches the sequential path, so
-        tie-breaks are preserved too.  Pads are forced to ``+inf`` and
-        sliced off before ranking, and work is charged only for real
-        candidates.
+        a single bit of any distance; candidate order within a query is
+        probe order, then list order, and distance ties are broken by it
+        (as a full stable argsort of a per-query scan would).  Pads are
+        forced to ``+inf`` and sliced off before ranking, and work is
+        charged only for real candidates.
         """
         n_queries = len(queries)
         probes_per_query = [len(list_ids) for list_ids in list_ids_per_query]
@@ -311,10 +277,6 @@ class IVFIndex(VectorIndex):
         if self.metric is Metric.INNER_PRODUCT:
             return -flat_dots
         raise ValueError(f"unknown metric {self.metric}")
-
-    def _search(self, query: np.ndarray, k: int) -> SearchResult:
-        n_probe = min(self.n_probe, len(self._lists))
-        return self.search_with_probes(query, k, n_probe)
 
     def _search_batch(self, queries: np.ndarray, k: int) -> list[SearchResult]:
         n_probe = min(self.n_probe, len(self._lists))

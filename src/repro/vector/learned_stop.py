@@ -118,12 +118,6 @@ class LearnedStopIVFIndex(IVFIndex):
 
     # -- search ------------------------------------------------------------------------
 
-    def _search(self, query: np.ndarray, k: int) -> SearchResult:
-        probes = self.predict_probes(query)
-        result = self.search_with_probes(query, k, probes)
-        result.metadata["predicted_probes"] = probes
-        return result
-
     def _search_batch(self, queries: np.ndarray, k: int) -> list[SearchResult]:
         """Batched learned-stop search: one centroid-distance kernel feeds
         both the probe predictor's features and the probe ordering, then

@@ -15,7 +15,7 @@ import numpy as np
 from repro.errors import VectorError
 from repro.vector.base import SearchResult, VectorIndex
 from repro.vector.dataset import VectorDataset
-from repro.vector.distance import Metric, pairwise_distances, rowwise_distances
+from repro.vector.distance import Metric, rowwise_distances
 
 
 class LSHIndex(VectorIndex):
@@ -68,15 +68,6 @@ class LSHIndex(VectorIndex):
         weights = 1 << np.arange(bits.shape[1])
         return bits @ weights
 
-    def _query_buckets(self, query: np.ndarray) -> list[tuple[int, int]]:
-        """(table_index, signature) pairs to probe, including multiprobes."""
-        shifted = query - self._centre
-        signatures = [
-            int(self._signatures(shifted[None, :], planes)[0])
-            for planes in self._hyperplanes
-        ]
-        return self._expand_probes(signatures)
-
     def _expand_probes(self, signatures: list[int]) -> list[tuple[int, int]]:
         probes: list[tuple[int, int]] = []
         for table_index, signature in enumerate(signatures):
@@ -88,33 +79,14 @@ class LSHIndex(VectorIndex):
     def _candidate_positions(
         self, probes: list[tuple[int, int]]
     ) -> np.ndarray | None:
-        """Union of bucket members, in the single-path's candidate order."""
+        """Union of bucket members; set order is the candidate order that
+        breaks distance ties."""
         candidate_set: set[int] = set()
         for table_index, signature in probes:
             candidate_set.update(self._tables[table_index].get(signature, []))
         if not candidate_set:
             return None
         return np.fromiter(candidate_set, dtype=np.int64, count=len(candidate_set))
-
-    def _search(self, query: np.ndarray, k: int) -> SearchResult:
-        positions = self._candidate_positions(self._query_buckets(query))
-        if positions is None:
-            return SearchResult(
-                ids=[],
-                distances=[],
-                distance_computations=0,
-                candidates_visited=0,
-                metadata={"buckets_empty": True},
-            )
-        distances = pairwise_distances(
-            query, self.dataset.vectors[positions], self.metric
-        )
-        return self._result_from_positions(
-            positions=positions,
-            distances=distances,
-            k=k,
-            distance_computations=len(positions),
-        )
 
     def _search_batch(self, queries: np.ndarray, k: int) -> list[SearchResult]:
         """Batched LSH: per table, hash all queries with one kernel, then
@@ -161,12 +133,5 @@ class LSHIndex(VectorIndex):
                 )
                 continue
             row_distances = distance_matrix[slot_of_row[row], : len(positions)]
-            results.append(
-                self._result_from_candidates(
-                    positions=positions,
-                    distances=row_distances,
-                    k=k,
-                    distance_computations=len(positions),
-                )
-            )
+            results.append(self._result_from_candidates(positions, row_distances, k))
         return results

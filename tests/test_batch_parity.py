@@ -1,22 +1,38 @@
-"""Parity suite for the batched retrieval hot path.
+"""Independent references for the batched retrieval hot path.
 
-The batched kernels (``search_batch``, ``embed_batch``, vectorised HNSW
-expansion, array-form BM25) promise *bit-identical* results to the
-single-query path: same ids in the same order, same distances, same
-tie-breaks, and the same ``distance_computations`` accounting.  These
-tests pin that promise — with hypothesis-driven random workloads across
-every index family, against hand-captured pre-batch counter values, and
-against a straight-line reference reimplementation of the original BM25
-scoring loop.
+Every vector index has one search path: ``search`` is a one-row
+``search_batch``.  Brute force, IVF, LSH and learned-stop IVF implement
+only the batch kernel; HNSW and progressive implement only the
+per-query traversal, which ``search_batch`` loops over.  These tests
+check that path against references that share none of its code:
+
+* a test-local per-query scan (:func:`reference_search`) — score the
+  index's own candidates (all points, the probed posting lists, or the
+  bucket union) with :func:`pairwise_distances` and rank them with a
+  full stable argsort, charging the same work counters;
+* for HNSW, a golden fixture of graphs and answers
+  (``tests/data/hnsw_golden.json``) recorded while the scalar per-edge
+  traversal still existed, checked equal to the vectorised one at
+  capture time, plus a recall floor against brute force;
+* hand-captured pre-batch counter values, and a straight-line reference
+  reimplementation of the original BM25 scoring loop.
+
+Re-record the HNSW fixture with
+``PYTHONPATH=src python tests/test_batch_parity.py`` only for a
+deliberate change to graph construction or traversal.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import DimensionMismatchError, IndexNotBuiltError
+from repro.obs import get_registry
 from repro.retrieval.bm25 import BM25Index
 from repro.retrieval.documents import Document, DocumentStore
 from repro.vector import (
@@ -27,21 +43,30 @@ from repro.vector import (
     LearnedStopIVFIndex,
     Metric,
     ProgressiveIndex,
+    SearchResult,
+    VectorDataset,
     generate_clustered_dataset,
+    pairwise_distances,
 )
+from repro.vector.base import recall_at_k
 from repro.vector.dataset import generate_query_set
 from repro.vector.embedding import HashingEmbedder, tokenize_text
+
+METRICS = [Metric.L2, Metric.COSINE, Metric.INNER_PRODUCT]
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
 
 
-def _assert_result_parity(single, batched, label=""):
-    assert single.ids == batched.ids, label
-    assert single.distances == batched.distances, label
-    assert single.distance_computations == batched.distance_computations, label
-    assert single.candidates_visited == batched.candidates_visited, label
+def _assert_result_parity(expected, actual, label=""):
+    assert expected.ids == actual.ids, label
+    assert expected.distances == actual.distances, label
+    assert expected.distance_computations == actual.distance_computations, label
+    assert expected.candidates_visited == actual.candidates_visited, label
+    assert expected.guarantee_delta == actual.guarantee_delta, label
+    assert expected.empty_by_threshold == actual.empty_by_threshold, label
+    assert expected.metadata == actual.metadata, label
 
 
 def _make_workload(seed, n_points=120, dim=6, n_queries=4):
@@ -61,29 +86,127 @@ INDEX_FACTORIES = {
     "progressive": lambda metric: ProgressiveIndex(delta=0.1, seed=1, metric=metric),
 }
 
+#: Indexes whose batch kernel has a per-query scan reference below.
+SCAN_KINDS = ("brute", "ivf", "lsh")
+
 
 # ---------------------------------------------------------------------------
-# hypothesis parity: search_batch == sequential search
+# the per-query scan reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_scan(index, query, positions, k, base_work=0, **metadata):
+    """Score ``positions`` one query at a time; rank by full stable argsort."""
+    distances = pairwise_distances(
+        query, index.dataset.vectors[positions], index.metric
+    )
+    order = np.argsort(distances, kind="stable")[:k]
+    return SearchResult(
+        ids=[index.dataset.ids[int(position)] for position in positions[order]],
+        distances=[float(distance) for distance in distances[order]],
+        distance_computations=base_work + len(positions),
+        candidates_visited=len(positions),
+        metadata=metadata,
+    )
+
+
+def _reference_ivf(index, query, k, n_probe):
+    """Scan the ``n_probe`` posting lists nearest ``query``, in probe order."""
+    centroid_distances = pairwise_distances(query, index._centroids, index.metric)
+    probed = np.argsort(centroid_distances, kind="stable")[:n_probe]
+    members = [index._lists[int(list_id)] for list_id in probed]
+    members = [positions for positions in members if len(positions)]
+    base_work = len(index._centroids)
+    if not members:
+        return SearchResult(
+            ids=[],
+            distances=[],
+            distance_computations=base_work,
+            metadata={"probes": len(probed)},
+        )
+    return _reference_scan(
+        index, query, np.concatenate(members), k, base_work, probes=len(probed)
+    )
+
+
+def _reference_lsh(index, query, k):
+    """Scan the union of the query's buckets (and multiprobes) per table."""
+    shifted = query - index._centre
+    flips = [0] + [
+        1 << bit for bit in range(min(index.multiprobe_bits, index.n_bits))
+    ]
+    candidates: set[int] = set()
+    for table, planes in zip(index._tables, index._hyperplanes):
+        signature = int(index._signatures(shifted[None, :], planes)[0])
+        for flip in flips:
+            candidates.update(table.get(signature ^ flip, []))
+    if not candidates:
+        return SearchResult(
+            ids=[],
+            distances=[],
+            distance_computations=0,
+            metadata={"buckets_empty": True},
+        )
+    positions = np.fromiter(candidates, dtype=np.int64, count=len(candidates))
+    return _reference_scan(index, query, positions, k)
+
+
+def reference_search(index, query, k):
+    """What the index's single-query scan returned before it became a
+    one-row batch: the same candidates, ranking, tie-breaks and counters."""
+    k = min(k, len(index.dataset))
+    if isinstance(index, LearnedStopIVFIndex):
+        probes = index.predict_probes(query)
+        result = _reference_ivf(index, query, k, probes)
+        result.metadata["predicted_probes"] = probes
+        return result
+    if isinstance(index, IVFIndex):
+        return _reference_ivf(index, query, k, min(index.n_probe, len(index._lists)))
+    if isinstance(index, LSHIndex):
+        return _reference_lsh(index, query, k)
+    assert isinstance(index, BruteForceIndex) and index.max_distance is None
+    result = _reference_scan(index, query, np.arange(len(index.dataset)), k)
+    result.guarantee_delta = 0.0
+    return result
+
+
+def _assert_matches_reference(index, queries, k, label):
+    expected = [reference_search(index, query, k) for query in queries]
+    searched = [index.search(query, k) for query in queries]
+    batched = index.search_batch(queries, k)
+    assert len(batched) == len(queries)
+    for reference, single, batch in zip(expected, searched, batched):
+        _assert_result_parity(reference, single, f"{label} search")
+        _assert_result_parity(reference, batch, f"{label} search_batch")
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: search and search_batch against the references
 # ---------------------------------------------------------------------------
 
 
 class TestSearchBatchParity:
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=12, deadline=None)
     @given(
         seed=st.integers(0, 500),
         kind=st.sampled_from(sorted(INDEX_FACTORIES)),
-        metric=st.sampled_from([Metric.L2, Metric.COSINE]),
+        metric=st.sampled_from(METRICS),
         k=st.integers(1, 12),
     )
     def test_batch_matches_sequential(self, seed, kind, metric, k):
         dataset, queries = _make_workload(seed)
         index = INDEX_FACTORIES[kind](metric)
         index.build(dataset)
-        singles = [index.search(query, k) for query in queries]
+        label = f"{kind}/{metric.value}/k={k}"
+        if kind in SCAN_KINDS:
+            _assert_matches_reference(index, queries, k, label)
+            return
+        # HNSW and progressive implement only the per-query traversal
+        # (pinned by the golden fixture and oracle tests); the batch
+        # entry point must loop over it unchanged.
         batched = index.search_batch(queries, k)
-        assert len(batched) == len(queries)
-        for single, batch in zip(singles, batched):
-            _assert_result_parity(single, batch, f"{kind}/{metric.value}/k={k}")
+        for query, batch in zip(queries, batched):
+            _assert_result_parity(index.search(query, k), batch, label)
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 200), k=st.integers(1, 8))
@@ -93,33 +216,35 @@ class TestSearchBatchParity:
         index.build(dataset)
         train_queries = generate_query_set(dataset, 16, np.random.default_rng(seed + 1))
         index.train(train_queries, k=k)
-        singles = [index.search(query, k) for query in queries]
-        batched = index.search_batch(queries, k)
-        for single, batch in zip(singles, batched):
-            _assert_result_parity(single, batch, "learned_stop")
-            assert (
-                single.metadata["predicted_probes"]
-                == batch.metadata["predicted_probes"]
-            )
+        _assert_matches_reference(index, queries, k, "learned_stop")
+
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
+    def test_k_past_dataset_and_sparse_candidates(self, metric):
+        # k beyond the dataset is clamped; a candidate set smaller than k
+        # (one bucket, one posting list) returns every candidate.
+        dataset, queries = _make_workload(3, n_points=40)
+        indexes = [
+            BruteForceIndex(metric=metric),
+            IVFIndex(n_lists=8, n_probe=1, seed=2, metric=metric),
+            LSHIndex(n_tables=1, n_bits=10, multiprobe_bits=0, seed=2, metric=metric),
+        ]
+        for index in indexes:
+            index.build(dataset)
+            for k in (1, 7, 50):
+                _assert_matches_reference(index, queries, k, f"{index.name}/k={k}")
 
     def test_duplicate_points_tie_break_identical(self):
-        # Exact duplicates force distance ties; batch and single paths
-        # must break them identically (by dataset position).
+        # Exact duplicates force distance ties; both entry points must
+        # break them like the reference (by candidate order).
         rng = np.random.default_rng(7)
         base = rng.normal(size=(10, 4))
         vectors = np.vstack([base, base, base])
-        from repro.vector import VectorDataset
-
         dataset = VectorDataset(vectors=vectors, ids=list(range(len(vectors))))
         queries = base[:4] + 1e-12
-        for kind in ("brute", "ivf", "lsh"):
+        for kind in SCAN_KINDS:
             index = INDEX_FACTORIES[kind](Metric.L2)
             index.build(dataset)
-            for single, batch in zip(
-                [index.search(query, 8) for query in queries],
-                index.search_batch(queries, 8),
-            ):
-                _assert_result_parity(single, batch, kind)
+            _assert_matches_reference(index, queries, 8, kind)
 
     def test_batch_validation(self):
         dataset, queries = _make_workload(0)
@@ -133,24 +258,161 @@ class TestSearchBatchParity:
 
 
 # ---------------------------------------------------------------------------
-# HNSW: vectorised expansion == scalar expansion
+# search validation, for every index class
 # ---------------------------------------------------------------------------
 
 
-class TestHNSWVectorizedParity:
-    @settings(max_examples=6, deadline=None)
-    @given(seed=st.integers(0, 300), k=st.integers(1, 10))
-    def test_vectorized_matches_scalar(self, seed, k):
-        dataset, queries = _make_workload(seed)
-        scalar = HNSWIndex(m=4, ef_construction=16, ef_search=12, seed=1, vectorized=False)
-        vectorized = HNSWIndex(m=4, ef_construction=16, ef_search=12, seed=1)
-        scalar.build(dataset)
-        vectorized.build(dataset)
-        # Construction must produce the same graph under both modes.
-        assert scalar._graph == vectorized._graph
-        assert scalar._entry_point == vectorized._entry_point
-        for query in queries:
-            _assert_result_parity(scalar.search(query, k), vectorized.search(query, k))
+def _learned_stop(metric):
+    return LearnedStopIVFIndex(n_lists=6, seed=1, metric=metric)
+
+
+ALL_FACTORIES = {**INDEX_FACTORIES, "learned_stop": _learned_stop}
+
+
+class TestSearchValidation:
+    @pytest.fixture(params=sorted(ALL_FACTORIES))
+    def built(self, request):
+        dataset, queries = _make_workload(5)
+        index = ALL_FACTORIES[request.param](Metric.L2)
+        index.build(dataset)
+        if isinstance(index, LearnedStopIVFIndex):
+            index.train(generate_query_set(dataset, 8, np.random.default_rng(6)), k=3)
+        return index, queries
+
+    def test_two_dimensional_query_rejected(self, built):
+        index, queries = built
+        with pytest.raises(DimensionMismatchError) as caught:
+            index.search(queries[:1], 3)
+        assert str(caught.value) == (
+            "query shape (1, 6) does not match dataset dim 6"
+        )
+
+    def test_wrong_dimension_rejected(self, built):
+        index, queries = built
+        with pytest.raises(DimensionMismatchError) as caught:
+            index.search(queries[0][:-1], 3)
+        assert str(caught.value) == "query shape (5,) does not match dataset dim 6"
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_non_positive_k_rejected(self, built, k):
+        index, queries = built
+        with pytest.raises(ValueError) as caught:
+            index.search(queries[0], k)
+        assert str(caught.value) == "k must be positive"
+
+    def test_unbuilt_index_rejected(self, built):
+        index, queries = built
+        fresh = type(index)()
+        with pytest.raises(IndexNotBuiltError) as caught:
+            fresh.search(queries[0], 3)
+        assert str(caught.value) == f"{index.name} index was not built"
+
+    def test_each_search_counts_once(self, built):
+        index, queries = built
+        searches = get_registry().counter("vector.index.searches")
+        before = searches.value
+        for query in queries[:3]:
+            index.search(query, 3)
+        assert searches.value == before + 3
+        index.search_batch(queries, 3)
+        assert searches.value == before + 3 + len(queries)
+
+
+# ---------------------------------------------------------------------------
+# HNSW: golden graphs and answers, and recall against brute force
+# ---------------------------------------------------------------------------
+
+HNSW_GOLDEN = Path(__file__).parent / "data" / "hnsw_golden.json"
+GOLDEN_SEEDS = range(20)
+GOLDEN_KS = (1, 5, 10)
+
+
+def _golden_index(seed, metric):
+    dataset, queries = _make_workload(seed, n_points=60, dim=5, n_queries=3)
+    index = HNSWIndex(m=4, ef_construction=16, ef_search=8, seed=1, metric=metric)
+    index.build(dataset)
+    return index, queries
+
+
+def _graph_record(index):
+    """Each layer as ``[node, links]`` pairs in insertion order."""
+    return [[[node, list(links)] for node, links in layer.items()] for layer in index._graph]
+
+
+def _result_record(result):
+    return [
+        result.ids,
+        result.distances,
+        result.distance_computations,
+        result.candidates_visited,
+        result.metadata["ef"],
+    ]
+
+
+def record_hnsw_golden():
+    """Graphs, entry points and answers of every golden workload."""
+    cases = {}
+    for metric in METRICS:
+        for seed in GOLDEN_SEEDS:
+            index, queries = _golden_index(seed, metric)
+            cases[f"{metric.value}/{seed}"] = {
+                "entry_point": index._entry_point,
+                "graph": _graph_record(index),
+                "results": {
+                    str(k): [_result_record(index.search(query, k)) for query in queries]
+                    for k in GOLDEN_KS
+                },
+            }
+    return cases
+
+
+class TestHNSWGolden:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(HNSW_GOLDEN, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
+    def test_graph_and_answers_match_golden(self, golden, metric):
+        for seed in GOLDEN_SEEDS:
+            expected = golden[f"{metric.value}/{seed}"]
+            index, queries = _golden_index(seed, metric)
+            label = f"{metric.value}/seed={seed}"
+            assert index._entry_point == expected["entry_point"], label
+            assert _graph_record(index) == expected["graph"], label
+            for k in GOLDEN_KS:
+                want = expected["results"][str(k)]
+                searched = [_result_record(index.search(q, k)) for q in queries]
+                batched = [_result_record(r) for r in index.search_batch(queries, k)]
+                assert searched == want, f"{label}/k={k} search"
+                assert batched == want, f"{label}/k={k} search_batch"
+
+    @pytest.mark.parametrize(
+        "metric, floor",
+        [(Metric.L2, 0.9), (Metric.COSINE, 0.88), (Metric.INNER_PRODUCT, 0.65)],
+        ids=lambda value: getattr(value, "value", value),
+    )
+    def test_recall_against_brute_force(self, metric, floor):
+        # On this workload the scalar traversal reached recall@{1,5,10} of
+        # 0.95/0.97/0.94 (L2), 0.95/0.955/0.93 (cosine) and 0.70/0.79/0.84
+        # (inner product); each floor sits about 0.05 under the lowest.
+        rng = np.random.default_rng(11)
+        dataset = generate_clustered_dataset(600, 16, 8, rng)
+        queries = generate_query_set(dataset, 40, rng)
+        index = HNSWIndex(m=4, ef_construction=16, ef_search=8, seed=1, metric=metric)
+        index.build(dataset)
+        exact = BruteForceIndex(metric=metric)
+        exact.build(dataset)
+        for k in GOLDEN_KS:
+            recall = np.mean(
+                [
+                    recall_at_k(approximate.ids, truth.ids)
+                    for approximate, truth in zip(
+                        index.search_batch(queries, k), exact.search_batch(queries, k)
+                    )
+                ]
+            )
+            assert recall >= floor, (k, recall)
 
 
 # ---------------------------------------------------------------------------
@@ -345,3 +607,9 @@ class TestBM25Parity:
         assert [
             [(h.doc_id, h.score) for h in ranking] for ranking in batched
         ] == [[(h.doc_id, h.score) for h in ranking] for ranking in singles]
+
+
+if __name__ == "__main__":
+    with open(HNSW_GOLDEN, "w", encoding="utf-8") as handle:
+        json.dump(record_hnsw_golden(), handle, separators=(",", ":"))
+        handle.write("\n")

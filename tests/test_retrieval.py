@@ -97,6 +97,13 @@ class TestBM25:
         with pytest.raises(CDAError):
             BM25Index(b=2.0)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_non_positive_k_rejected(self, store, k):
+        index = BM25Index()
+        index.build(store)
+        with pytest.raises(ValueError, match="^k must be positive$"):
+            index.search("labour market", k)
+
 
 class TestRRF:
     def test_agreement_wins(self):
@@ -130,6 +137,12 @@ class TestHybridRetriever:
         retriever = HybridRetriever(store)
         assert retriever.search("labour", k=1)  # builds on demand
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_non_positive_k_rejected(self, store, k):
+        retriever = HybridRetriever(store)
+        with pytest.raises(ValueError, match="^k must be positive$"):
+            retriever.search_batch(["labour market barometer"], k)
+
 
 class TestDatasetSearch:
     def test_discovery_finds_relevant_sources(self, swiss_domain):
@@ -153,6 +166,12 @@ class TestDatasetSearch:
             assert all(hit.info.name != "barometer" for hit in hits)
         finally:
             swiss_domain.registry.refresh("barometer")
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_non_positive_k_rejected(self, swiss_domain, k):
+        engine = DatasetSearchEngine(swiss_domain.registry, swiss_domain.vocabulary)
+        with pytest.raises(ValueError, match="^k must be positive$"):
+            engine.search_batch(["labour market barometer"], k)
 
     def test_mode_validation(self, swiss_domain):
         with pytest.raises(ValueError):
