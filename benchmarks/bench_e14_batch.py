@@ -84,14 +84,17 @@ def workload():
     return dataset, queries
 
 
-def _best_of(callable_, repeats=REPEATS):
-    best = float("inf")
-    value = None
+def _best_of_pair(first, second, repeats=REPEATS):
+    """Each arm's best time and last value, the arms alternating repeat by
+    repeat, so a slow stretch of a shared host hits both rather than one."""
+    best = [float("inf"), float("inf")]
+    values = [None, None]
     for _ in range(repeats):
-        started = time.perf_counter()
-        value = callable_()
-        best = min(best, time.perf_counter() - started)
-    return best, value
+        for arm, callable_ in enumerate((first, second)):
+            started = time.perf_counter()
+            values[arm] = callable_()
+            best[arm] = min(best[arm], time.perf_counter() - started)
+    return best[0], values[0], best[1], values[1]
 
 
 def _ground_truth(dataset, queries):
@@ -145,10 +148,10 @@ def _answer(result):
 
 def _measure_index(name, index, reference, queries, truth):
     """Per-query reference scan vs one batched call, with full parity."""
-    sequential_seconds, expected = _best_of(
-        lambda: [reference(index, query) for query in queries]
+    sequential_seconds, expected, batch_seconds, batched = _best_of_pair(
+        lambda: [reference(index, query) for query in queries],
+        lambda: index.search_batch(queries, K),
     )
-    batch_seconds, batched = _best_of(lambda: index.search_batch(queries, K))
     searched = [index.search(query, K) for query in queries]
     for want, batch, single in zip(expected, batched, searched):
         assert _answer(batch) == _answer(want), name
@@ -179,8 +182,10 @@ def _measure_hnsw(dataset, queries, brute, truth):
     """
     index = HNSWIndex(m=8, ef_construction=64, ef_search=32, seed=SEED)
     index.build(dataset)
-    brute_seconds, _exact = _best_of(lambda: brute.search_batch(queries, K))
-    hnsw_seconds, batched = _best_of(lambda: index.search_batch(queries, K))
+    brute_seconds, _exact, hnsw_seconds, batched = _best_of_pair(
+        lambda: brute.search_batch(queries, K),
+        lambda: index.search_batch(queries, K),
+    )
     searched = [index.search(query, K) for query in queries]
     for batch, single in zip(batched, searched):
         assert _answer(batch) == _answer(single)

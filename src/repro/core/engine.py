@@ -674,13 +674,15 @@ class CDAEngine:
     ) -> Answer:
         if question is None:
             question = QuestionTokens(text)
+        # What the parser reads: this turn grounds the question once.
+        parsed = self.parser.question_tokens(text, question)
         outcome: ParseOutcome | None = None
         ambiguity_candidates: list[str] = []
         parse_failure: str | None = None
         if self.config.use_grounded_parser:
             try:
                 outcome = self.parser.parse(
-                    text, preferred_table=preferred_table, tokens=question
+                    text, preferred_table=preferred_table, tokens=parsed
                 )
             except AmbiguousQuestionError as error:
                 ambiguity_candidates = [str(c) for c in error.candidates]
@@ -701,7 +703,7 @@ class CDAEngine:
                         text, turn_id, ambiguity_candidates, subject="table"
                     )
             outcome = self._parse_with_preference(
-                question, ambiguity_candidates[0].split(".")[-1]
+                text, parsed, ambiguity_candidates[0].split(".")[-1]
             )
             if outcome is None:
                 parse_failure = "ambiguous question; forced reading failed"
@@ -717,21 +719,24 @@ class CDAEngine:
         if outcome is not None:
             return self._answer_from_statement(text, turn_id, outcome)
         return self._answer_from_llm(
-            question, turn_id, llm_gold_sql, parse_failure
+            question, parsed, turn_id, llm_gold_sql, parse_failure
         )
 
     def _parse_with_preference(
-        self, question: QuestionTokens, table: str
+        self, text: str, parsed: QuestionTokens, table: str
     ) -> ParseOutcome | None:
         try:
-            return self.parser.parse(
-                question.text, preferred_table=table, tokens=question
-            )
+            return self.parser.parse(text, preferred_table=table, tokens=parsed)
         except (AmbiguousQuestionError, TranslationError):
             return None
 
-    def _named_source(self, question: QuestionTokens) -> str | None:
-        """A registered data source explicitly named in the question, if any."""
+    def _named_source(
+        self, question: QuestionTokens, parsed: QuestionTokens
+    ) -> str | None:
+        """A registered data source explicitly named in the question, if any.
+
+        The vocabulary evidence is ``parsed``'s grounding, the parser's.
+        """
         lowered = question.text.lower()
         for info in self.registry.sources():
             surface = info.name.replace("_", " ").lower()
@@ -740,7 +745,7 @@ class CDAEngine:
                     self.session.focus_table = info.name
                 return info.name
         if self.vocabulary is not None:
-            for grounded in question.grounding(self.vocabulary):
+            for grounded in parsed.grounding(self.vocabulary):
                 if grounded.score < 0.999:
                     continue
                 for binding in grounded.term.schema_bindings:
@@ -772,6 +777,7 @@ class CDAEngine:
     def _answer_from_llm(
         self,
         question: QuestionTokens,
+        parsed: QuestionTokens,
         turn_id: int,
         llm_gold_sql: str | None,
         parse_failure: str | None,
@@ -779,7 +785,7 @@ class CDAEngine:
         text = question.text
         # "I am interested in the barometer": not a computable question,
         # but it names a data source — give its overview and focus it.
-        named = self._named_source(question)
+        named = self._named_source(question, parsed)
         if named is not None:
             return self._dataset_overview(named, turn_id)
         if not self.config.use_llm_fallback or self.llm is None or llm_gold_sql is None:

@@ -15,13 +15,17 @@ gap directly.
 
 Fuzzy table and column matching scores a phrase's profile against node
 profiles (label tokens, trigrams and long tokens; comment tokens) built
-once at construction: the graph is a snapshot of the catalog.
+once at construction: the graph is a snapshot of the catalog.  For the
+same reason each token's typo matches against the schema's surfaces
+(:meth:`SchemaKnowledgeGraph.similar_surfaces`) are computed once per graph
+and kept in a bounded token memo, which every typo-tolerant reader shares.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.kg.ontology import Ontology, RDFS_COMMENT, RDFS_LABEL
 from repro.kg.triple_store import TripleStore
@@ -30,6 +34,8 @@ from repro.kg.vocabulary import (
     exact_spans,
     jaccard,
     osa_similarity_within,
+    remember,
+    singularise,
     trigram_similarity,
 )
 from repro.vector.embedding import tokenize_text
@@ -47,6 +53,10 @@ CDA_REFERENCES = "cda:references"
 CDA_JOINS_WITH = "cda:joinsWith"
 CDA_VALUE_OF = "cda:valueOf"
 CDA_ROW_COUNT = "cda:rowCount"
+
+#: Lowest OSA similarity :meth:`SchemaKnowledgeGraph.similar_surfaces` keeps.
+SURFACE_FLOOR = 0.7
+_NO_SURFACES: Mapping[str, float] = MappingProxyType({})
 
 
 def table_node(table: str) -> str:
@@ -128,6 +138,41 @@ class SchemaKnowledgeGraph:
         self._table_profiles: dict[str, _Profile] = {}
         self._column_profiles: dict[str, _Profile] = {}
         self._build()
+        #: table -> singularised table-name surface, in ``tables()`` order.
+        self.table_surfaces = {
+            table: singularise(table.replace("_", " ").lower())
+            for table in self.tables()
+        }
+        #: table -> {column: singularised column surface}, in ``columns_of`` order.
+        self.column_surfaces = {
+            table: {
+                column: singularise(column.replace("_", " ").lower())
+                for column in self.columns_of(table)
+            }
+            for table in self.table_surfaces
+        }
+        # Every surface a typo check compares a token with, banded by length:
+        # ``_bands[n]`` holds those a token of ``n`` characters can reach
+        # ``SURFACE_FLOOR`` with, as each edit changes the length by at most
+        # one (the band is one wider each way than that bound).
+        surfaces = {
+            token
+            for profiles in (self._table_profiles, self._column_profiles)
+            for profile in profiles.values()
+            for token in profile.long_tokens
+        }
+        surfaces.update(self.table_surfaces.values())
+        for columns in self.column_surfaces.values():
+            surfaces.update(columns.values())
+        longest = max(map(len, surfaces), default=0)
+        self._bands = [
+            tuple(
+                sorted(s for s in surfaces if abs(n - len(s)) <= 0.3 * max(n, len(s)) + 1)
+            )
+            for n in range(int(longest / SURFACE_FLOOR) + 2)
+        ]
+        #: Token memo: a token -> :meth:`similar_surfaces` of it.
+        self._similar: dict[str, Mapping[str, float]] = {}
 
     @property
     def store(self) -> TripleStore:
@@ -267,22 +312,54 @@ class SchemaKnowledgeGraph:
 
     # -- grounding lookups ---------------------------------------------------------------
 
-    def _score_against(self, phrase: _Profile, node: _Profile) -> tuple[float, str]:
+    def similar_surfaces(self, token: str) -> Mapping[str, float]:
+        """Each surface with ``osa_similarity_within(token, surface, 0.7)``, and it.
+
+        The surfaces are the table and column label tokens of four or more
+        characters and the singularised table and column surfaces; ``token``
+        is lower-cased.  OSA similarity is symmetric and the value is exact,
+        so a reader applies its own threshold (at least ``SURFACE_FLOOR``) to
+        the stored value.  Computed once per token and graph: a token outside
+        every surface's length band is answered without being kept.
+        """
+        similar = self._similar.get(token)
+        if similar is not None:
+            return similar
+        band = self._bands[len(token)] if len(token) < len(self._bands) else ()
+        if not band:
+            return _NO_SURFACES
+        found = {}
+        for surface in band:
+            similarity = osa_similarity_within(token, surface, SURFACE_FLOOR)
+            if similarity is not None:
+                found[surface] = similarity
+        similar = MappingProxyType(found) if found else _NO_SURFACES
+        return remember(self._similar, token, similar, len(token))
+
+    def _typo_similarities(self, phrase: _Profile) -> dict[str, float]:
+        """Label token -> its best similarity to a long token of ``phrase``."""
+        best: dict[str, float] = {}
+        for token in phrase.long_tokens:
+            for surface, similarity in self.similar_surfaces(token).items():
+                if similarity > best.get(surface, 0.0):
+                    best[surface] = similarity
+        return best
+
+    def _score_against(
+        self, phrase: _Profile, typos: Mapping[str, float], node: _Profile
+    ) -> tuple[float, str]:
         best = max(
             jaccard(phrase.tokens, node.tokens),
             jaccard(phrase.trigrams, node.trigrams),
         )
         matched_on = "label"
         # Per-token typo tolerance: the best edit-similar (token of phrase,
-        # token of label) pair, discounted so exact matches still win.  Only
-        # 0.9 * similarity > best counts (1e-9 dwarfs either side's rounding).
-        for phrase_token in phrase.long_tokens:
+        # token of label) pair, discounted so exact matches still win.
+        if typos:
             for label_token in node.long_tokens:
-                floor = max(0.7, best / 0.9 - 1e-9)
-                similarity = osa_similarity_within(phrase_token, label_token, floor)
+                similarity = typos.get(label_token)
                 if similarity is not None and 0.9 * similarity > best:
                     best = 0.9 * similarity
-                    matched_on = "label"
         if node.comment_tokens is not None:
             comment_score = 0.9 * jaccard(phrase.tokens, node.comment_tokens)
             if comment_score > best:
@@ -294,8 +371,9 @@ class SchemaKnowledgeGraph:
         """Tables matching ``phrase``, best first."""
         matches = []
         profile = _Profile.of(phrase)
+        typos = self._typo_similarities(profile)
         for node, node_profile in self._table_profiles.items():
-            score, matched_on = self._score_against(profile, node_profile)
+            score, matched_on = self._score_against(profile, typos, node_profile)
             if score >= min_score:
                 matches.append(
                     SchemaMatch(
@@ -314,12 +392,13 @@ class SchemaKnowledgeGraph:
         """Columns matching ``phrase``, best first, optionally within a table."""
         matches = []
         profile = _Profile.of(phrase)
+        typos = self._typo_similarities(profile)
         for node, node_profile in self._column_profiles.items():
             qualified = node.split(":", 1)[1]
             node_table, column = qualified.rsplit(".", 1)
             if table is not None and node_table.lower() != table.lower():
                 continue
-            score, matched_on = self._score_against(profile, node_profile)
+            score, matched_on = self._score_against(profile, typos, node_profile)
             if score >= min_score:
                 matches.append(
                     SchemaMatch(

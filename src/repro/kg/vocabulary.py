@@ -36,6 +36,9 @@ Every edit-distance typo check runs through one banded OSA kernel,
 A question is tokenised once (:class:`QuestionTokens`), and
 :meth:`DomainVocabulary.ground_question` skips every n-gram that an exact
 bound rules out before it pays for a lookup (see :func:`_trigram_bound`).
+Each token's trigram facts and each n-gram's lookup result are kept in a
+bounded token memo (:func:`remember`) until the next :meth:`add_term`, so
+the words a session repeats are looked up once, not once per question.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class VocabularyTerm:
     broader: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundedTerm:
     """A vocabulary hit: the term, how it matched, and how well."""
 
@@ -72,6 +75,26 @@ class GroundedTerm:
     matched_text: str
     match_kind: str  # "exact" | "synonym" | "token" | "fuzzy"
     score: float
+
+
+#: Entries a token memo holds; a full memo is cleared before it takes another.
+TOKEN_MEMO_CAP = 4096
+#: Longest token (in characters) a token memo keeps; longer ones are recomputed.
+TOKEN_MEMO_MAX_LENGTH = 64
+
+
+def remember(memo: dict, key: object, value: object, length: int) -> object:
+    """Store ``value`` under ``key`` in ``memo``, and return it.
+
+    ``length`` is the key's longest token; above :data:`TOKEN_MEMO_MAX_LENGTH`
+    nothing is stored.  A memo at :data:`TOKEN_MEMO_CAP` is cleared first,
+    which never touches a value a caller already holds.
+    """
+    if length <= TOKEN_MEMO_MAX_LENGTH:
+        if len(memo) >= TOKEN_MEMO_CAP:
+            memo.clear()
+        memo[key] = value
+    return value
 
 
 def char_trigrams(text: str) -> set[str]:
@@ -247,7 +270,11 @@ def exact_spans(
                 yield start, size, phrase
 
 
-def _trigram_bound(window: Sequence[tuple[int, set[str]]]) -> float:
+#: A memo's "no entry" (``None`` is a stored value).
+_UNSEEN = object()
+
+
+def _trigram_bound(window: Sequence[tuple[int, AbstractSet[str]]]) -> float:
     """An upper bound on any surface's trigram score against a phrase.
 
     ``window`` holds :meth:`DomainVocabulary._token_facts` of each token of
@@ -329,6 +356,9 @@ class DomainVocabulary:
         self._token_sets: dict[frozenset[str], int] = {}
         self._trigram_sets: dict[frozenset[str], int] = {}
         self._fewest_tokens: dict[str, int] = {}
+        #: Token memo of :meth:`ground_question`: a token -> its
+        #: :meth:`_token_facts`, ``(n-gram, min_score)`` -> its lookup result.
+        self._memo: dict[object, object] = {}
         self.fuzzy_threshold = fuzzy_threshold
 
     def __len__(self) -> int:
@@ -363,6 +393,7 @@ class DomainVocabulary:
             self._surface_index[surface_key] = (key, kind)
             self._surface_heads.add(surface_key.partition(" ")[0])
             self._add_postings(term, surface)
+        self._memo.clear()
 
     def _add_postings(self, term: VocabularyTerm, surface: str) -> None:
         position = len(self._surfaces)
@@ -472,60 +503,73 @@ class DomainVocabulary:
         # so "working force" wins over a fuzzy "the working force" overlap.
         # Only a surface-index hit can be exact, and its lookup always
         # passes: it scores 1.0.
-        hits: dict[tuple[str, ...], GroundedTerm | None] = {}
-        for start, size, phrase in exact_spans(
+        memo = self._memo
+        for start, size, _phrase in exact_spans(
             tokens, self._surface_index, self._surface_heads, max_ngram, consumed
         ):
-            key = tokens[start : start + size]
-            if key not in hits:
-                hits[key] = self.lookup(phrase, min_score=0.999 if size == 1 else 0.5)
-            grounded.append(hits[key])
+            key = (tokens[start : start + size], 0.999 if size == 1 else 0.5)
+            hit = memo.get(key, _UNSEEN)
+            grounded.append(self._lookup_ngram(key, None) if hit is _UNSEEN else hit)
         # Pass 2: the rest, kept at 0.999 for one word and 0.5 for more, which
-        # lookup applies itself.  Repeated text is looked up once per call, and
+        # lookup applies itself.  An n-gram is looked up once per memo, and
         # not at all where the trigram bound rules a hit out.
         facts = self._token_facts(tokens)
         for size in range(min(max_ngram, len(tokens)), 0, -1):
             min_score = 0.999 if size == 1 else 0.5
-            threshold = max(min_score, self.fuzzy_threshold)
             for start in range(0, len(tokens) - size + 1):
                 end = start + size
-                window = facts[start:end]
-                if None not in window and _trigram_bound(window) < threshold:
-                    continue
                 if any(consumed[start:end]):
                     continue
-                key = tokens[start:end]
-                if key not in hits:
-                    hits[key] = self.lookup(" ".join(key), min_score)
-                hit = hits[key]
+                key = (tokens[start:end], min_score)
+                hit = memo.get(key, _UNSEEN)
+                if hit is _UNSEEN:
+                    hit = self._lookup_ngram(key, facts[start:end])
                 if hit is not None:
                     grounded.append(hit)
                     consumed[start:end] = [True] * size
         return grounded
 
+    def _lookup_ngram(
+        self, key: tuple[tuple[str, ...], float], window: list | None
+    ) -> GroundedTerm | None:
+        """Look ``key = (n-gram, min_score)`` up, and remember the result.
+
+        ``window`` is the n-gram's :meth:`_token_facts`, or ``None`` for an
+        exact span; a window the trigram bound rules out is no hit, unlooked.
+        """
+        ngram, min_score = key
+        hit = None
+        if window is None or None in window or (
+            _trigram_bound(window) >= max(min_score, self.fuzzy_threshold)
+        ):
+            hit = self.lookup(" ".join(ngram), min_score)
+        return remember(self._memo, key, hit, max(map(len, ngram)))
+
     def _token_facts(
         self, tokens: Sequence[str]
-    ) -> list[tuple[int, set[str]] | None]:
+    ) -> list[tuple[int, frozenset[str]] | None]:
         """Per token, ``None`` if a surface holds it, else its trigram facts.
 
         The facts of a token ``t`` are ``(|T & K| + 1, T - K)``: ``T`` is the
         trigrams of ``" " + t + " "``, ``K`` the grams of the trigram postings,
         and the 1 stands for the gram before ``T`` in a phrase (see
-        :func:`_trigram_bound`).  Each distinct token is trigrammed once.
+        :func:`_trigram_bound`).  Each distinct token is trigrammed once per
+        memo.
         """
-        known = self._trigram_postings.keys()
-        by_token: dict[str, tuple[int, set[str]] | None] = {}
+        memo = self._memo
+        facts: list[tuple[int, frozenset[str]] | None] = []
         for token in tokens:
-            if token in by_token:
-                continue
-            if token in self._token_postings:
-                by_token[token] = None
-                continue
-            padded = f" {token} "
-            grams = {padded[i : i + 3] for i in range(len(padded) - 2)}
-            missing = grams - known
-            by_token[token] = (len(grams) - len(missing) + 1, missing)
-        return [by_token[token] for token in tokens]
+            fact = memo.get(token, _UNSEEN)
+            if fact is _UNSEEN:
+                fact = None
+                if token not in self._token_postings:
+                    padded = f" {token} "
+                    grams = {padded[i : i + 3] for i in range(len(padded) - 2)}
+                    missing = frozenset(grams - self._trigram_postings.keys())
+                    fact = (len(grams) - len(missing) + 1, missing)
+                remember(memo, token, fact, len(token))
+            facts.append(fact)
+        return facts
 
     def expand(self, term_name: str) -> list[str]:
         """Canonical name plus all synonyms of a term (query expansion)."""

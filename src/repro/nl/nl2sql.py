@@ -24,7 +24,7 @@ than guessing (P5 turns that into a clarification question).
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 
@@ -32,11 +32,7 @@ from repro.errors import AmbiguousQuestionError, TranslationError
 from repro.obs.metrics import counter, histogram
 from repro.obs.trace import span
 from repro.kg.schema_kg import SchemaKnowledgeGraph
-from repro.kg.vocabulary import (
-    DomainVocabulary,
-    QuestionTokens,
-    edit_similarity_at_least,
-)
+from repro.kg.vocabulary import DomainVocabulary, QuestionTokens
 from repro.kg.vocabulary import singularise as _singularise
 from repro.nl.grammar import AggregateSpec, FilterSpec, OrderSpec, QueryIntent
 from repro.nl.sqlgen import compile_intent
@@ -163,30 +159,23 @@ class GroundedSemanticParser:
         self.schema_kg = schema_kg
         self.vocabulary = vocabulary
         self.config = config or GroundingConfig()
-        # Table and column surfaces, built once: the schema graph is a
-        # snapshot of the catalog, like its value index.
-        #: table -> singularised table-name surface, in ``tables()`` order.
-        self._table_surfaces: dict[str, str] = {}
-        #: table -> {column: singularised column surface}, in ``columns_of`` order.
-        self._column_surfaces: dict[str, dict[str, str]] = {}
+        # The schema graph's singularised table and column surfaces, and
+        # what the parser derives of them once: the graph is a snapshot.
+        self._table_surfaces = schema_kg.table_surfaces
+        self._column_surfaces = schema_kg.column_surfaces
         #: singularised column surface -> tables holding such a column.
         self._surface_tables: dict[str, list[str]] = {}
         #: ``(table, column)`` pairs of numeric type.
         self._numeric_columns: set[tuple[str, str]] = set()
         #: First words of the table and column surfaces of two or more words.
         self._mention_heads: set[str] = set()
-        for table in schema_kg.tables():
-            self._table_surfaces[table] = _singularise(table.replace("_", " ").lower())
-            surfaces: dict[str, str] = {}
-            for column in schema_kg.columns_of(table):
-                surface = _singularise(column.replace("_", " ").lower())
-                surfaces[column] = surface
+        for table, surfaces in self._column_surfaces.items():
+            for column, surface in surfaces.items():
                 holders = self._surface_tables.setdefault(surface, [])
                 if table not in holders:
                     holders.append(table)
                 if schema_kg.datatype_of(table, column) in _NUMERIC_TYPES:
                     self._numeric_columns.add((table, column))
-            self._column_surfaces[table] = surfaces
         for surface in [*self._table_surfaces.values(), *self._surface_tables]:
             if " " in surface:
                 self._mention_heads.add(surface.split(" ", 1)[0])
@@ -203,9 +192,8 @@ class GroundedSemanticParser:
 
         ``preferred_table`` settles table ambiguity in favour of the named
         table — this is how a clarification reply is folded back in.
-        ``tokens``, the caller's :class:`QuestionTokens` of ``question``, is
-        read in place of the parser's own when the question has no fillers
-        to strip, so the caller and the parser share one grounding.
+        ``tokens`` is the caller's :class:`QuestionTokens` of ``question``
+        (see :meth:`question_tokens`).
 
         Under an active turn trace the two halves report as separate
         stages: ``nl.nl2sql.ground`` (question → logical form, the P2
@@ -224,6 +212,21 @@ class GroundedSemanticParser:
         _GROUND_CONFIDENCE.observe(confidence)
         return ParseOutcome(intent, statement, confidence, notes)
 
+    def question_tokens(
+        self, question: str, given: QuestionTokens | None = None
+    ) -> QuestionTokens:
+        """The tokens the parser reads: those of ``question`` without fillers.
+
+        ``given``, the caller's :class:`QuestionTokens` of ``question`` or an
+        earlier result of this method, is returned when it holds those
+        tokens, so the caller and the parser share one grounding.
+        """
+        text = _parser_text(question)
+        if given is not None and given.text == text:
+            return given
+        facts = QuestionTokens(text)
+        return given if given is not None and given.tokens == facts.tokens else facts
+
     def _ground(
         self,
         question: str,
@@ -233,11 +236,8 @@ class GroundedSemanticParser:
         """Ground ``question`` into a :class:`QueryIntent` plus audit trail."""
         notes: list[str] = []
         scores: list[float] = []
-        text = question.strip().rstrip("?").lower()
-        text = _strip_fillers(text)
-        facts = QuestionTokens(text)
-        if given is not None and given.tokens == facts.tokens:
-            facts = given
+        text = _parser_text(question)
+        facts = self.question_tokens(question, given)
         tokens = facts.tokens
         if not tokens:
             raise TranslationError("empty question", question=question)
@@ -361,6 +361,36 @@ class GroundedSemanticParser:
         measure_hint: str = "",
         preferred_table: str | None = None,
     ) -> str:
+        candidates, via = self._table_evidence(
+            text, facts, value_filters, measure_hint, preferred_table
+        )
+        if not candidates:
+            raise TranslationError(
+                "cannot ground the question to any table", question=question
+            )
+        ordered = sorted(candidates.items(), key=lambda pair: (-pair[1], pair[0]))
+        best_table, best_score = ordered[0]
+        if len(ordered) > 1:
+            second_table, second_score = ordered[1]
+            if best_score - second_score <= self.config.ambiguity_margin:
+                raise AmbiguousQuestionError(
+                    f"question may refer to table {best_table!r} "
+                    f"or {second_table!r}",
+                    candidates=[best_table, second_table],
+                )
+        notes.append(f"table {best_table!r} via {via[best_table]}")
+        scores.append(min(1.0, best_score))
+        return best_table
+
+    def _table_evidence(
+        self,
+        text: str,
+        facts: QuestionTokens,
+        value_filters: list[FilterSpec],
+        measure_hint: str,
+        preferred_table: str | None,
+    ) -> tuple[dict[str, float], dict[str, str]]:
+        """Each candidate table's score, and the evidence that set it."""
         candidates: dict[str, float] = {}
         via: dict[str, str] = {}
         if preferred_table is not None:
@@ -394,11 +424,14 @@ class GroundedSemanticParser:
             gram_surfaces = _singular_ngrams(
                 facts.tokens, 3, facts.singular, self._mention_heads
             )
-            # Singularised token -> its first token of four or more letters.
-            typo_tokens: dict[str, str] = {}
+            # Each distinct singularised token of four or more letters, first
+            # occurrence first, with its first token and its similar surfaces.
+            typo_tokens: dict[str, tuple[str, Mapping[str, float]]] = {}
             for token, singular in zip(facts.tokens, facts.singular):
-                if len(token) >= 4:
-                    typo_tokens.setdefault(singular, token)
+                if len(token) >= 4 and singular not in typo_tokens:
+                    similar = self.schema_kg.similar_surfaces(singular)
+                    typo_tokens[singular] = (token, similar)
+            typo_hits = [hit for hit in typo_tokens.values() if hit[1]]
             for table, surface in self._table_surfaces.items():
                 gram = gram_surfaces.get(surface)
                 if gram is not None and candidates.get(table, 0.0) < 0.9:
@@ -406,8 +439,8 @@ class GroundedSemanticParser:
                     via[table] = f"table-name mention {gram!r}"
                 # Typo-tolerant mention ("vehilces" -> vehicles); the first decides.
                 if candidates.get(table, 0.0) < 0.85:
-                    for singular, token in typo_tokens.items():
-                        if edit_similarity_at_least(singular, surface, 0.72):
+                    for token, similar in typo_hits:
+                        if similar.get(surface, 0.0) >= 0.72:
                             candidates[table] = 0.85
                             via[table] = f"fuzzy table mention {token!r}"
                             break
@@ -428,12 +461,14 @@ class GroundedSemanticParser:
                 first_word = measure_hint.replace("_", " ").lower().split()[0]
                 subject = _singularise(first_word)
                 subject_matched = False
+                similar = (
+                    self.schema_kg.similar_surfaces(subject)
+                    if len(subject) >= 4
+                    else {}
+                )
                 for table, table_surface in self._table_surfaces.items():
                     exact = table_surface == subject
-                    fuzzy = len(subject) >= 4 and edit_similarity_at_least(
-                        table_surface, subject, 0.72
-                    )
-                    if exact or fuzzy:
+                    if exact or similar.get(table_surface, 0.0) >= 0.72:
                         # "how many vehicles ..." decides the table outright;
                         # later column mentions are filter material, so the
                         # subject outranks measure-column votes.
@@ -477,23 +512,7 @@ class GroundedSemanticParser:
                 current = candidates.get(spec.table, 0.0)
                 candidates[spec.table] = max(current, 0.45)
                 via.setdefault(spec.table, f"value {spec.value!r} found in it")
-        if not candidates:
-            raise TranslationError(
-                "cannot ground the question to any table", question=question
-            )
-        ordered = sorted(candidates.items(), key=lambda pair: (-pair[1], pair[0]))
-        best_table, best_score = ordered[0]
-        if len(ordered) > 1:
-            second_table, second_score = ordered[1]
-            if best_score - second_score <= self.config.ambiguity_margin:
-                raise AmbiguousQuestionError(
-                    f"question may refer to table {best_table!r} "
-                    f"or {second_table!r}",
-                    candidates=[best_table, second_table],
-                )
-        notes.append(f"table {best_table!r} via {via[best_table]}")
-        scores.append(min(1.0, best_score))
-        return best_table
+        return candidates, via
 
     def _tables_with_column(self, phrase: str, fuzzy: bool = False) -> list[str]:
         """Tables holding a column whose name matches ``phrase``.
@@ -504,15 +523,13 @@ class GroundedSemanticParser:
         target = _singularise(phrase.replace("_", " ").lower())
         if not fuzzy:
             return self._surface_tables.get(target, [])
+        similar = self.schema_kg.similar_surfaces(target) if len(target) >= 4 else {}
         return [
             table
             for table, surfaces in self._column_surfaces.items()
             if any(
                 surface == target
-                or (
-                    min(len(surface), len(target)) >= 4
-                    and edit_similarity_at_least(surface, target, 0.72)
-                )
+                or (len(surface) >= 4 and similar.get(surface, 0.0) >= 0.72)
                 for surface in surfaces.values()
             )
         ]
@@ -1054,8 +1071,10 @@ _FILLER_PREFIXES = (
 )
 
 
-def _strip_fillers(text: str) -> str:
-    """Remove politeness prefixes and hedging adverbs from a question."""
+def _parser_text(question: str) -> str:
+    """``question`` lower-cased, without its question mark, politeness
+    prefix and hedging adverbs."""
+    text = question.strip().rstrip("?").lower()
     for prefix in _FILLER_PREFIXES:
         if text.startswith(prefix):
             text = text[len(prefix):].strip()

@@ -19,6 +19,7 @@ question costs and how many groundings a data turn makes.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -33,6 +34,7 @@ from repro.datasets import (
 )
 from repro.errors import KGError
 from repro.kg import SchemaKnowledgeGraph
+from repro.kg import vocabulary as vocabulary_module
 from repro.kg.vocabulary import (
     DomainVocabulary,
     QuestionTokens,
@@ -309,9 +311,9 @@ class TestGroundingsPerTurn:
             ("how many employees are there", 1),
             # The parse fails, and _named_source reads the parser's grounding.
             ("zzqx blorf quux", 1),
-            # "please" is stripped before parsing, so the parser grounds
-            # other tokens than _named_source: two groundings.
-            ("please zzqx blorf quux", 2),
+            # "please" is stripped before parsing; _named_source reads the
+            # parser's grounding of what is left: one grounding.
+            ("please zzqx blorf quux", 1),
         ],
     )
     def test_ground_question_calls(self, engine, monkeypatch, question, groundings):
@@ -325,6 +327,135 @@ class TestGroundingsPerTurn:
         monkeypatch.setattr(DomainVocabulary, "ground_question", counting)
         engine.ask(question, llm_gold_sql=self.GOLD)
         assert len(calls) == groundings
+
+
+# -- the token memos ------------------------------------------------------------------
+
+
+@pytest.fixture
+def swiss():
+    domain = build_swiss_labour_registry(seed=3)
+    kg = SchemaKnowledgeGraph(domain.registry.database.catalog)
+    return domain, kg
+
+
+def _memo_keys_hold(memo: dict, token: str) -> bool:
+    return any(
+        key == token or (isinstance(key, tuple) and token in key[0]) for key in memo
+    )
+
+
+class TestTokenMemos:
+    def test_flood_stays_under_the_cap(self, swiss):
+        domain, kg = swiss
+        vocabulary = domain.vocabulary
+        rng = random.Random(31)
+        words: set[str] = set()
+        while len(words) < 10_000:
+            size = rng.randint(3, 11)
+            words.add("".join(rng.choice("abcdefghijklmnoprstuvwy") for _ in range(size)))
+        flood = sorted(words)
+        rng.shuffle(flood)
+        sizes: list[tuple[int, int]] = []
+        for start in range(0, len(flood), 40):
+            question = " ".join(flood[start : start + 40])
+            vocabulary.ground_question(question)
+            kg.find_tables(question)
+            sizes.append((len(vocabulary._memo), len(kg._similar)))
+        for memo_sizes in zip(*sizes):
+            assert max(memo_sizes) <= vocabulary_module.TOKEN_MEMO_CAP
+            # The memo filled up and was cleared on the way.
+            assert any(b < a for a, b in zip(memo_sizes, memo_sizes[1:]))
+
+    def test_overlong_tokens_are_not_kept(self, swiss):
+        domain, kg = swiss
+        vocabulary = domain.vocabulary
+        huge = "employment" * 2_000
+        over = "e" * (vocabulary_module.TOKEN_MEMO_MAX_LENGTH + 1)
+        for token in (huge, over):
+            assert len(token) > vocabulary_module.TOKEN_MEMO_MAX_LENGTH
+            vocabulary.ground_question(f"how many {token} jobs {token}")
+            kg.find_tables(f"how many {token} employees")
+            assert not _memo_keys_hold(vocabulary._memo, token)
+            assert token not in kg._similar
+        # The question's other tokens are kept.
+        assert "how" in vocabulary._memo and "employees" in kg._similar
+        # A token no surface is within the length band of is not kept either.
+        kg.similar_surfaces("x" * 60)
+        assert "x" * 60 not in kg._similar
+
+    def test_eviction_mid_question_answers_as_uncapped(self, monkeypatch):
+        # 40 distinct tokens, so a memo of 2 is cleared many times while one
+        # question is grounded and its table resolved.
+        question = (
+            "for my report please tell me how many employmnet records are "
+            "there in zurich as soon as possible before the meeting tomorrow "
+            "so that I can plan ahead with a short explanation in simple "
+            "words if that is possible for the quarterly review and the "
+            "labour market barometr of the cantnos"
+        )
+        assert len(set(tokenize_text(question))) >= 40
+
+        def answer(cap: int):
+            monkeypatch.setattr(vocabulary_module, "TOKEN_MEMO_CAP", cap)
+            domain = build_swiss_labour_registry(seed=3)
+            llm = SimulatedLLM(domain.registry.database.catalog, error_rate=0.0, seed=3)
+            engine = CDAEngine(domain.registry, domain.vocabulary, llm=llm)
+            grounded = domain.vocabulary.ground_question(question)
+            reply = engine.ask(question)
+            notes = reply.explanation.grounding_notes if reply.explanation else None
+            return grounded, (reply.kind, reply.text, reply.sql, reply.rows, notes)
+
+        capped_grounding, capped = answer(2)
+        grounding, uncapped = answer(4096)
+        assert capped == uncapped
+        assert capped_grounding == grounding
+        # The answer the former per-call scans gave.
+        assert capped[2:] == (
+            "SELECT COUNT(*) AS count_all FROM employment "
+            "WHERE (employment.canton = 'zurich')",
+            [(20,)],
+            [
+                "literal 'zurich' grounded to employment.canton via value index",
+                "table 'employment' via count subject 'employmnet records'",
+            ],
+        )
+
+    def test_added_term_is_found_by_the_next_call(self):
+        terms = [
+            VocabularyTerm(name="employment", synonyms=["jobs"]),
+            VocabularyTerm(name="zorblax market"),
+            VocabularyTerm(name="zorblax"),
+        ]
+        vocabulary = DomainVocabulary()
+        vocabulary.add_term(terms[0])
+        question = "how many zorblax jobs in the zorblax markets of zorblax"
+        before = vocabulary.ground_question(question)
+        assert [hit.matched_text for hit in before] == ["jobs"]
+        # The memo now holds "zorblax" and its n-grams as misses.
+        assert vocabulary._memo[(("zorblax",), 0.999)] is None
+        for term in terms[1:]:
+            vocabulary.add_term(term)
+        fresh = DomainVocabulary()
+        for term in terms:
+            fresh.add_term(term)
+        after = vocabulary.ground_question(question)
+        assert after == fresh.ground_question(question)
+        assert [(hit.matched_text, hit.match_kind) for hit in after] == [
+            ("zorblax", "exact"),
+            ("jobs", "synonym"),
+            ("zorblax", "exact"),
+            ("zorblax", "exact"),
+        ]
+
+    def test_grounded_terms_are_frozen(self):
+        vocabulary = DomainVocabulary()
+        vocabulary.add_term(VocabularyTerm(name="employment"))
+        (hit,) = vocabulary.ground_question("employment")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hit.score = 0.5
+        # The memo hands the same object to the next question.
+        assert vocabulary.ground_question("employment")[0] is hit
 
 
 # -- head scans and the intent table --------------------------------------------------
