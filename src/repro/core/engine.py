@@ -56,9 +56,9 @@ from repro.analytics.timeseries import InsufficientDataError, decompose
 from repro.analytics.outliers import iqr_outliers
 
 # Turn-level telemetry handles (registry reset zeroes these in place).
-# ``*.latency`` names auto-attach the quantile sketch, so the scorecard's
-# p50/p95 stay relative-error-bounded at any traffic volume.
-_TURN_LATENCY = histogram("core.engine.turn.latency")
+# The turn latency is the one histogram whose quantiles are read (the
+# scorecard's P1), so it alone carries the quantile sketch.
+_TURN_LATENCY = histogram("core.engine.turn.latency", sketch=True)
 _CONFIDENCE = histogram(
     "core.engine.confidence",
     buckets=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
@@ -170,8 +170,9 @@ class CDAEngine:
 
     def _record_turn(self, answer: Answer, seconds: float, root) -> None:
         """Fold one finished turn into the cross-turn aggregates: the
-        turn latency sketch, the fused-confidence distribution and, when
-        traced, one observation per stage latency histogram.  The turn's
+        turn latency histogram (with its sketch), the fused-confidence
+        distribution and, when traced, one observation per stage latency
+        histogram (buckets only, for ``--prometheus``).  The turn's
         own timings stay in its span tree and the recorder's
         ``latency_s``; no event copies them."""
         _TURN_LATENCY.observe(seconds)

@@ -45,22 +45,39 @@ class Session:
     last_intent: object | None = None
     #: Group-by columns already shown (suggestions avoid repeating them).
     used_group_columns: set[str] = field(default_factory=set)
-    #: Running counters for session introspection.
-    questions_asked: int = 0
-    answers_given: int = 0
-    abstentions: int = 0
-    clarifications_asked: int = 0
     #: What this session's turns did: the engine folds each turn's tally
     #: in here (the process registry holds every session's sum).
     metrics: MetricsRegistry = field(
         default_factory=MetricsRegistry, repr=False, compare=False
     )
 
+    # The session's counts are read off the conversation graph: only the
+    # ``record_*`` methods add these kinds, the planner only speculative turns.
+
+    @property
+    def questions_asked(self) -> int:
+        """User questions recorded so far."""
+        return self.graph.count(TurnKind.USER_QUESTION)
+
+    @property
+    def answers_given(self) -> int:
+        """System answers delivered so far."""
+        return self.graph.count(TurnKind.SYSTEM_ANSWER)
+
+    @property
+    def abstentions(self) -> int:
+        """Turns the system abstained on so far."""
+        return self.graph.count(TurnKind.ABSTENTION)
+
+    @property
+    def clarifications_asked(self) -> int:
+        """Clarification questions the system asked so far."""
+        return self.graph.count(TurnKind.CLARIFICATION_REQUEST)
+
     def record_user_turn(self, text: str, kind: TurnKind) -> int:
         """Add a user turn to the graph; returns its id."""
         turn = self.graph.add_turn(actor="user", kind=kind, text=text)
         if kind is TurnKind.USER_QUESTION:
-            self.questions_asked += 1
             counter("core.session.questions").inc()
             self.profiler.observe(text)
         return turn.turn_id
@@ -83,10 +100,8 @@ class Session:
             role=role,
         )
         if kind is TurnKind.SYSTEM_ANSWER:
-            self.answers_given += 1
             counter("core.session.answers").inc()
         elif kind is TurnKind.ABSTENTION:
-            self.abstentions += 1
             counter("core.session.abstentions").inc()
             emit(
                 "engine.abstention",
@@ -95,7 +110,6 @@ class Session:
                 confidence=confidence,
             )
         elif kind is TurnKind.CLARIFICATION_REQUEST:
-            self.clarifications_asked += 1
             counter("core.session.clarifications").inc()
             emit("guidance.clarification", turn=turn.turn_id)
         return turn.turn_id
@@ -112,20 +126,10 @@ class Session:
             "pending_clarification": self.pending_clarification is not None,
         }
 
-    def state_dict(self) -> dict:
-        """The full conversation context as one canonical, JSON-safe dict.
-
-        Everything a turn's behaviour can depend on is here — the
-        conversation graph, the pending clarification, the focus table,
-        the last intent, the used group columns, the expertise profile —
-        in a deterministic layout (sets sorted, no object identities, no
-        clocks), so two sessions that went through the same turns produce
-        the *same* dict regardless of process or machine.
-        """
-        return {"graph": self.graph.to_dict(), **self._context_tail()}
-
     def _context_tail(self) -> dict:
-        """Every piece of turn-relevant context except the graph."""
+        """Every piece of turn-relevant context except the graph, as a
+        dict: the reference :meth:`state_digest` must cover field by
+        field (the digest-completeness test compares the two)."""
         pending = None
         if self.pending_clarification is not None:
             pending = {

@@ -63,12 +63,15 @@ class ConversationGraph:
 
     Adjacency is two insertion-ordered dicts: ``_succ[turn]`` maps each
     successor to the edge's role, ``_pred[turn]`` holds the predecessors.
+    ``_uttered`` counts the non-speculative turns of each kind as they are
+    added (the session's question/answer/abstention/clarification counts).
     """
 
     def __init__(self) -> None:
         self._nodes: dict[int, TurnNode] = {}
         self._succ: dict[int, dict[int, str]] = {}
         self._pred: dict[int, dict[int, None]] = {}
+        self._uttered: dict[TurnKind, int] = dict.fromkeys(TurnKind, 0)
         self._counter = itertools.count()
         self._hash = hashlib.sha256(b"conversation-graph-v2")
 
@@ -99,6 +102,8 @@ class ConversationGraph:
         self._nodes[turn.turn_id] = turn
         self._succ[turn.turn_id] = {}
         self._pred[turn.turn_id] = {}
+        if not speculative:
+            self._uttered[kind] += 1
         self._hash.update(repr((
             turn.turn_id, actor, kind.value, text, confidence, speculative,
             sorted(turn.metadata.items()),
@@ -217,10 +222,11 @@ class ConversationGraph:
 
     def count_by_kind(self) -> dict[TurnKind, int]:
         """How many (uttered) turns of each kind the conversation holds."""
-        counts: dict[TurnKind, int] = {kind: 0 for kind in TurnKind}
-        for node in self.turns():
-            counts[node.kind] += 1
-        return counts
+        return dict(self._uttered)
+
+    def count(self, kind: TurnKind) -> int:
+        """How many (uttered) turns of ``kind`` the conversation holds."""
+        return self._uttered[kind]
 
     # -- serialisation (session persistence / audit export) ---------------------
 

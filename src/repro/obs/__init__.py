@@ -7,9 +7,9 @@ the engine exports *out of* it — a turn trace as a dict, text or Chrome
 trace-event JSON, the registry as Prometheus exposition (all in
 :mod:`repro.obs.exporters`), and the whole
 session as P1–P5 reliability verdicts (:mod:`repro.obs.scorecard`).
-Latency histograms carry a mergeable relative-error-bounded quantile
-sketch (:mod:`repro.obs.sketch`) so tail percentiles stay accurate at
-any scale.
+Quantiles come only from a mergeable relative-error-bounded quantile
+sketch (:mod:`repro.obs.sketch`), which a histogram carries only where
+a quantile is read: the turn latency, for the scorecard's P1.
 
 Each measurement has one per-turn record: a turn's stage timings live
 in its span tree, its latency in the flight recorder's ``latency_s``,

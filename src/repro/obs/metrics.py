@@ -1,12 +1,9 @@
 """Unified metrics registry: counters and fixed-bucket histograms.
 
-Before this module every layer kept bespoke tallies — ``CacheStats`` on
-the query cache, ``QueryStats`` on the database, ad-hoc ints on the
-session, per-result work counters on the vector indexes — with no single
-place to read, reset, or export them.  The registry unifies them under
-the ``layer.component.metric`` naming scheme (``sqldb.cache.hits``,
-``vector.index.distance_computations``, ``core.session.questions``)
-while the original attributes remain as thin views for compatibility.
+Every layer reports its tallies here under the ``layer.component.metric``
+naming scheme (``sqldb.cache.hits``, ``vector.index.distance_computations``,
+``core.session.questions``); the registry is the one place to read,
+reset and export them.
 
 Two scopes see every observation:
 
@@ -22,13 +19,17 @@ Two scopes see every observation:
   registry afterwards.  Work outside a turn reaches the process
   registry only.
 
-Stdlib only, like the rest of :mod:`repro.obs`; :class:`Histogram`
+A histogram counts into fixed buckets; quantiles come only from a
+:class:`~repro.obs.sketch.QuantileSketch`, which a histogram carries
+only when its creator asks for one (the turn latency, which the
+scorecard reads).  Stdlib only, like the rest of :mod:`repro.obs`;
 observation is a binary search over a short tuple of bucket bounds.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from contextvars import ContextVar
 
 from repro.obs.sketch import QuantileSketch
@@ -129,24 +130,20 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 
 
 class Histogram:
-    """Fixed-bucket histogram: cumulative-style counts, sum, min/max.
+    """Fixed-bucket histogram: per-bin counts, count and sum.
 
-    ``buckets`` are upper bounds (inclusive) of each bin, ascending; one
-    implicit overflow bin catches everything larger.  Observation is a
-    binary search over the bounds — no numpy, no allocation.
+    ``buckets`` are upper bounds (inclusive) of each bin, finite and
+    strictly ascending; one implicit overflow bin catches everything
+    larger.  Observation is a binary search over the bounds — no numpy,
+    no allocation.
 
     ``sketch`` attaches a relative-error-bounded
-    :class:`~repro.obs.sketch.QuantileSketch` backend: observations feed
-    both structures and :meth:`quantile` answers from the sketch (within
-    its accuracy bound at any scale) instead of by bucket interpolation.
-    Pass ``True`` for the default 1% accuracy or a float in (0, 1) to
-    choose it; latency metrics (``*.latency``) get the sketch
-    automatically from :meth:`MetricsRegistry.histogram`.
+    :class:`~repro.obs.sketch.QuantileSketch` that every observation also
+    feeds, the histogram's only quantile estimator: pass ``True`` for the
+    default 1% accuracy or a float in (0, 1) to choose it.
     """
 
-    __slots__ = (
-        "name", "buckets", "counts", "count", "total", "min", "max", "sketch",
-    )
+    __slots__ = ("name", "buckets", "counts", "count", "total", "sketch")
 
     kind = "histogram"
 
@@ -157,15 +154,17 @@ class Histogram:
         sketch: bool | float = False,
     ):
         bounds = tuple(buckets) if buckets is not None else DEFAULT_BUCKETS
-        if not bounds or list(bounds) != sorted(bounds):
-            raise ValueError("histogram buckets must be ascending and non-empty")
+        if not bounds or not all(map(math.isfinite, bounds)) or any(
+            low >= high for low, high in zip(bounds, bounds[1:])
+        ):
+            raise ValueError(
+                "histogram buckets must be non-empty, finite and strictly ascending"
+            )
         self.name = name
         self.buckets = bounds
         self.counts = [0] * (len(bounds) + 1)  # +1 overflow bin
         self.count = 0
         self.total = 0.0
-        self.min: float | None = None
-        self.max: float | None = None
         self.sketch: QuantileSketch | None = None
         if sketch:
             self.sketch = QuantileSketch(
@@ -177,10 +176,6 @@ class Histogram:
         self.counts[bisect.bisect_left(self.buckets, value)] += 1
         self.count += 1
         self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
         if self.sketch is not None:
             self.sketch.observe(value)
         tally = _TALLY.get()
@@ -192,52 +187,11 @@ class Histogram:
         """Average observation (0 when empty)."""
         return self.total / self.count if self.count else 0.0
 
-    def quantile(self, q: float) -> float:
-        """The ``q``-quantile: sketch-accurate when a sketch backend is
-        attached, else linearly interpolated within the winning bucket.
-
-        The interpolated estimate is clamped to the observed
-        ``[min, max]`` range and is monotone non-decreasing in ``q``.
-        """
-        if not (0.0 <= q <= 1.0):
-            raise ValueError("q must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        if self.sketch is not None:
-            return self.sketch.quantile(q)
-        target = q * self.count
-        running = 0
-        estimate = self.max if self.max is not None else 0.0
-        for index, bin_count in enumerate(self.counts):
-            if running + bin_count >= target:
-                if index == 0:
-                    lower = self.min if self.min is not None else 0.0
-                else:
-                    lower = self.buckets[index - 1]
-                if index < len(self.buckets):
-                    upper = self.buckets[index]
-                else:  # overflow bin: bounded above by the observed max
-                    upper = self.max if self.max is not None else lower
-                fraction = (target - running) / bin_count if bin_count else 0.0
-                fraction = min(max(fraction, 0.0), 1.0)
-                estimate = lower + (upper - lower) * fraction
-                break
-            running += bin_count
-        # Clamp into the observed range: bucket bounds can overshoot the
-        # data actually seen (e.g. every value in one wide bin).
-        if self.min is not None:
-            estimate = max(estimate, self.min)
-        if self.max is not None:
-            estimate = min(estimate, self.max)
-        return estimate
-
     def reset(self) -> None:
         """Zero all bins and stats in place."""
         self.counts = [0] * (len(self.buckets) + 1)
         self.count = 0
         self.total = 0.0
-        self.min = None
-        self.max = None
         if self.sketch is not None:
             self.sketch.reset()
 
@@ -275,18 +229,13 @@ class MetricsRegistry:
         self,
         name: str,
         buckets: tuple[float, ...] | None = None,
-        sketch: bool | float | None = None,
+        sketch: bool | float = False,
     ) -> Histogram:
         """The histogram named ``name`` (created on first use).
 
         ``buckets`` and ``sketch`` only apply at creation; later callers
-        share the original configuration.  ``sketch=None`` (the default)
-        auto-attaches the quantile-sketch backend to latency metrics —
-        any name ending in ``.latency`` — so the pipeline's p50/p95/p99
-        stay relative-error-bounded without call sites opting in.
+        share the original configuration.
         """
-        if sketch is None:
-            sketch = name.endswith(".latency")
         return self._get_or_create(name, Histogram, buckets, sketch)
 
     def get(self, name: str):
@@ -337,7 +286,7 @@ def counter(name: str) -> Counter:
 def histogram(
     name: str,
     buckets: tuple[float, ...] | None = None,
-    sketch: bool | float | None = None,
+    sketch: bool | float = False,
 ) -> Histogram:
     """Shorthand for ``get_registry().histogram(name, buckets, sketch)``."""
     return _GLOBAL.histogram(name, buckets, sketch)

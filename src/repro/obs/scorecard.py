@@ -9,8 +9,8 @@ in :class:`SLOThresholds` (carried by
 :class:`~repro.core.config.ReliabilityConfig` as ``config.slo``), and
 returns a :class:`Scorecard` of pass/warn/fail verdicts:
 
-* **P1 Efficiency** — turn latency quantiles (from the sketch-backed
-  ``core.engine.turn.latency`` histogram) against the latency SLOs,
+* **P1 Efficiency** — turn latency quantiles (from the quantile sketch
+  of the ``core.engine.turn.latency`` histogram) against the latency SLOs,
   plus query-cache effectiveness;
 * **P2 Grounding** — what fraction of grounded-parser attempts landed,
   and how confidently;
@@ -290,10 +290,11 @@ def _judge_p1(
     registry: MetricsRegistry, slo: SLOThresholds, margin: float
 ) -> PropertyVerdict:
     latency = registry.get("core.engine.turn.latency")
+    sketch = latency.sketch if latency is not None else None
     p50 = p95 = None
-    if latency is not None and latency.count:
-        p50 = latency.quantile(0.5)
-        p95 = latency.quantile(0.95)
+    if sketch is not None and sketch.count:
+        p50 = sketch.quantile(0.5)
+        p95 = sketch.quantile(0.95)
     hits = _counter_value(registry, "sqldb.cache.hits")
     misses = _counter_value(registry, "sqldb.cache.misses")
     lookups = hits + misses

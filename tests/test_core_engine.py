@@ -1,5 +1,7 @@
 """Tests for the CDA engine and the core layer."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import (
@@ -273,6 +275,33 @@ class TestSessionState:
         engine.ask("what is the barometer?")
         assert engine.session.questions_asked == 2
         assert engine.session.answers_given == 2
+
+    def test_counts_agree_across_snapshot_graph_and_metrics(self, engine):
+        script = (
+            ("what data do you have about employment", AnswerKind.DISCOVERY),
+            ("employment", AnswerKind.METADATA),  # the clarification reply
+            ("how many employees are there", AnswerKind.DATA),
+            ("and for bern", AnswerKind.DATA),  # a follow-up
+            ("please compute the frobnication coefficient", AnswerKind.ABSTENTION),
+            ("hello", AnswerKind.CHITCHAT),
+        )
+        for question, kind in script:
+            assert engine.ask(question).kind is kind
+        session = engine.session
+        snapshot = session.snapshot()
+        by_kind = session.graph.count_by_kind()
+        counters = session.metrics.counter_values("core.session.")
+        scanned = Counter(node.kind for node in session.graph.turns())
+        for field, kind, name, expected in (
+            ("questions_asked", TurnKind.USER_QUESTION, "questions", 5),
+            ("answers_given", TurnKind.SYSTEM_ANSWER, "answers", 4),
+            ("abstentions", TurnKind.ABSTENTION, "abstentions", 1),
+            ("clarifications_asked", TurnKind.CLARIFICATION_REQUEST, "clarifications", 1),
+        ):
+            assert snapshot[field] == getattr(session, field) == expected
+            assert by_kind[kind] == scanned[kind] == expected
+            assert counters[f"core.session.{name}"] == expected
+        assert by_kind[TurnKind.CLARIFICATION_REPLY] == 1
 
     def test_conversation_graph_records_turns(self, engine):
         engine.ask("how many cantons are there")

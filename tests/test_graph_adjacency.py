@@ -291,6 +291,23 @@ class TestConversationGraphOracle:
         assert rebuilt.to_dict() == graph.to_dict()
         assert ConversationGraph.from_dict(rebuilt.to_dict()).digest() == rebuilt.digest()
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(list(TurnKind)), st.booleans()), max_size=40))
+    def test_count_by_kind_matches_a_full_scan(self, turns):
+        graph = ConversationGraph()
+        for index, (kind, speculative) in enumerate(turns):
+            graph.add_turn("user", kind, f"t{index}", speculative=speculative)
+        expected = {
+            kind: sum(1 for node in graph.turns(include_speculative=True)
+                      if node.kind is kind and not node.speculative)
+            for kind in TurnKind
+        }
+        assert graph.count_by_kind() == expected
+        assert {kind: graph.count(kind) for kind in TurnKind} == expected
+        graph.count_by_kind()[TurnKind.USER_QUESTION] = -1  # a copy
+        assert graph.count_by_kind() == expected
+        assert ConversationGraph.from_dict(graph.to_dict()).count_by_kind() == expected
+
     def test_thread_of_follows_the_earliest_parent(self):
         graph = ConversationGraph()
         for index in range(4):

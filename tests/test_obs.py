@@ -112,10 +112,26 @@ class TestMetrics:
         for value in (0.5, 5.0, 500.0):
             h.observe(value)
         assert h.count == 3
-        assert h.min == 0.5 and h.max == 500.0
         assert h.counts == [1, 1, 1]  # the last bin is the overflow bin
         assert h.mean == pytest.approx(505.5 / 3)
-        assert h.quantile(0.0) <= h.quantile(1.0)
+        assert h.sketch is None  # a sketch only where one is asked for
+
+    @pytest.mark.parametrize("buckets", [
+        (1.0, 1.0, 2.0),
+        (2.0, 1.0),
+        (1.0, float("nan"), 2.0),
+        (float("nan"),),
+        (1.0, float("inf")),
+        (float("-inf"), 1.0),
+        (),
+    ])
+    def test_bucket_bounds_must_be_finite_and_strictly_ascending(self, buckets):
+        # A repeated or NaN bound would export two series with one ``le``.
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError):
+            registry.histogram("h", buckets=buckets)
+        assert "h" not in registry
+        registry.histogram("h", buckets=(0, 0.5, 1.0, 2))
 
     def test_get_or_create_returns_same_object(self):
         registry = MetricsRegistry()

@@ -357,6 +357,122 @@ class TestPrometheusExport:
         assert "repro_" not in text
 
 
+# -- one record, one read path ------------------------------------------------
+
+
+#: A scripted swiss session: a discovery that asks back, the reply, a
+#: data question, its follow-up and an abstention.
+FIVE_TURNS = (
+    "what data do you have about employment",
+    "employment",
+    "how many employees are there",
+    "and for bern",
+    "please compute the frobnication coefficient",
+)
+
+#: The ``# TYPE`` families :data:`FIVE_TURNS` exports: a golden set, since
+#: whether a histogram carries a sketch must not change what is exported.
+FIVE_TURN_HISTOGRAMS = {
+    "repro_core_engine_confidence",
+    "repro_core_engine_turn_latency",
+    "repro_core_stage_engine_abstention_latency",
+    "repro_core_stage_engine_execution_latency",
+    "repro_core_stage_engine_intent_latency",
+    "repro_core_stage_engine_retrieval_latency",
+    "repro_core_stage_engine_verification_latency",
+    "repro_core_stage_nl_nl2sql_ground_latency",
+    "repro_core_stage_nl_nl2sql_translate_latency",
+    "repro_core_stage_soundness_confidence_fuse_latency",
+    "repro_nl_ground_confidence",
+    "repro_sqldb_executor_seconds",
+}
+FIVE_TURN_COUNTERS = {
+    "repro_core_engine_data_answers_total",
+    "repro_core_engine_explained_answers_total",
+    "repro_core_session_abstentions_total",
+    "repro_core_session_answers_total",
+    "repro_core_session_clarifications_total",
+    "repro_core_session_questions_total",
+    "repro_guidance_clarifications_resolved_total",
+    "repro_guidance_suggestions_offered_total",
+    "repro_nl_ground_attempts_total",
+    "repro_nl_ground_grounded_total",
+    "repro_retrieval_bm25_queries_total",
+    "repro_retrieval_discovery_queries_total",
+    "repro_retrieval_hybrid_dense_contributions_total",
+    "repro_retrieval_hybrid_lexical_contributions_total",
+    "repro_retrieval_hybrid_queries_total",
+    "repro_soundness_verifier_passed_total",
+    "repro_sqldb_cache_hits_total",
+    "repro_sqldb_cache_misses_total",
+    "repro_sqldb_executor_queries_total",
+    "repro_sqldb_executor_rows_scanned_total",
+    "repro_sqldb_planner_plans_total",
+    "repro_sqldb_planner_pushed_conjuncts_total",
+    "repro_vector_index_candidates_visited_total",
+    "repro_vector_index_distance_computations_total",
+    "repro_vector_index_searches_total",
+}
+
+
+def _families(text: str, live_only: bool = False) -> dict[str, str]:
+    """Family name -> type for every ``# TYPE`` line (with ``live_only``,
+    only the families with a non-zero value or observation count)."""
+    samples = _parse_prometheus(text)
+    families = {}
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            _, _, family, kind = line.split()
+            total = samples[family if kind == "counter" else f"{family}_count"]
+            if total[0][1] or not live_only:
+                families[family] = kind
+    return families
+
+
+class TestTelemetrySurface:
+    @pytest.fixture
+    def five_turn_engine(self) -> CDAEngine:
+        from repro.datasets import build_swiss_labour_registry
+
+        # A cold bundle: the cache counters do not depend on test order.
+        bundle = build_swiss_labour_registry(seed=0)
+        engine = CDAEngine(bundle.registry, bundle.vocabulary)
+        for question in FIVE_TURNS:
+            engine.ask(question)
+        return engine
+
+    def test_only_the_turn_latency_carries_a_sketch(self, engine):
+        answer = engine.ask("how many employees are there")
+        assert answer.trace.children
+        for registry in (get_registry(), engine.session.metrics):
+            observed = [
+                registry.get(name) for name in registry.names()
+                if registry.get(name).kind == "histogram" and registry.get(name).count
+            ]
+            assert any(h.name.startswith("core.stage.") for h in observed)
+            sketched = [h.name for h in observed if h.sketch is not None]
+            assert sketched == ["core.engine.turn.latency"]
+
+    def test_exported_families_are_unchanged(self, five_turn_engine):
+        golden = {
+            **dict.fromkeys(FIVE_TURN_HISTOGRAMS, "histogram"),
+            **dict.fromkeys(FIVE_TURN_COUNTERS, "counter"),
+        }
+        assert _families(to_prometheus(five_turn_engine.session.metrics)) == golden
+        # The process registry also holds what other tests registered.
+        assert _families(to_prometheus(), live_only=True) == golden
+
+    def test_scorecard_p1_reads_the_turn_latency_sketch(self, five_turn_engine):
+        sketch = five_turn_engine.session.metrics.get("core.engine.turn.latency").sketch
+        assert sketch.count == len(FIVE_TURNS)
+        checks = {
+            check.name: check
+            for check in five_turn_engine.scorecard().verdict("P1").checks
+        }
+        assert checks["turn latency p50 (s)"].value == sketch.quantile(0.5)
+        assert checks["turn latency p95 (s)"].value == sketch.quantile(0.95)
+
+
 # -- Chrome trace export ------------------------------------------------------
 
 

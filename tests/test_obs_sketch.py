@@ -1,9 +1,9 @@
 """Quantile sketch: accuracy bound, merge equivalence, histogram backend.
 
-Covers the PR's acceptance criteria: sketch quantiles within 2% relative
-error of exact quantiles on 1e5 observations, ``merge(a, b)`` ==
-observe-all equivalence (property-based), and linear interpolation
-inside ``Histogram.quantile`` with pinned monotonicity.
+Sketch quantiles within 2% relative error of exact quantiles on 1e5
+observations, ``merge(a, b)`` == observe-all equivalence
+(property-based), and the sketch as a histogram's only quantile
+estimator, attached only where it is asked for.
 """
 
 from __future__ import annotations
@@ -144,20 +144,21 @@ class TestSketchMerge:
 
 class TestHistogramSketchBackend:
     def test_sketch_backend_sharpens_quantiles(self):
-        plain = Histogram("plain")
-        sketched = Histogram("sketched", sketch=True)
+        histogram = Histogram("sketched", sketch=True)
         values = [2.0 + (index % 100) / 100.0 for index in range(1_000)]
-        for value in values:  # all inside the (1, 10] decade bucket
-            plain.observe(value)
-            sketched.observe(value)
+        for value in values:
+            histogram.observe(value)
+        # Every value lands in the (1, 10] decade bucket: the buckets
+        # alone cannot place p95, the sketch does within its bound.
+        assert sorted(histogram.counts, reverse=True)[:2] == [1_000, 0]
         exact = sorted(values)[int(0.95 * (len(values) - 1))]
-        assert abs(sketched.quantile(0.95) - exact) <= 0.02 * exact
-        assert sketched.sketch.quantiles()["p95"] == sketched.quantile(0.95)
+        assert abs(histogram.sketch.quantile(0.95) - exact) <= 0.02 * exact
 
-    def test_latency_names_get_the_sketch_automatically(self):
+    def test_sketch_only_where_asked(self):
         registry = MetricsRegistry()
-        assert registry.histogram("core.engine.turn.latency").sketch is not None
+        assert registry.histogram("core.stage.engine.intent.latency").sketch is None
         assert registry.histogram("sqldb.executor.seconds").sketch is None
+        assert registry.histogram("turn", sketch=True).sketch.relative_accuracy == 0.01
         assert registry.histogram("x", sketch=0.05).sketch.relative_accuracy == 0.05
 
     def test_reset_clears_sketch_in_place(self):
@@ -167,58 +168,4 @@ class TestHistogramSketchBackend:
         histogram.reset()
         assert histogram.sketch is backend
         assert backend.count == 0
-        assert histogram.quantile(0.5) == 0.0
-
-
-# -- satellite: interpolated bucket quantiles ---------------------------------
-
-
-class TestHistogramInterpolation:
-    def test_interpolates_within_the_winning_bucket(self):
-        histogram = Histogram("h", buckets=(0.0, 10.0, 100.0))
-        for value in (2.0, 4.0, 6.0, 8.0):
-            histogram.observe(value)
-        # All mass in the (0, 10] bucket: quantiles interpolate between
-        # the observed min and the bucket bound instead of pinning to 10.
-        assert histogram.quantile(0.5) < 10.0
-        assert histogram.quantile(0.25) < histogram.quantile(0.75)
-
-    def test_quantile_clamped_to_observed_range(self):
-        histogram = Histogram("h", buckets=(1.0, 10.0))
-        histogram.observe(5.0)
-        histogram.observe(5.0)
-        assert histogram.quantile(1.0) == 5.0  # not the bucket bound
-        assert histogram.quantile(0.0) >= 5.0
-
-    def test_overflow_bin_interpolates_toward_max(self):
-        histogram = Histogram("h", buckets=(1.0,))
-        for value in (0.5, 2.0, 50.0):
-            histogram.observe(value)
-        assert histogram.quantile(1.0) == 50.0
-        assert 1.0 <= histogram.quantile(0.7) <= 50.0
-
-    @given(
-        values=st.lists(
-            st.floats(
-                min_value=0.0, max_value=1e6,
-                allow_nan=False, allow_infinity=False,
-            ),
-            min_size=1,
-            max_size=50,
-        ),
-        qs=st.lists(
-            st.floats(min_value=0.0, max_value=1.0),
-            min_size=2,
-            max_size=8,
-        ),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_quantiles_are_monotone_in_q(self, values, qs):
-        histogram = Histogram("h")
-        for value in values:
-            histogram.observe(value)
-        qs.sort()
-        estimates = [histogram.quantile(q) for q in qs]
-        assert all(a <= b for a, b in zip(estimates, estimates[1:])), (
-            qs, estimates,
-        )
+        assert backend.quantile(0.5) == 0.0

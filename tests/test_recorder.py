@@ -194,9 +194,10 @@ class TestStateDigest:
                 )
             return mutate
 
-        def bump(name):
+        def uttered(kind):
+            # The counts are read off the graph: add one turn of that kind.
             def mutate(session):
-                setattr(session, name, getattr(session, name) + 1)
+                session.graph.add_turn("system", kind, "extra")
             return mutate
 
         changes = {
@@ -217,10 +218,10 @@ class TestStateDigest:
             "used_group_columns": [
                 lambda session: session.used_group_columns.add("region")
             ],
-            "questions_asked": [bump("questions_asked")],
-            "answers_given": [bump("answers_given")],
-            "abstentions": [bump("abstentions")],
-            "clarifications_asked": [bump("clarifications_asked")],
+            "questions_asked": [uttered(TurnKind.USER_QUESTION)],
+            "answers_given": [uttered(TurnKind.SYSTEM_ANSWER)],
+            "abstentions": [uttered(TurnKind.ABSTENTION)],
+            "clarifications_asked": [uttered(TurnKind.CLARIFICATION_REQUEST)],
             "profile": [lambda session: session.profiler.observe("select the median")],
         }
         base = self._scripted_session()
@@ -235,10 +236,6 @@ class TestStateDigest:
                 assert tail == changed_tail
                 digests.add(changed.state_digest())
         assert len(digests) == 1 + sum(map(len, changes.values()))
-
-    def test_state_dict_is_canonical_json(self):
-        state = self._scripted_session().state_dict()
-        assert json.loads(json.dumps(state)) == state
 
 
 # -- capture ------------------------------------------------------------------
